@@ -3,7 +3,7 @@ tridiagonal pairs and systems over the rationals and prime fields."""
 
 from .matrices import Matrix, Subspace
 from .scalars import FpElement, PrimeField, RationalField
-from .tdcore import Check, TdSystem, ValidateOptions, VerificationReport, validate
+from .tdcore import Check, SystemContext, TdSystem, ValidateOptions, VerificationReport, validate
 
 __all__ = [
     "Check",
@@ -12,6 +12,7 @@ __all__ = [
     "PrimeField",
     "RationalField",
     "Subspace",
+    "SystemContext",
     "TdSystem",
     "ValidateOptions",
     "VerificationReport",

@@ -26,11 +26,12 @@ from .scalars import Field, FieldError, FpElement, PrimeField, RationalField, fi
 from .tdcore import (
     FAIL,
     PASS,
+    SKIP,
     Check,
     InvariantViolation,
+    SystemContext,
     TdSystem,
     ValidateOptions,
-    VerificationReport,
 )
 
 FORMAT_SYSTEM = "tdlab/1"
@@ -129,7 +130,7 @@ def system_from_document(doc: dict):
     try:
         field = field_from_descriptor(doc["field"])
         n = doc["dimension"]
-        if not isinstance(n, int) or n <= 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
             raise InputError("dimension must be a positive integer")
         a = _parse_matrix(field, doc["A"], n)
         astar = _parse_matrix(field, doc["Astar"], n)
@@ -140,6 +141,8 @@ def system_from_document(doc: dict):
         if not thetas:
             raise InputError("empty eigenvalue sequence")
         q_hint = field.parse(doc["q"]) if "q" in doc else None
+        if q_hint is not None and q_hint == field.zero:
+            raise InputError("q must be nonzero")
     except InputError:
         raise
     except (KeyError, TypeError, FieldError) as err:
@@ -180,6 +183,24 @@ def load_system(path: str):
 # Generators
 
 
+def _bidiagonal_system(field: Field, thetas, thetas_star, phis) -> TdSystem:
+    """The split-form candidate: A lower bidiagonal with diagonal thetas and
+    unit subdiagonal, A* upper bidiagonal with diagonal thetas_star and
+    superdiagonal phis."""
+    n = len(thetas)
+    zero = field.zero
+    a_rows = [[zero] * n for _ in range(n)]
+    b_rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        a_rows[i][i] = thetas[i]
+        b_rows[i][i] = thetas_star[i]
+    for i in range(1, n):
+        a_rows[i][i - 1] = field.one
+        b_rows[i - 1][i] = phis[i - 1]
+    a, astar = Matrix(field, a_rows), Matrix(field, b_rows)
+    return TdSystem(field, n, a, astar, tuple(thetas), tuple(thetas_star))
+
+
 def gen_leonard_split(field: Field, thetas, thetas_star, phis):
     """Bidiagonal candidate from split data, gated by full validation.
 
@@ -198,21 +219,10 @@ def gen_leonard_split(field: Field, thetas, thetas_star, phis):
         raise InputError("theta and theta_star must have equal length")
     if len(phis) != d:
         raise InputError("phi must have length d")
-    n = d + 1
-    zero = field.zero
-    a_rows = [[zero] * n for _ in range(n)]
-    b_rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        a_rows[i][i] = thetas[i]
-        b_rows[i][i] = thetas_star[i]
-    for i in range(1, n):
-        a_rows[i][i - 1] = field.one
-        b_rows[i - 1][i] = phis[i - 1]
-    sys = TdSystem(field, n, Matrix(field, a_rows), Matrix(field, b_rows), thetas, thetas_star)
-    report = td.validate(sys)
+    ctx = SystemContext(_bidiagonal_system(field, thetas, thetas_star, phis))
+    report = ctx.report
     if report.passed() and report.sharp:
-        decomp = sp.split_decomposition(sys, report.idempotents, report.idempotents_star)
-        zetas = sp.split_sequence(sys, decomp)
+        zetas = ctx.zetas
         expected = [field.one]
         for p in phis:
             expected.append(expected[-1] * p)
@@ -221,7 +231,7 @@ def gen_leonard_split(field: Field, thetas, thetas_star, phis):
                 "split sequence differs from cumulative superdiagonal products",
                 {"zetas": [field.format(z) for z in zetas]},
             )
-    return sys, report
+    return ctx.sys, report
 
 
 def builtin_x1():
@@ -245,6 +255,12 @@ class RunConfig:
     irreducibility: str = "eigen_subset"
     jobs: int = 1
     chain_depth: int = 3
+
+    def __post_init__(self):
+        if self.d_max < 1:
+            raise InputError("d_max must be at least 1")
+        if isinstance(self.field, PrimeField) and self.field.p < 5:
+            raise InputError("fuzz needs a prime modulus of at least 5")
 
     def descriptor(self) -> dict:
         return {
@@ -317,13 +333,10 @@ def _sample_superdiagonal(field: Field, rng: SplitMix64, thetas, thetas_star):
         return tuple(_random_nonzero(field, rng) for _ in range(d))
     n = d + 1
     zero = field.zero
-    a_rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        a_rows[i][i] = thetas[i]
-    for i in range(1, n):
-        a_rows[i][i - 1] = field.one
-    e_fam = td.primitive_idempotents(Matrix(field, a_rows), thetas)
-    diag = Matrix(field, [[thetas_star[i] if i == j else zero for j in range(n)] for i in range(n)])
+    # with a zero superdiagonal, A* is the diagonal part the units are added to
+    unit_free = _bidiagonal_system(field, thetas, thetas_star, (zero,) * d)
+    e_fam = td.primitive_idempotents(unit_free.A, thetas)
+    diag = unit_free.Astar
     units = []
     for k in range(1, n):
         u = [[zero] * n for _ in range(n)]
@@ -389,8 +402,7 @@ class TrialResult:
     accepted: bool
     doc: dict
     checks: list
-    system: TdSystem | None = None
-    zetas: tuple | None = None
+    context: SystemContext | None = None  # accepted trials only
     failed_identity: bool = False
 
 
@@ -399,25 +411,16 @@ def run_trial(config: RunConfig, index: int) -> TrialResult:
     rng = SplitMix64(seed)
     d = rng.randint(1, config.d_max)
     thetas, thetas_star, phis = _random_scalars(config.field, rng, d)
-    sys, report = _build_and_validate(config, thetas, thetas_star, phis)
-    doc = document_from_system(sys)
+    ctx = _candidate_context(config, thetas, thetas_star, phis)
+    report = ctx.report
+    doc = document_from_system(ctx.sys)
     checks = list(report.checks)
     if not (report.passed() and report.sharp):
         return TrialResult(index, seed, d, False, doc, checks)
-    suite_checks, payload = run_identity_suite(sys, report, chain_depth=config.chain_depth)
+    suite_checks, _ = run_identity_suite(ctx, chain_depth=config.chain_depth)
     checks.extend(suite_checks)
     failed = any(c.status == FAIL for c in suite_checks)
-    return TrialResult(
-        index,
-        seed,
-        d,
-        True,
-        doc,
-        checks,
-        system=sys,
-        zetas=payload.get("zetas"),
-        failed_identity=failed,
-    )
+    return TrialResult(index, seed, d, True, doc, checks, context=ctx, failed_identity=failed)
 
 
 def gen_random(config: RunConfig):
@@ -429,48 +432,101 @@ def gen_random(config: RunConfig):
         yield run_trial(config, index)
 
 
-def _build_and_validate(config: RunConfig, thetas, thetas_star, phis):
-    field = config.field
-    d = len(thetas) - 1
-    n = d + 1
-    zero = field.zero
-    a_rows = [[zero] * n for _ in range(n)]
-    b_rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        a_rows[i][i] = thetas[i]
-        b_rows[i][i] = thetas_star[i]
-    for i in range(1, n):
-        a_rows[i][i - 1] = field.one
-        b_rows[i - 1][i] = phis[i - 1]
-    sys = TdSystem(field, n, Matrix(field, a_rows), Matrix(field, b_rows), thetas, thetas_star)
-    report = td.validate(sys, ValidateOptions(irreducibility=config.irreducibility))
-    return sys, report
+def _candidate_context(config: RunConfig, thetas, thetas_star, phis) -> SystemContext:
+    sys = _bidiagonal_system(config.field, thetas, thetas_star, phis)
+    return SystemContext(sys, ValidateOptions(irreducibility=config.irreducibility))
 
 
 # ---------------------------------------------------------------------------
 # The identity suite
+#
+# Each *_stage function runs one group of checks over a validated sharp
+# context (conjectures_stage also takes a non-sharp one) and returns
+# (checks, extra): the checks in report order and the payload a report
+# embeds.  The CLI subcommands and the identity suite call the same stages.
 
 
-def run_identity_suite(sys: TdSystem, report: VerificationReport, chain_depth: int = 3):
+def params_stage(ctx: SystemContext):
+    try:
+        array = sp.parameter_array(ctx.sys, ctx.zetas)
+    except InvariantViolation as err:
+        return [Check("split/parameter_array", FAIL, {"error": str(err)})], {}
+    return [Check("split/parameter_array", PASS)], {"parameter_array": array}
+
+
+def orbit_stage(ctx: SystemContext):
+    try:
+        out = d4.orbit_report(ctx)
+    except InvariantViolation as err:
+        return [Check("orbit/relatives_validate", FAIL, {"error": str(err)})], {}
+    return out["checks"], {"orbit": out["orbit"], "q": out["q"]}
+
+
+def form_stage(ctx: SystemContext):
+    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
+    form, checks = fl.invariant_form(sys)
+    if form is None:
+        return checks, {}
+    checks.extend(fl.form_checks(form, sys, e_fam, estar_fam))
+    _, anti_cks = fl.anti_automorphism(form, sys, e_fam, estar_fam)
+    checks.extend(anti_cks)
+    return checks, {"gram": form.gram}
+
+
+def conjectures_stage(ctx: SystemContext, chain_depth: int = 3):
+    """Subalgebra and corner-algebra checks; also runs on non-sharp systems,
+    where the parameter-array conditions are skipped."""
+    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
+    checks = []
+    extra = {}
+    try:
+        algs = cj.generate_subalgebras(sys, ctx.closure)
+        corner, corner_cks = cj.corner_algebra_checks(
+            sys,
+            algs["T"],
+            algs["D"],
+            algs["Dstar"],
+            estar_fam[0],
+            e_fam[0],
+            depth=chain_depth,
+        )
+        checks.extend(corner_cks)
+        verdict, field_cks = cj.field_check(sys.field, corner, estar_fam[0], estar_fam.ranks[0])
+        checks.extend(field_cks)
+        extra["subalgebra_dims"] = {k: v.dim for k, v in algs.items()} | {"corner": corner.dim}
+        extra["corner_field_verdict"] = verdict
+    except InvariantViolation as err:
+        checks.append(Check("conj/subalgebras", FAIL, {"error": str(err)}))
+    if ctx.report.sharp:
+        checks.extend(cj.pa_conditions(sys.field, sys.thetas, sys.thetas_star, ctx.zetas))
+    else:
+        checks.append(
+            Check("conj/pa_conditions", SKIP, {"reason": "system is not sharp; no parameter array"})
+        )
+    return checks, extra
+
+
+def run_identity_suite(ctx: SystemContext, chain_depth: int = 3):
     """Every identity the package knows, against one validated sharp system.
 
     Returns (checks, payload); the payload carries the derived objects a
     report might want to embed.  An InvariantViolation inside a stage turns
     into a fail check for that stage and stops the stages that depend on it.
     """
+    sys = ctx.sys
     field = sys.field
     checks: list[Check] = []
     payload: dict = {}
-    e_fam, estar_fam = report.idempotents, report.idempotents_star
+    e_fam, estar_fam = ctx.e_fam, ctx.estar_fam
 
     try:
-        decomp = sp.split_decomposition(sys, e_fam, estar_fam)
+        decomp = ctx.decomposition
         checks.append(Check("split/decomposition", PASS))
     except InvariantViolation as err:
         checks.append(Check("split/decomposition", FAIL, {"error": str(err)}))
         return checks, payload
     try:
-        zetas = sp.split_sequence(sys, decomp)
+        zetas = ctx.zetas
         checks.append(Check("split/sequence", PASS))
     except InvariantViolation as err:
         checks.append(Check("split/sequence", FAIL, {"error": str(err)}))
@@ -484,13 +540,11 @@ def run_identity_suite(sys: TdSystem, report: VerificationReport, chain_depth: i
     checks.append(sp.bijection_check(sys, e_fam, estar_fam))
     checks.append(sp.zeta_d_closed_form(sys, e_fam, estar_fam, zetas))
 
-    try:
-        array = sp.parameter_array(sys, zetas)
-        checks.append(Check("split/parameter_array", PASS))
-        payload["parameter_array"] = array
-    except InvariantViolation as err:
-        checks.append(Check("split/parameter_array", FAIL, {"error": str(err)}))
+    stage_checks, extra = params_stage(ctx)
+    checks.extend(stage_checks)
+    if not extra:
         return checks, payload
+    payload.update(extra)
 
     ok, witness = eta_expansion_check(field, sys.thetas, sys.thetas_star)
     checks.append(Check("poly/eta_expansion", PASS if ok else FAIL, witness))
@@ -505,46 +559,25 @@ def run_identity_suite(sys: TdSystem, report: VerificationReport, chain_depth: i
     checks.append(d4.bracket_expansion_check(sys, qd))
 
     try:
-        orbit = d4.compute_orbit(sys)
+        orbit = d4.compute_orbit(ctx)
         checks.append(Check("orbit/relatives_validate", PASS))
     except InvariantViolation as err:
         checks.append(Check("orbit/relatives_validate", FAIL, {"error": str(err)}))
         return checks, payload
     payload["orbit"] = orbit
-    checks.append(
-        sp.zeta_star_check(sys, zetas, orbit["swap"]["zetas"])
-    )
+    checks.append(sp.zeta_star_check(sys, zetas, orbit["swap"]["zetas"]))
     checks.extend(d4.zeta_relations_check(sys, qd, orbit))
 
-    form, form_cks = fl.invariant_form(sys)
-    checks.extend(form_cks)
-    if form is not None:
-        payload["gram"] = form.gram
-        checks.extend(fl.form_checks(form, sys, e_fam, estar_fam))
-        _, anti_cks = fl.anti_automorphism(form, sys, e_fam, estar_fam)
-        checks.extend(anti_cks)
+    stage_checks, extra = form_stage(ctx)
+    checks.extend(stage_checks)
+    payload.update(extra)
 
-    _, dual_cks = fl.dual_system(sys, report.shape, report.sharp, zetas)
+    _, dual_cks = fl.dual_system(ctx)
     checks.extend(dual_cks)
 
-    try:
-        algs = cj.generate_subalgebras(sys)
-        corner, corner_cks = cj.corner_algebra_checks(
-            sys,
-            algs["T"],
-            algs["D"],
-            algs["Dstar"],
-            estar_fam[0],
-            e_fam[0],
-            depth=chain_depth,
-        )
-        checks.extend(corner_cks)
-        _, field_cks = cj.field_check(field, corner, estar_fam[0], estar_fam.ranks[0])
-        checks.extend(field_cks)
-        payload["subalgebra_dims"] = {k: v.dim for k, v in algs.items()} | {"corner": corner.dim}
-    except InvariantViolation as err:
-        checks.append(Check("conj/subalgebras", FAIL, {"error": str(err)}))
-    checks.extend(cj.pa_conditions(field, sys.thetas, sys.thetas_star, zetas))
+    stage_checks, extra = conjectures_stage(ctx, chain_depth)
+    checks.extend(stage_checks)
+    payload.update(extra)
 
     try:
         problems = sp.problems_report(sys, decomp, e_fam, estar_fam)
@@ -660,8 +693,9 @@ def _isomorphism_stage(config: RunConfig, results):
     accepted = [r for r in results if r.accepted and not r.failed_identity]
     arrays = {}
     for r in accepted:
-        key = tuple(field.format(z) for z in (*r.system.thetas, *r.system.thetas_star, *r.zetas))
-        arrays.setdefault((r.system.n, key), []).append(r)
+        sys = r.context.sys
+        key = tuple(field.format(z) for z in (*sys.thetas, *sys.thetas_star, *r.context.zetas))
+        arrays.setdefault((sys.n, key), []).append(r)
 
     def tested_verdict(a, b):
         try:
@@ -671,18 +705,15 @@ def _isomorphism_stage(config: RunConfig, results):
             return "error", {"error": str(err)}
 
     for r in accepted:
+        sys = r.context.sys
         rng = SplitMix64(trial_seed(r.seed, 0xC0))
         for k in range(2):
-            p = _random_invertible(field, rng, r.system.n)
+            p = _random_invertible(field, rng, sys.n)
+            p_inv = mx.inverse(p)
             conj = TdSystem(
-                field,
-                r.system.n,
-                p * r.system.A * mx.inverse(p),
-                p * r.system.Astar * mx.inverse(p),
-                r.system.thetas,
-                r.system.thetas_star,
+                field, sys.n, p * sys.A * p_inv, p * sys.Astar * p_inv, sys.thetas, sys.thetas_star
             )
-            verdict, payload = tested_verdict(r.system, conj)
+            verdict, payload = tested_verdict(r.context, SystemContext(conj))
             ok = verdict == "isomorphic"
             checks.append(
                 Check(
@@ -693,9 +724,9 @@ def _isomorphism_stage(config: RunConfig, results):
             )
             if not ok:
                 disagreements.append((r, "conjugate"))
-        rev = d4.apply_relative(r.system, d4.REV_PRIMARY)
-        if tuple(rev.thetas) != tuple(r.system.thetas):
-            verdict, payload = tested_verdict(r.system, rev)
+        rev = d4.relative_context(r.context, d4.REV_PRIMARY)
+        if tuple(rev.sys.thetas) != tuple(sys.thetas):
+            verdict, payload = tested_verdict(r.context, rev)
             ok = verdict == "not_isomorphic"
             checks.append(
                 Check(
@@ -712,7 +743,7 @@ def _isomorphism_stage(config: RunConfig, results):
             continue
         base = group[0]
         for other in group[1:]:
-            verdict, _ = tested_verdict(base.system, other.system)
+            verdict, _ = tested_verdict(base.context, other.context)
             ok = verdict == "isomorphic"
             checks.append(
                 Check(

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
+from functools import partial
 
 from . import appshell as app
-from . import conjlab as cj
-from . import d4orbit as d4
-from . import formlab as fl
-from . import splitparam as sp
-from . import tdcore as td
 from .scalars import FieldError, PrimeField, RationalField
-from .tdcore import FAIL, PASS, SKIP, Check, InvariantViolation, ValidateOptions
+from .tdcore import PASS, SystemContext, ValidateOptions
 
 
 def parse_field_spec(text: str):
@@ -45,28 +41,29 @@ def _emit(doc: dict) -> int:
     return app.exit_code_from_checks(doc["checks"])
 
 
-def _validate_loaded(path: str, irreducibility: str | None = None):
+def _validated(path: str, irreducibility: str | None = None) -> SystemContext:
     sys, assume_note = app.load_system(path)
     strategy = irreducibility or ("assume" if assume_note else "auto")
     if strategy == "exhaustive":
         strategy = "exhaustive_gfp"
-    options = ValidateOptions(irreducibility=strategy, assume_note=assume_note)
+    ctx = SystemContext(sys, ValidateOptions(irreducibility=strategy, assume_note=assume_note))
     try:
-        report = td.validate(sys, options)
+        ctx.report  # an infeasible strategy is an input error
     except ValueError as err:
         raise app.InputError(str(err)) from err
-    return sys, report
+    return ctx
 
 
 def cmd_verify(args) -> int:
-    sys, report = _validate_loaded(args.file, args.irreducibility)
-    doc = _report_doc(sys.field, report.checks)
+    ctx = _validated(args.file, args.irreducibility)
+    report = ctx.report
+    doc = _report_doc(ctx.sys.field, report.checks)
     if args.json:
         return _emit(doc)
     for c in report.checks:
         line = f"{c.id}: {c.status}"
         if c.status != PASS and c.witness is not None:
-            line += f"  {app.to_jsonable(sys.field, c.witness)}"
+            line += f"  {app.to_jsonable(ctx.sys.field, c.witness)}"
         print(line)
     print(f"overall: {report.overall}")
     if report.shape:
@@ -74,98 +71,32 @@ def cmd_verify(args) -> int:
     return app.exit_code_from_checks(doc["checks"])
 
 
-def _sharp_pipeline(path: str):
-    """Load, validate, and compute split data; None zetas when unusable."""
-    sys, report = _validate_loaded(path)
-    if not report.passed() or not report.sharp:
-        return sys, report, None
-    decomp = sp.split_decomposition(sys, report.idempotents, report.idempotents_star)
-    zetas = sp.split_sequence(sys, decomp)
-    return sys, report, zetas
+def _run_stage(path: str, stage, sharp_only: bool = True) -> int:
+    """Validate, then run one report stage when validation allows it."""
+    ctx = _validated(path)
+    report = ctx.report
+    checks, extra = list(report.checks), {}
+    if report.passed() and (report.sharp or not sharp_only):
+        stage_checks, extra = stage(ctx)
+        checks.extend(stage_checks)
+    return _emit(_report_doc(ctx.sys.field, checks, extra))
 
 
 def cmd_params(args) -> int:
-    sys, report, zetas = _sharp_pipeline(args.file)
-    if zetas is None:
-        return _emit(_report_doc(sys.field, report.checks))
-    try:
-        array = sp.parameter_array(sys, zetas)
-    except InvariantViolation as err:
-        checks = report.checks + [Check("split/parameter_array", FAIL, {"error": str(err)})]
-        return _emit(_report_doc(sys.field, checks))
-    checks = report.checks + [Check("split/parameter_array", PASS)]
-    return _emit(_report_doc(sys.field, checks, {"parameter_array": array}))
+    return _run_stage(args.file, app.params_stage)
 
 
 def cmd_orbit(args) -> int:
-    sys, report, zetas = _sharp_pipeline(args.file)
-    if zetas is None:
-        return _emit(_report_doc(sys.field, report.checks))
-    try:
-        out = d4.orbit_report(sys)
-    except InvariantViolation as err:
-        checks = report.checks + [Check("orbit/relatives_validate", FAIL, {"error": str(err)})]
-        return _emit(_report_doc(sys.field, checks))
-    checks = report.checks + out["checks"]
-    return _emit(_report_doc(sys.field, checks, {"orbit": out["orbit"], "q": out["q"]}))
+    return _run_stage(args.file, app.orbit_stage)
 
 
 def cmd_form(args) -> int:
-    sys, report, zetas = _sharp_pipeline(args.file)
-    if zetas is None:
-        return _emit(_report_doc(sys.field, report.checks))
-    checks = list(report.checks)
-    form, form_cks = fl.invariant_form(sys)
-    checks.extend(form_cks)
-    extra = {}
-    if form is not None:
-        extra["gram"] = form.gram
-        checks.extend(fl.form_checks(form, sys, report.idempotents, report.idempotents_star))
-        _, anti_cks = fl.anti_automorphism(form, sys, report.idempotents, report.idempotents_star)
-        checks.extend(anti_cks)
-    return _emit(_report_doc(sys.field, checks, extra))
+    return _run_stage(args.file, app.form_stage)
 
 
 def cmd_conjectures(args) -> int:
-    sys, report = _validate_loaded(args.file)
-    if not report.passed():
-        return _emit(_report_doc(sys.field, report.checks))
-    checks = list(report.checks)
-    extra = {}
-    try:
-        algs = cj.generate_subalgebras(sys)
-        corner, corner_cks = cj.corner_algebra_checks(
-            sys,
-            algs["T"],
-            algs["D"],
-            algs["Dstar"],
-            report.idempotents_star[0],
-            report.idempotents[0],
-            depth=args.chain_depth,
-        )
-        checks.extend(corner_cks)
-        verdict, field_cks = cj.field_check(
-            sys.field, corner, report.idempotents_star[0], report.idempotents_star.ranks[0]
-        )
-        checks.extend(field_cks)
-        extra["subalgebra_dims"] = {
-            "D": algs["D"].dim,
-            "Dstar": algs["Dstar"].dim,
-            "T": algs["T"].dim,
-            "corner": corner.dim,
-        }
-        extra["corner_field_verdict"] = verdict
-    except InvariantViolation as err:
-        checks.append(Check("conj/subalgebras", FAIL, {"error": str(err)}))
-    if report.sharp:
-        decomp = sp.split_decomposition(sys, report.idempotents, report.idempotents_star)
-        zetas = sp.split_sequence(sys, decomp)
-        checks.extend(cj.pa_conditions(sys.field, sys.thetas, sys.thetas_star, zetas))
-    else:
-        checks.append(
-            Check("conj/pa_conditions", SKIP, {"reason": "system is not sharp; no parameter array"})
-        )
-    return _emit(_report_doc(sys.field, checks, extra))
+    stage = partial(app.conjectures_stage, chain_depth=args.chain_depth)
+    return _run_stage(args.file, stage, sharp_only=False)
 
 
 def _parse_scalar_list(field, text: str):

@@ -9,12 +9,15 @@ degree at most 2 over the rationals), honest "inconclusive" otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
 from . import matrices as mx
 from .matrices import Matrix, Subspace
-from .polys import Poly, TauEtaFamily, poly_gcd
+from .polys import Poly, poly_gcd
 from .scalars import PrimeField, RationalField, rational_sqrt
-from .tdcore import FAIL, INCONCLUSIVE, PASS, Check, InvariantViolation, TdSystem
+from .splitparam import three_term_ratios, weighted_zeta_sum
+from .tdcore import FAIL, INCONCLUSIVE, PASS, Check, InvariantViolation, TdSystem, find_duplicate
 
 
 @dataclass
@@ -32,12 +35,13 @@ def _subspace_to_mats(field, n, space: Subspace):
     return [Matrix.from_vec(field, row, n, n) for row in space.basis]
 
 
-def generate_subalgebras(sys: TdSystem):
+def generate_subalgebras(sys: TdSystem, closure):
     """The single-operator polynomial algebras and the full generated one.
 
     Each single-operator algebra is spanned by the powers up to the
     diameter (the minimal polynomial has degree d+1 on a validated
-    system, which is asserted).
+    system, which is asserted).  `closure` is the basis of the algebra
+    generated by A and A* (SystemContext.closure).
     """
     field, n, d = sys.field, sys.n, sys.d
     out = {}
@@ -51,7 +55,6 @@ def generate_subalgebras(sys: TdSystem):
                 f"powers of {label} are dependent below degree d+1", {"dim": space.dim}
             )
         out[label] = SubalgebraBasis(label, _subspace_to_mats(field, n, space), space.dim)
-    closure = mx.algebra_closure([sys.A, sys.Astar])
     if len(closure) < n * n:
         # the full matrix algebra is closed by definition; only proper
         # subalgebras need the quadratic membership check
@@ -348,12 +351,10 @@ def _minimal_polynomial(field, corner: SubalgebraBasis, estar0, gen) -> Poly:
 
 def _rational_root(field, poly: Poly):
     """Naive rational-root search: candidates p/q from the extreme coeffs."""
-    from fractions import Fraction
-
     coeffs = [Fraction(c) for c in poly.coeffs]
     lcm = 1
     for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
     while ints and ints[0] == 0:
         if poly(field.zero) == field.zero:
@@ -369,12 +370,6 @@ def _rational_root(field, poly: Poly):
                 if poly(cand) == field.zero:
                     return cand
     return None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int):
@@ -402,20 +397,12 @@ def pa_conditions(field, thetas, thetas_star, zetas):
     """
     checks = []
     d = len(thetas) - 1
-
-    def fmt(v):
-        return field.format(v)
-
+    fmt = field.format
     dup = None
     for label, seq in (("theta", thetas), ("theta_star", thetas_star)):
-        seen = {}
-        for i, v in enumerate(seq):
-            k = fmt(v)
-            if k in seen:
-                dup = {"sequence": label, "indices": [seen[k], i]}
-                break
-            seen[k] = i
-        if dup:
+        found = find_duplicate(field, seq)
+        if found:
+            dup = {"sequence": label, "indices": found["indices"]}
             break
     checks.append(Check("conj/pa_distinct", FAIL if dup else PASS, dup))
 
@@ -424,22 +411,13 @@ def pa_conditions(field, thetas, thetas_star, zetas):
         problems.append({"clause": "zeta_0", "value": fmt(zetas[0])})
     if zetas[d] == field.zero:
         problems.append({"clause": "zeta_d", "value": "0"})
-    if not dup:
-        fam_t = TauEtaFamily(field, thetas)
-        fam_s = TauEtaFamily(field, thetas_star)
-        acc = field.zero
-        for i in range(d + 1):
-            acc = acc + fam_t.eta_at(d - i, thetas[0]) * fam_s.eta_at(d - i, thetas_star[0]) * zetas[i]
-        if acc == field.zero:
-            problems.append({"clause": "weighted_sum", "value": "0"})
+    if not dup and weighted_zeta_sum(field, thetas, thetas_star, zetas) == field.zero:
+        problems.append({"clause": "weighted_sum", "value": "0"})
     checks.append(Check("conj/pa_normalization", FAIL if problems else PASS, problems or None))
 
     bad = None
     if d >= 3 and not dup:
-        ratios = []
-        for seq in (thetas, thetas_star):
-            for i in range(2, d):
-                ratios.append((seq[i - 2] - seq[i + 1]) / (seq[i - 1] - seq[i]))
+        ratios = three_term_ratios(thetas) + three_term_ratios(thetas_star)
         first = ratios[0]
         for r in ratios[1:]:
             if r != first:

@@ -13,10 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import splitparam as sp
-from . import tdcore as td
 from .polys import TauEtaFamily
 from .scalars import Field, sqrt_in_field
-from .tdcore import FAIL, PASS, SKIP, Check, InvariantViolation, TdSystem
+from .tdcore import (
+    FAIL,
+    PASS,
+    SKIP,
+    Check,
+    InvariantViolation,
+    SystemContext,
+    TdSystem,
+    ValidateOptions,
+)
 
 
 @dataclass(frozen=True)
@@ -85,13 +93,36 @@ def d4_inverse(g: D4Element) -> D4Element:
 def apply_relative(sys: TdSystem, g: D4Element) -> TdSystem:
     """The relative of a system: reorderings and/or the operator swap.
 
-    Pure data transform; revalidation lives in compute_orbit.
+    Pure data transform; relative_context adds the derived objects.
     """
     thetas = tuple(reversed(sys.thetas)) if g.rev_primary else sys.thetas
     thetas_star = tuple(reversed(sys.thetas_star)) if g.rev_dual else sys.thetas_star
     if g.swap:
         return TdSystem(sys.field, sys.n, sys.Astar, sys.A, thetas_star, thetas, sys.q_hint)
     return TdSystem(sys.field, sys.n, sys.A, sys.Astar, thetas, thetas_star, sys.q_hint)
+
+
+# the relatives share the operator pair as a set, so invariant subspaces coincide
+INHERITED = ValidateOptions(
+    irreducibility="assume",
+    assume_note="inherited: same operator pair as the validated base system",
+)
+
+
+def relative_context(ctx: SystemContext, g: D4Element) -> SystemContext:
+    """The context of a relative, seeded with the base system's families.
+
+    Reversing an eigenvalue order reverses that family, and the swap
+    exchanges the two families; nothing else about them changes.
+    """
+    e_fam, estar_fam = ctx.e_fam, ctx.estar_fam
+    if g.rev_primary:
+        e_fam = e_fam.reversed()
+    if g.rev_dual:
+        estar_fam = estar_fam.reversed()
+    if g.swap:
+        e_fam, estar_fam = estar_fam, e_fam
+    return SystemContext(apply_relative(ctx.sys, g), INHERITED, (e_fam, estar_fam))
 
 
 @dataclass(frozen=True)
@@ -116,12 +147,7 @@ def q_extract(sys: TdSystem) -> QData:
     choice is immaterial: brackets are invariant under q <-> 1/q).
     """
     field, d = sys.field, sys.d
-    ratios = []
-    for seq in (sys.thetas, sys.thetas_star):
-        for i in range(2, d):
-            num = seq[i - 2] - seq[i + 1]
-            den = seq[i - 1] - seq[i]
-            ratios.append(num / den)
+    ratios = sp.three_term_ratios(sys.thetas) + sp.three_term_ratios(sys.thetas_star)
     if not ratios:
         if sys.q_hint is not None:
             return _classify_hint(field, sys.q_hint)
@@ -271,37 +297,29 @@ def bracket_expansion_check(sys: TdSystem, qd: QData):
     return Check("poly/eta_bracket_expansion", PASS, witness_note)
 
 
-def compute_orbit(sys: TdSystem, zetas=None):
-    """Validate all eight relatives and compute their split data.
+def compute_orbit(ctx: SystemContext):
+    """Validate all eight relatives of a validated system and compute their split data.
 
-    Irreducibility is inherited (the relatives share the operator pair as a
-    set, so invariant subspaces coincide); everything order-dependent is
-    re-run from scratch.  Returns {name: dict} in the fixed element order.
+    The identity relative is the base context itself.  The others take
+    their families from it (see relative_context) and inherit its
+    irreducibility; everything order-dependent (tridiagonality, shape,
+    sharpness, the split decomposition and sequence) is re-run for each.
+    Returns {name: dict} in the fixed element order.
     """
     orbit = {}
     for g in ALL_ELEMENTS:
-        rel = apply_relative(sys, g)
-        options = td.ValidateOptions(
-            irreducibility="assume",
-            assume_note="inherited: same operator pair as the validated base system",
-        )
-        report = td.validate(rel, options)
+        rel = ctx if g == IDENTITY else relative_context(ctx, g)
+        report = rel.report
         if not report.passed():
             raise InvariantViolation(
                 f"relative {g.name} failed validation", {"relative": g.name}
             )
         if not report.sharp:
             raise InvariantViolation(f"relative {g.name} is not sharp", {"relative": g.name})
-        decomp = sp.split_decomposition(rel, report.idempotents, report.idempotents_star)
-        rel_zetas = sp.split_sequence(rel, decomp)
-        array = sp.parameter_array(rel, rel_zetas)
         orbit[g.name] = {
-            "element": g,
-            "system": rel,
-            "report": report,
-            "decomposition": decomp,
-            "zetas": rel_zetas,
-            "array": array,
+            "context": rel,
+            "zetas": rel.zetas,
+            "array": sp.parameter_array(rel.sys, rel.zetas),
             "shape": report.shape,
         }
     return orbit
@@ -380,7 +398,7 @@ def zeta_relations_check(sys: TdSystem, qd: QData, orbit: dict):
             continue
         checks.append(Check(check_id, FAIL if bad else PASS, bad or q_note))
 
-    weighted = sp.weighted_zeta_sum(sys, z)
+    weighted = sp.weighted_zeta_sum(field, sys.thetas, sys.thetas_star, z)
     bad = None
     for name in ("id", "swap", "rev_dual_rev_primary", "rev_dual_rev_primary_swap"):
         if orbit[name]["zetas"][d] != z[d]:
@@ -427,12 +445,11 @@ def _relation_witness(field, d, qd, dens, weight_at, z_lhs, z_rhs):
     return None
 
 
-def orbit_report(sys: TdSystem, qd: QData | None = None, orbit: dict | None = None):
+def orbit_report(ctx: SystemContext):
     """Parameter arrays of all eight relatives plus the relation verdicts."""
-    if orbit is None:
-        orbit = compute_orbit(sys)
-    if qd is None:
-        qd = q_extract(sys)
+    sys = ctx.sys
+    orbit = compute_orbit(ctx)
+    qd = q_extract(sys)
     checks = zeta_relations_check(sys, qd, orbit)
     entries = []
     for g in ALL_ELEMENTS:

@@ -12,12 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import matrices as mx
-from . import splitparam as sp
-from . import tdcore as td
 from .matrices import Matrix
 from .rng import SplitMix64
 from .scalars import FieldError
-from .tdcore import FAIL, PASS, Check, IdempotentFamily, InvariantViolation, TdSystem
+from .tdcore import (
+    FAIL,
+    PASS,
+    Check,
+    IdempotentFamily,
+    InvariantViolation,
+    SystemContext,
+    TdSystem,
+    ValidateOptions,
+)
 
 
 @dataclass
@@ -98,7 +105,7 @@ def form_checks(
                 for u in fam.eigenspaces[i].basis:
                     gu = g.apply(u)
                     for v in fam.eigenspaces[j].basis:
-                        val = _dot(field, gu, v)
+                        val = mx._dot(gu, v)
                         if val != field.zero:
                             bad = {"family": label, "i": i, "j": j}
                             break
@@ -116,7 +123,7 @@ def form_checks(
     for label, fam in (("primary", e_fam), ("dual", estar_fam)):
         for i, space in enumerate(fam.eigenspaces):
             rows = [
-                [_dot(field, g.apply(u), v) for v in space.basis] for u in space.basis
+                [mx._dot(g.apply(u), v) for v in space.basis] for u in space.basis
             ]
             if mx.det(Matrix(field, rows)) == field.zero:
                 bad = {"family": label, "i": i}
@@ -125,13 +132,6 @@ def form_checks(
             break
     checks.append(Check("form/restrictions_nondegenerate", FAIL if bad else PASS, bad))
     return checks
-
-
-def _dot(field, u, v):
-    acc = field.zero
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
 
 
 def anti_automorphism(
@@ -182,49 +182,51 @@ def anti_automorphism(
     return dagger, checks
 
 
-def dual_system(sys: TdSystem, base_shape=None, base_sharp=None, zetas=None):
-    """The transpose-realized dual, revalidated and compared.
+TRANSPOSED = ValidateOptions(
+    irreducibility="assume",
+    assume_note="inherited: transposition preserves invariant-subspace structure",
+)
+
+
+def dual_system(ctx: SystemContext):
+    """The transpose-realized dual of a validated system, revalidated and compared.
 
     In coordinates the canonical pairing's anti-isomorphism is plain
     transposition, so the dual is (A^t, A*^t) with the same eigenvalue
-    sequences.  Returns (dual, checks): validation, shape and sharpness
-    agreement against the supplied base data, and (when zetas are supplied)
-    equality of parameter arrays.
+    sequences, and its idempotents are the transposes of the base
+    system's.  Returns (dual context, checks): validation, shape and
+    sharpness agreement with the base system, and (both being sharp)
+    equality of split sequences.
     """
-    checks = []
-    dual = TdSystem(
-        sys.field,
-        sys.n,
-        sys.A.transpose(),
-        sys.Astar.transpose(),
-        sys.thetas,
-        sys.thetas_star,
-        sys.q_hint,
+    sys, base = ctx.sys, ctx.report
+    dual = SystemContext(
+        TdSystem(
+            sys.field,
+            sys.n,
+            sys.A.transpose(),
+            sys.Astar.transpose(),
+            sys.thetas,
+            sys.thetas_star,
+            sys.q_hint,
+        ),
+        TRANSPOSED,
+        (ctx.e_fam.transposed(), ctx.estar_fam.transposed()),
     )
-    options = td.ValidateOptions(
-        irreducibility="assume",
-        assume_note="inherited: transposition preserves invariant-subspace structure",
-    )
-    report = td.validate(dual, options)
+    report = dual.report
     ok = report.passed()
-    checks.append(Check("dual/validates", PASS if ok else FAIL))
+    checks = [Check("dual/validates", PASS if ok else FAIL)]
     if not ok:
         return dual, checks
-    if base_shape is not None or base_sharp is not None:
-        same = (base_shape is None or report.shape == tuple(base_shape)) and (
-            base_sharp is None or report.sharp == base_sharp
+    same = report.shape == base.shape and report.sharp == base.sharp
+    checks.append(
+        Check(
+            "dual/shape_and_sharpness_equal",
+            PASS if same else FAIL,
+            None if same else {"dual_shape": list(report.shape or ()), "dual_sharp": report.sharp},
         )
-        checks.append(
-            Check(
-                "dual/shape_and_sharpness_equal",
-                PASS if same else FAIL,
-                None if same else {"dual_shape": list(report.shape or ()), "dual_sharp": report.sharp},
-            )
-        )
-    if zetas is not None and report.sharp:
-        decomp = sp.split_decomposition(dual, report.idempotents, report.idempotents_star)
-        dual_zetas = sp.split_sequence(dual, decomp)
-        agree = tuple(dual_zetas) == tuple(zetas)
+    )
+    if report.sharp and base.sharp:
+        agree = dual.zetas == ctx.zetas
         checks.append(
             Check(
                 "dual/parameter_array_equal",
@@ -232,23 +234,24 @@ def dual_system(sys: TdSystem, base_shape=None, base_sharp=None, zetas=None):
                 None
                 if agree
                 else {
-                    "zeta": [sys.field.format(z) for z in zetas],
-                    "dual_zeta": [sys.field.format(z) for z in dual_zetas],
+                    "zeta": [sys.field.format(z) for z in ctx.zetas],
+                    "dual_zeta": [sys.field.format(z) for z in dual.zetas],
                 },
             )
         )
     return dual, checks
 
 
-def isomorphism_test(sys1: TdSystem, sys2: TdSystem):
+def isomorphism_test(ctx1: SystemContext, ctx2: SystemContext):
     """Decide isomorphism of two validated systems.
 
     Equal eigenvalue sequences are necessary; after that the intertwiner
     space decides: a nonzero space yields a witness map, invertible by the
     Schur argument and verified against both operators and every
-    idempotent.  Returns (verdict, payload) with verdict "isomorphic" or
-    "not_isomorphic".
+    idempotent (taken from the two contexts).  Returns (verdict, payload)
+    with verdict "isomorphic" or "not_isomorphic".
     """
+    sys1, sys2 = ctx1.sys, ctx2.sys
     if sys1.field != sys2.field:
         raise FieldError("isomorphism test across different fields")
     if sys1.n != sys2.n:
@@ -270,11 +273,7 @@ def isomorphism_test(sys1: TdSystem, sys2: TdSystem):
         )
     if gamma * sys1.A != sys2.A * gamma or gamma * sys1.Astar != sys2.Astar * gamma:
         raise InvariantViolation("intertwiner fails its defining relations")
-    e1 = td.primitive_idempotents(sys1.A, sys1.thetas)
-    e2 = td.primitive_idempotents(sys2.A, sys2.thetas)
-    es1 = td.primitive_idempotents(sys1.Astar, sys1.thetas_star)
-    es2 = td.primitive_idempotents(sys2.Astar, sys2.thetas_star)
-    for f1, f2 in zip(list(e1) + list(es1), list(e2) + list(es2)):
+    for f1, f2 in zip((*ctx1.e_fam, *ctx1.estar_fam), (*ctx2.e_fam, *ctx2.estar_fam)):
         if gamma * f1 != f2 * gamma:
             raise InvariantViolation("intertwiner fails an idempotent relation")
     return "isomorphic", {"gamma": gamma, "intertwiner_dim": len(basis)}

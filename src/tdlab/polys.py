@@ -235,16 +235,6 @@ def set_of(field, values):
     return out
 
 
-def build_tau_eta(field: Field, thetas, i: int, which: str) -> Poly:
-    """Single monic window product; `which` is "tau" or "eta"."""
-    fam = TauEtaFamily(field, thetas)
-    if which == "tau":
-        return fam.tau(i)
-    if which == "eta":
-        return fam.eta(i)
-    raise ValueError(f"unknown family {which!r}")
-
-
 def eta_expansion_check(field: Field, thetas, thetas_star):
     """Verify the expansion of the full eta product into the tau basis.
 

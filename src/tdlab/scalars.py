@@ -177,24 +177,11 @@ class RationalField:
     def descriptor(self) -> dict:
         return {"kind": "rational"}
 
-    # spec surface: scalar_arith
-    def add(self, a, b):
-        return Fraction(a) + Fraction(b)
-
-    def mul(self, a, b):
-        return Fraction(a) * Fraction(b)
-
-    def neg(self, a):
-        return -Fraction(a)
-
     def inv(self, a):
         a = Fraction(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    def eq(self, a, b) -> bool:
-        return Fraction(a) == Fraction(b)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -247,23 +234,11 @@ class PrimeField:
     def descriptor(self) -> dict:
         return {"kind": "prime", "modulus": self.p}
 
-    def add(self, a, b):
-        return self._as_element(a) + self._as_element(b)
-
-    def mul(self, a, b):
-        return self._as_element(a) * self._as_element(b)
-
-    def neg(self, a):
-        return -self._as_element(a)
-
     def inv(self, a):
         a = self._as_element(a)
         if not a:
             raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
         return a ** (-1)
-
-    def eq(self, a, b) -> bool:
-        return self._as_element(a) == self._as_element(b)
 
     def _as_element(self, x) -> FpElement:
         if isinstance(x, FpElement):

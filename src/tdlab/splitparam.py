@@ -452,17 +452,20 @@ def zeta_d_closed_form(
     return Check("split/zeta_last_closed_form", PASS if ok else FAIL, witness)
 
 
-def weighted_zeta_sum(sys: TdSystem, zetas):
+def weighted_zeta_sum(field, thetas, thetas_star, zetas):
     """sum_i eta_{d-i}(theta_0) eta*_{d-i}(theta*_0) zeta_i."""
-    field, d = sys.field, sys.d
-    fam_t = TauEtaFamily(field, sys.thetas)
-    fam_s = TauEtaFamily(field, sys.thetas_star)
+    d = len(thetas) - 1
+    fam_t = TauEtaFamily(field, thetas)
+    fam_s = TauEtaFamily(field, thetas_star)
     acc = field.zero
     for i in range(d + 1):
-        acc = acc + fam_t.eta_at(d - i, sys.thetas[0]) * fam_s.eta_at(
-            d - i, sys.thetas_star[0]
-        ) * zetas[i]
+        acc = acc + fam_t.eta_at(d - i, thetas[0]) * fam_s.eta_at(d - i, thetas_star[0]) * zetas[i]
     return acc
+
+
+def three_term_ratios(seq) -> list:
+    """(s_{i-2} - s_{i+1}) / (s_{i-1} - s_i) for 2 <= i <= d-1; empty below d = 3."""
+    return [(seq[i - 2] - seq[i + 1]) / (seq[i - 1] - seq[i]) for i in range(2, len(seq) - 1)]
 
 
 def parameter_array(sys: TdSystem, zetas) -> ParameterArray:
@@ -470,7 +473,7 @@ def parameter_array(sys: TdSystem, zetas) -> ParameterArray:
     field, d = sys.field, sys.d
     _ensure(zetas[0] == field.one, "zeta_0 is not 1")
     _ensure(zetas[d] != field.zero, "zeta_d vanishes")
-    total = weighted_zeta_sum(sys, zetas)
+    total = weighted_zeta_sum(field, sys.thetas, sys.thetas_star, zetas)
     _ensure(total != field.zero, "weighted zeta sum vanishes", field.format(total))
     return ParameterArray(tuple(sys.thetas), tuple(sys.thetas_star), tuple(zetas))
 

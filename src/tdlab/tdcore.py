@@ -6,12 +6,14 @@ eigenvalue distinctness, diagonalizability, primitive-idempotent
 construction, the block-tridiagonality of each ordering, irreducibility
 (with an explicit strategy and an honest "inconclusive"), shape, and
 sharpness.  Mathematical failures are report entries with witnesses;
-only structurally broken input raises.
+only structurally broken input raises.  A SystemContext holds one system
+and derives each object the checks need at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations, permutations
 
 from . import matrices as mx
@@ -132,12 +134,70 @@ class IdempotentFamily:
     def __len__(self):
         return len(self.mats)
 
+    def reversed(self) -> "IdempotentFamily":
+        """The same idempotents for the reversed eigenvalue order."""
+        return IdempotentFamily(
+            self.mats[::-1], self.eigenvalues[::-1], self.eigenspaces[::-1], self.ranks[::-1]
+        )
+
+    def transposed(self) -> "IdempotentFamily":
+        """The family of the transposed operator: E_i^t, whose image is its eigenspace."""
+        mats = tuple(e.transpose() for e in self.mats)
+        spaces = tuple(mx.image(e) for e in mats)
+        return IdempotentFamily(mats, self.eigenvalues, spaces, self.ranks)
+
 
 @dataclass(frozen=True)
 class ValidateOptions:
     irreducibility: str = "auto"  # auto | burnside | eigen_subset | exhaustive_gfp | assume
     assume_note: str | None = None
     exhaustive_limit: int = EXHAUSTIVE_LIMIT
+
+
+class SystemContext:
+    """One system and the objects derived from it, each derived at most once.
+
+    Derived on first use: the two idempotent families, the validation
+    report, the basis of the algebra generated by A and A*, the split
+    decomposition and the split sequence.  A context for a relative or the
+    dual of a system starts from families permuted or transposed from that
+    system's, so it never rebuilds them.
+    """
+
+    def __init__(self, sys: TdSystem, options: ValidateOptions | None = None, families=None):
+        self.sys = sys
+        self.options = options or ValidateOptions()
+        if families is not None:
+            self.e_fam, self.estar_fam = families
+
+    @cached_property
+    def e_fam(self) -> IdempotentFamily:
+        return primitive_idempotents(self.sys.A, self.sys.thetas)
+
+    @cached_property
+    def estar_fam(self) -> IdempotentFamily:
+        return primitive_idempotents(self.sys.Astar, self.sys.thetas_star)
+
+    @cached_property
+    def closure(self) -> list:
+        """rref-canonical basis of the algebra generated by A and A*."""
+        return mx.algebra_closure([self.sys.A, self.sys.Astar])
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        return validate(self.sys, self.options, self)
+
+    @cached_property
+    def decomposition(self):
+        from .splitparam import split_decomposition
+
+        return split_decomposition(self.sys, self.e_fam, self.estar_fam)
+
+    @cached_property
+    def zetas(self) -> tuple:
+        from .splitparam import split_sequence
+
+        return split_sequence(self.sys, self.decomposition)
 
 
 def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
@@ -218,17 +278,18 @@ def check_tridiagonal(sys: TdSystem, e_fam: IdempotentFamily, estar_fam: Idempot
         ("tridiagonal/A_ordering", e_fam, sys.Astar),
         ("tridiagonal/Astar_ordering", estar_fam, sys.A),
     ):
-        bad = None
-        d = len(fam) - 1
-        for i in range(d + 1):
-            for j in range(d + 1):
-                if abs(i - j) > 1 and not (fam[i] * middle * fam[j]).is_zero():
-                    bad = {"i": i, "j": j}
-                    break
-            if bad:
-                break
+        bad = _off_band_pair(fam.mats, middle)
         out.append(Check(check_id, FAIL if bad else PASS, bad))
     return out
+
+
+def _off_band_pair(mats, middle: Matrix):
+    """The first {i, j} with |i - j| > 1 and E_i M E_j != 0, or None."""
+    for i, ei in enumerate(mats):
+        for j, ej in enumerate(mats):
+            if abs(i - j) > 1 and not (ei * middle * ej).is_zero():
+                return {"i": i, "j": j}
+    return None
 
 
 def _verify_invariant_subspace(sys: TdSystem, w: Subspace) -> bool:
@@ -258,8 +319,7 @@ def _closure_of_vector(sys: TdSystem, vec) -> Subspace:
 
 
 def check_irreducible(
-    sys: TdSystem,
-    e_fam: IdempotentFamily | None = None,
+    ctx: SystemContext,
     strategy: str = "auto",
     assume_note: str | None = None,
     exhaustive_limit: int = EXHAUSTIVE_LIMIT,
@@ -277,17 +337,22 @@ def check_irreducible(
     * exhaustive_gfp: complete over GF(p) with p^n within the enumeration
       budget; every line is closed under both operators.
     * assume: trust the caller and record the note.
+
+    The generated algebra and the primary family come from `ctx`, and are
+    derived only when a strategy needs them.
     """
+    sys = ctx.sys
     if strategy == "assume":
         return "irreducible", {"note": assume_note or "assumed by caller"}, "assume"
     if strategy in ("auto", "burnside"):
-        basis = mx.algebra_closure([sys.A, sys.Astar])
+        basis = ctx.closure
         if len(basis) == sys.n * sys.n:
             return "irreducible", {"closure_dim": len(basis)}, "burnside"
         if strategy == "burnside":
             return "inconclusive", {"closure_dim": len(basis)}, "burnside"
     if strategy in ("auto", "eigen_subset"):
-        if e_fam is not None and all(r == 1 for r in e_fam.ranks):
+        e_fam = ctx.e_fam
+        if all(r == 1 for r in e_fam.ranks):
             lines = [space.basis[0] for space in e_fam.eigenspaces]
             d1 = len(lines)
             for size in range(1, d1):
@@ -371,15 +436,21 @@ def check_sharp(shape) -> bool:
     return shape[0] == 1
 
 
-def validate(sys: TdSystem, options: ValidateOptions | None = None) -> VerificationReport:
+def validate(
+    sys: TdSystem, options: ValidateOptions | None = None, ctx: SystemContext | None = None
+) -> VerificationReport:
     """Run the full validation pipeline and report per-check statuses.
 
     Failing checks stop the dependent remainder of the pipeline (remaining
     checks are not emitted).  Sharpness is recorded as pass when the first
     eigenspace is a line and as skip otherwise: a valid non-sharp system is
     still a valid system, but its sharp-only analyses are unavailable.
+
+    The families and the generated algebra are taken from `ctx`, a context
+    of `sys`; without one, a fresh context derives them.
     """
     options = options or ValidateOptions()
+    ctx = ctx or SystemContext(sys, options)
     report = VerificationReport()
 
     if sys.d + 1 > sys.n:
@@ -393,16 +464,16 @@ def validate(sys: TdSystem, options: ValidateOptions | None = None) -> Verificat
         return report
     report.add(Check("input/dimension", PASS))
 
-    dup = _find_duplicate(sys.field, sys.thetas) or _find_duplicate(sys.field, sys.thetas_star)
+    dup = find_duplicate(sys.field, sys.thetas) or find_duplicate(sys.field, sys.thetas_star)
     if dup:
         report.add(Check("eigenvalues/distinct", FAIL, dup))
         return report
     report.add(Check("eigenvalues/distinct", PASS))
 
     fams = {}
-    for name, m, thetas in (("A", sys.A, sys.thetas), ("Astar", sys.Astar, sys.thetas_star)):
+    for name, attr in (("A", "e_fam"), ("Astar", "estar_fam")):
         try:
-            fams[name] = primitive_idempotents(m, thetas)
+            fams[name] = getattr(ctx, attr)
         except NotDiagonalizableError as err:
             report.add(Check(f"diagonalizable/{name}", FAIL, err.defect))
             return report
@@ -418,8 +489,7 @@ def validate(sys: TdSystem, options: ValidateOptions | None = None) -> Verificat
         return report
 
     verdict, witness, used = check_irreducible(
-        sys,
-        e_fam,
+        ctx,
         strategy=options.irreducibility,
         assume_note=options.assume_note,
         exhaustive_limit=options.exhaustive_limit,
@@ -453,7 +523,7 @@ def validate(sys: TdSystem, options: ValidateOptions | None = None) -> Verificat
     return report
 
 
-def _find_duplicate(field, values):
+def find_duplicate(field, values):
     seen = {}
     for i, v in enumerate(values):
         key = field.format(v)
@@ -472,18 +542,9 @@ def enumerate_standard_orderings(sys: TdSystem, e_fam: IdempotentFamily, estar_f
         raise ValueError("standard-ordering enumeration is limited to d <= 4")
     out = {}
     for name, fam, middle in (("A", e_fam, sys.Astar), ("Astar", estar_fam, sys.A)):
-        d1 = len(fam)
         good = []
-        for perm in permutations(range(d1)):
-            ok = True
-            for i in range(d1):
-                for j in range(d1):
-                    if abs(i - j) > 1 and not (fam[perm[i]] * middle * fam[perm[j]]).is_zero():
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+        for perm in permutations(range(len(fam))):
+            if _off_band_pair([fam[k] for k in perm], middle) is None:
                 good.append(tuple(fam.eigenvalues[k] for k in perm))
         out[name] = good
     return out

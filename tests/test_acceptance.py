@@ -14,7 +14,7 @@ from tdlab.appshell import (
     RunConfig,
     builtin_x1,
     run_trial,
-    _build_and_validate,
+    _candidate_context,
     _random_scalars,
 )
 from tdlab.cli import run
@@ -111,9 +111,10 @@ def test_criterion_1_golden_instance():
         e[1] * es[0]
     ).trace() == F(1)
 
-    orbit = d4.compute_orbit(sys)
+    ctx = td.SystemContext(sys)
+    orbit = d4.compute_orbit(ctx)
     assert orbit["rev_primary"]["zetas"] == (F(1), F(2))
-    assert sp.weighted_zeta_sum(sys, zetas) == F(2)
+    assert sp.weighted_zeta_sum(QQ, sys.thetas, sys.thetas_star, zetas) == F(2)
     for c in d4.zeta_relations_check(sys, d4.q_extract(sys), orbit):
         assert c.status == "pass", c
 
@@ -128,7 +129,7 @@ def test_criterion_1_golden_instance():
 
     from tdlab.conjlab import corner_algebra, generate_subalgebras
 
-    corner = corner_algebra(sys, generate_subalgebras(sys)["T"], es[0])
+    corner = corner_algebra(sys, generate_subalgebras(sys, ctx.closure)["T"], es[0])
     assert corner.dim == 1
 
     elapsed = time.monotonic() - start
@@ -207,7 +208,8 @@ def test_criterion_4_standard_ordering_enumeration():
         field = QQ if rng.randrange(2) else GFBIG
         config = RunConfig(seed=4242, trials=1, d_max=5, field=field)
         thetas, thetas_star, phis = _random_scalars(field, rng, d)
-        sys, report = _build_and_validate(config, thetas, thetas_star, phis)
+        ctx = _candidate_context(config, thetas, thetas_star, phis)
+        sys, report = ctx.sys, ctx.report
         if not (report.passed() and report.sharp):
             continue
         orderings = td.enumerate_standard_orderings(
@@ -234,9 +236,10 @@ def test_criterion_5_isomorphism_suite():
     assert len(corpus) >= 10
 
     for result in corpus:
-        sys = result.system
+        ctx = result.context
+        sys = ctx.sys
         field = sys.field
-        array = sp.ParameterArray(sys.thetas, sys.thetas_star, result.zetas)
+        array = sp.ParameterArray(sys.thetas, sys.thetas_star, ctx.zetas)
         rng = SplitMix64(trial_seed(result.seed, 5))
         for _ in range(10):
             p = _seeded_invertible(field, rng, sys.n)
@@ -245,7 +248,7 @@ def test_criterion_5_isomorphism_suite():
                 field, sys.n, p * sys.A * pinv, p * sys.Astar * pinv,
                 sys.thetas, sys.thetas_star,
             )
-            verdict, payload = fl.isomorphism_test(sys, conj)
+            verdict, payload = fl.isomorphism_test(ctx, td.SystemContext(conj))
             assert verdict == "isomorphic"
             gamma = payload["gamma"]
             assert gamma * sys.A == conj.A * gamma
@@ -269,9 +272,9 @@ def test_criterion_5_isomorphism_suite():
 
         rev = d4.apply_relative(sys, d4.REV_PRIMARY)
         if tuple(rev.thetas) != tuple(sys.thetas):
-            verdict, _ = fl.isomorphism_test(sys, rev)
+            verdict, _ = fl.isomorphism_test(ctx, d4.relative_context(ctx, d4.REV_PRIMARY))
             assert verdict == "not_isomorphic"
-            rev_orbit_zetas = d4.compute_orbit(sys)["rev_primary"]["zetas"]
+            rev_orbit_zetas = d4.compute_orbit(ctx)["rev_primary"]["zetas"]
             rev_array = sp.ParameterArray(rev.thetas, rev.thetas_star, rev_orbit_zetas)
             if fl.conjecture_crosscheck(verdict, array, rev_array).status != "pass":
                 disagreements += 1

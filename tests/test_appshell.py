@@ -21,6 +21,7 @@ from tdlab.appshell import (
 )
 from tdlab.rng import MASK64, SplitMix64, trial_seed
 from tdlab.scalars import PrimeField, RationalField
+from tdlab.tdcore import SystemContext
 
 QQ = RationalField()
 
@@ -130,6 +131,8 @@ def test_zeta_equals_cumulative_phi_products(inst_d3):
         lambda d: d.update(theta=["1"]),
         lambda d: d.pop("Astar"),
         lambda d: d.update(irreducibility={"assume": False}),
+        lambda d: d.update(dimension=True),
+        lambda d: d.update(q="0"),
     ],
 )
 def test_malformed_documents_rejected(mutate, x1):
@@ -158,7 +161,7 @@ def test_run_trial_deterministic():
 
 def test_identity_suite_payload(x1):
     sys, report = x1
-    checks, payload = run_identity_suite(sys, report)
+    checks, payload = run_identity_suite(SystemContext(sys))
     assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
     assert payload["zetas"] == (F(1), F(1))
     assert payload["subalgebra_dims"] == {"D": 2, "Dstar": 2, "T": 4, "corner": 1}

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tdlab.appshell import document_from_system, dumps_document, builtin_x1
 from tdlab.cli import run
 
@@ -208,3 +210,23 @@ def test_verify_exhaustive_strategy(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     irr = next(c for c in out["checks"] if c["id"] == "irreducible")
     assert irr["witness"]["strategy"] == "exhaustive_gfp"
+
+
+def test_zero_q_hint_exits_two(tmp_path, capsys):
+    path = _write_x1(tmp_path, q="0")
+    assert run(["orbit", path]) == 2
+    assert "q must be nonzero" in capsys.readouterr().err
+
+
+def test_boolean_dimension_exits_two(tmp_path, capsys):
+    path = _write_x1(tmp_path, dimension=True)
+    assert run(["verify", path]) == 2
+    assert "dimension must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--field", "p=2"], ["--field", "p=3"], ["--d-max", "0"], ["--d-max", "-1"]]
+)
+def test_fuzz_rejects_unusable_arguments(flags, capsys):
+    assert run(["fuzz", "--trials", "2", "--seed", "2", *flags]) == 2
+    assert capsys.readouterr().out == ""

@@ -10,14 +10,14 @@ from tdlab.conjlab import (
 )
 from tdlab.matrices import Matrix
 from tdlab.scalars import PrimeField, RationalField
-from tdlab.tdcore import TdSystem, validate
+from tdlab.tdcore import SystemContext, TdSystem, validate
 
 QQ = RationalField()
 
 
 def test_x1_subalgebra_dimensions(x1):
     sys, _ = x1
-    algs = generate_subalgebras(sys)
+    algs = generate_subalgebras(sys, SystemContext(sys).closure)
     assert algs["D"].dim == 2
     assert algs["Dstar"].dim == 2
     assert algs["T"].dim == 4
@@ -25,14 +25,14 @@ def test_x1_subalgebra_dimensions(x1):
 
 def test_subalgebra_dimension_is_diameter_plus_one(inst_d3):
     sys, _ = inst_d3
-    algs = generate_subalgebras(sys)
+    algs = generate_subalgebras(sys, SystemContext(sys).closure)
     assert algs["D"].dim == sys.d + 1
     assert algs["Dstar"].dim == sys.d + 1
 
 
 def test_x1_corner_checks(x1):
     sys, report = x1
-    algs = generate_subalgebras(sys)
+    algs = generate_subalgebras(sys, SystemContext(sys).closure)
     corner, checks = corner_algebra_checks(
         sys, algs["T"], algs["D"], algs["Dstar"],
         report.idempotents_star[0], report.idempotents[0],
@@ -47,7 +47,7 @@ def test_d0_everything_trivial():
     astar = Matrix(f, [[f.from_int(7)]])
     sys = TdSystem(f, 1, a, astar, (f.from_int(5),), (f.from_int(7),))
     report = validate(sys)
-    algs = generate_subalgebras(sys)
+    algs = generate_subalgebras(sys, SystemContext(sys).closure)
     assert algs["D"].dim == algs["Dstar"].dim == algs["T"].dim == 1
     corner, checks = corner_algebra_checks(
         sys, algs["T"], algs["D"], algs["Dstar"],
@@ -60,7 +60,7 @@ def test_d0_everything_trivial():
 
 def test_x1_field_check(x1):
     sys, report = x1
-    algs = generate_subalgebras(sys)
+    algs = generate_subalgebras(sys, SystemContext(sys).closure)
     corner = corner_algebra(sys, algs["T"], report.idempotents_star[0])
     verdict, checks = field_check(QQ, corner, report.idempotents_star[0], 1)
     assert verdict == "field"
@@ -69,7 +69,7 @@ def test_x1_field_check(x1):
 
 def test_chain_monotonicity(inst_d3):
     sys, report = inst_d3
-    algs = generate_subalgebras(sys)
+    algs = generate_subalgebras(sys, SystemContext(sys).closure)
     for depth in (1, 2, 3):
         _, checks = corner_algebra_checks(
             sys, algs["T"], algs["D"], algs["Dstar"],

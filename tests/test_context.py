@@ -1,0 +1,95 @@
+"""The per-system derivation context: each derived object is built once,
+and the families a relative or the dual takes from its base system equal
+the ones a fresh derivation would build."""
+
+import json
+
+import pytest
+
+from tdlab import d4orbit as d4
+from tdlab import formlab as fl
+from tdlab import matrices as mx
+from tdlab import tdcore as td
+from tdlab.appshell import RunConfig, fuzz_run, system_from_document
+from tdlab.cli import run
+from tdlab.scalars import PrimeField, RationalField
+from tdlab.tdcore import SystemContext
+
+from test_golden import KRAW_GF, KRAW_Q
+
+
+def _count_calls(monkeypatch, module, name, counted=lambda *args, **kwargs: True):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        if counted(*args, **kwargs):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "GF"])
+def test_fuzz_trial_derives_at_most_seven_families(field, monkeypatch):
+    # one for the superdiagonal sampler, two for the candidate, two for
+    # each of the two conjugated copies in the isomorphism stage
+    calls = _count_calls(monkeypatch, td, "primitive_idempotents")
+    accepted = 0
+    for seed in range(4):
+        before = len(calls)
+        doc = fuzz_run(RunConfig(seed=seed, trials=1, d_max=3, field=field))
+        if doc["checks"][-1]["witness"]["accepted"]:
+            accepted += 1
+            assert len(calls) - before <= 7
+    assert accepted >= 2
+
+
+@pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
+def test_orbit_request_derives_two_families(doc, tmp_path, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, td, "primitive_idempotents")
+    assert run(["orbit", _write(tmp_path, doc)]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
+def test_conjectures_request_builds_one_generated_algebra(doc, tmp_path, monkeypatch, capsys):
+    def of_the_pair(gens, include_identity=True, unit=None):
+        return len(gens) == 2 and include_identity and unit is None
+
+    calls = _count_calls(monkeypatch, mx, "algebra_closure", of_the_pair)
+    assert run(["conjectures", _write(tmp_path, doc)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
+def test_relative_and_dual_families_equal_fresh_ones(doc):
+    sys, _ = system_from_document(doc)
+    ctx = SystemContext(sys)
+    derived = [d4.relative_context(ctx, g) for g in d4.ALL_ELEMENTS]
+    derived.append(fl.dual_system(ctx)[0])
+    for rel in derived:
+        fresh = SystemContext(rel.sys)
+        assert rel.e_fam == fresh.e_fam
+        assert rel.estar_fam == fresh.estar_fam
+        assert rel.report.passed() and rel.report.shape == (1, 2, 1)
+
+
+def test_context_derives_each_object_once(x1, monkeypatch):
+    sys, _ = x1
+    families = _count_calls(monkeypatch, td, "primitive_idempotents")
+    closures = _count_calls(monkeypatch, mx, "algebra_closure")
+    ctx = SystemContext(sys)
+    for _ in range(2):
+        assert ctx.report.passed()
+        assert ctx.zetas is ctx.zetas
+        assert ctx.closure is ctx.closure
+    assert len(families) == 2
+    assert len(closures) == 1

@@ -24,7 +24,7 @@ from tdlab.d4orbit import (
 from tdlab.polys import Poly
 from tdlab.rng import SplitMix64
 from tdlab.scalars import PrimeField, RationalField
-from tdlab.tdcore import InvariantViolation, TdSystem
+from tdlab.tdcore import InvariantViolation, SystemContext, TdSystem
 
 QQ = RationalField()
 
@@ -84,14 +84,14 @@ def test_relative_data(x1):
 
 def test_orbit_shapes_equal(x1):
     sys, _ = x1
-    orbit = compute_orbit(sys)
+    orbit = compute_orbit(SystemContext(sys))
     assert len(orbit) == 8
     assert all(data["shape"] == (1, 1) for data in orbit.values())
 
 
 def test_x1_orbit_split_sequences(x1):
     sys, _ = x1
-    orbit = compute_orbit(sys)
+    orbit = compute_orbit(SystemContext(sys))
     assert orbit["id"]["zetas"] == (F(1), F(1))
     assert orbit["swap"]["zetas"] == (F(1), F(1))
     assert orbit["rev_dual"]["zetas"] == (F(1), F(2))
@@ -271,7 +271,7 @@ def test_bracket_expansion_skips_without_q(inst_d3_no_q):
 
 def test_zeta_relations_x1(x1):
     sys, _ = x1
-    orbit = compute_orbit(sys)
+    orbit = compute_orbit(SystemContext(sys))
     checks = zeta_relations_check(sys, q_extract(sys), orbit)
     assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
     # the reversed relatives end at the weighted sum: 1 + 1 = 2
@@ -280,14 +280,14 @@ def test_zeta_relations_x1(x1):
 
 def test_zeta_relations_d3(inst_d3):
     sys, _ = inst_d3
-    orbit = compute_orbit(sys)
+    orbit = compute_orbit(SystemContext(sys))
     checks = zeta_relations_check(sys, q_extract(sys), orbit)
     assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
 
 
 def test_zeta_relations_skip_bracket_parts_only(inst_d3_no_q):
     sys, _ = inst_d3_no_q
-    orbit = compute_orbit(sys)
+    orbit = compute_orbit(SystemContext(sys))
     checks = zeta_relations_check(sys, q_extract(sys), orbit)
     by_id = {c.id: c.status for c in checks}
     assert by_id["orbit/column_sequences_equal"] == "pass"
@@ -299,7 +299,7 @@ def test_zeta_relations_skip_bracket_parts_only(inst_d3_no_q):
 
 def test_orbit_report_x1(x1):
     sys, _ = x1
-    out = orbit_report(sys)
+    out = orbit_report(SystemContext(sys))
     assert len(out["orbit"]) == 8
     by_name = {e["relative"]: e for e in out["orbit"]}
     assert by_name["id"]["zeta"] == [F(1), F(1)]

@@ -13,8 +13,8 @@ from tdlab.formlab import (
 from tdlab.matrices import Matrix, det, inverse
 from tdlab.formlab import form_checks
 from tdlab.scalars import FieldError, PrimeField, RationalField
-from tdlab.splitparam import ParameterArray, split_decomposition, split_sequence
-from tdlab.tdcore import TdSystem, validate
+from tdlab.splitparam import ParameterArray
+from tdlab.tdcore import SystemContext, TdSystem, validate
 
 QQ = RationalField()
 
@@ -70,30 +70,28 @@ def test_x1_anti_automorphism(x1):
 
 def test_dual_system_x1(x1):
     sys, report = x1
-    decomp = split_decomposition(sys, report.idempotents, report.idempotents_star)
-    zetas = split_sequence(sys, decomp)
-    dual, checks = dual_system(sys, report.shape, report.sharp, zetas)
+    ctx = SystemContext(sys)
+    dual, checks = dual_system(ctx)
     assert all(c.status == "pass" for c in checks), checks
-    assert dual.A == sys.A.transpose()
-    assert dual.thetas == sys.thetas
+    assert [c.id for c in checks][-1] == "dual/parameter_array_equal"
+    assert dual.sys.A == sys.A.transpose()
+    assert dual.sys.thetas == sys.thetas
     # double transpose is literal equality
     dd, _ = dual_system(dual)
-    assert dd.A == sys.A and dd.Astar == sys.Astar
-    verdict, _ = isomorphism_test(sys, dd)
+    assert dd.sys.A == sys.A and dd.sys.Astar == sys.Astar
+    verdict, _ = isomorphism_test(ctx, dd)
     assert verdict == "isomorphic"
 
 
 def test_dual_system_frozen_instances(inst_d2, inst_d3, inst_gf13_d2):
     for sys, report in (inst_d2, inst_d3, inst_gf13_d2):
-        decomp = split_decomposition(sys, report.idempotents, report.idempotents_star)
-        zetas = split_sequence(sys, decomp)
-        _, checks = dual_system(sys, report.shape, report.sharp, zetas)
+        _, checks = dual_system(SystemContext(sys))
         assert all(c.status == "pass" for c in checks), checks
 
 
 def test_isomorphism_reflexive(x1):
     sys, _ = x1
-    verdict, payload = isomorphism_test(sys, sys)
+    verdict, payload = isomorphism_test(SystemContext(sys), SystemContext(sys))
     assert verdict == "isomorphic"
     g = payload["gamma"]
     assert g * sys.A == sys.A * g
@@ -107,7 +105,7 @@ def test_isomorphism_with_conjugate(x1):
         QQ, 2, p * sys.A * pinv, p * sys.Astar * pinv, sys.thetas, sys.thetas_star
     )
     assert validate(other).passed()
-    verdict, payload = isomorphism_test(sys, other)
+    verdict, payload = isomorphism_test(SystemContext(sys), SystemContext(other))
     assert verdict == "isomorphic"
     g = payload["gamma"]
     assert g * sys.A == other.A * g and g * sys.Astar == other.Astar * g
@@ -116,8 +114,8 @@ def test_isomorphism_with_conjugate(x1):
 
 def test_isomorphism_rejects_reversed_relative(x1):
     sys, _ = x1
-    rev = d4.apply_relative(sys, d4.REV_PRIMARY)
-    verdict, payload = isomorphism_test(sys, rev)
+    ctx = SystemContext(sys)
+    verdict, payload = isomorphism_test(ctx, d4.relative_context(ctx, d4.REV_PRIMARY))
     assert verdict == "not_isomorphic"
     assert payload["reason"] == "eigenvalue sequences differ"
 
@@ -129,10 +127,10 @@ def test_isomorphism_errors():
     b = Matrix.from_ints(QQ, [[5]])
     rational = TdSystem(QQ, 1, b, b, (F(5),), (F(5),))
     with pytest.raises(FieldError):
-        isomorphism_test(small, rational)
+        isomorphism_test(SystemContext(small), SystemContext(rational))
     big = TdSystem(QQ, 2, Matrix.identity(QQ, 2), Matrix.identity(QQ, 2), (F(1),), (F(1),))
     with pytest.raises(ValueError):
-        isomorphism_test(rational, big)
+        isomorphism_test(SystemContext(rational), SystemContext(big))
 
 
 def test_conjecture_crosscheck():

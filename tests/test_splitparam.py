@@ -103,7 +103,7 @@ def test_x1_parameter_array(x1):
     assert array.thetas == (F(1), F(0))
     assert array.thetas_star == (F(1), F(0))
     assert array.zetas == (F(1), F(1))
-    assert weighted_zeta_sum(sys, zetas) == F(2)
+    assert weighted_zeta_sum(sys.field, sys.thetas, sys.thetas_star, zetas) == F(2)
 
 
 def test_x1_cross_trace_table(x1):

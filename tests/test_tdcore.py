@@ -6,6 +6,7 @@ from tdlab.matrices import Matrix
 from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import (
     NotDiagonalizableError,
+    SystemContext,
     TdSystem,
     ValidateOptions,
     check_irreducible,
@@ -121,16 +122,16 @@ def test_check_sharp(shape, expected):
 
 def test_irreducibility_strategies_agree(x1):
     sys, report = x1
-    e = report.idempotents
-    v1, _, s1 = check_irreducible(sys, e, strategy="burnside")
-    v2, _, s2 = check_irreducible(sys, e, strategy="eigen_subset")
+    ctx = SystemContext(sys)
+    v1, _, s1 = check_irreducible(ctx, strategy="burnside")
+    v2, _, s2 = check_irreducible(ctx, strategy="eigen_subset")
     assert (v1, s1) == ("irreducible", "burnside")
     assert (v2, s2) == ("irreducible", "eigen_subset")
 
 
 def test_exhaustive_gfp_agrees(inst_gf13_d2):
     sys, report = inst_gf13_d2
-    verdict, _, used = check_irreducible(sys, report.idempotents, strategy="exhaustive_gfp")
+    verdict, _, used = check_irreducible(SystemContext(sys), strategy="exhaustive_gfp")
     assert verdict == "irreducible" and used == "exhaustive_gfp"
 
 
@@ -138,7 +139,7 @@ def test_exhaustive_gfp_finds_witness():
     f = PrimeField(5)
     a = Matrix.from_ints(f, [[1, 0], [0, 0]])
     sys = TdSystem(f, 2, a, a, (f.one, f.zero), (f.one, f.zero))
-    verdict, w, _ = check_irreducible(sys, strategy="exhaustive_gfp")
+    verdict, w, _ = check_irreducible(SystemContext(sys), strategy="exhaustive_gfp")
     assert verdict == "reducible"
     assert 0 < w.dim < 2
 
@@ -148,7 +149,7 @@ def test_exhaustive_gfp_rejects_large_spaces():
     a = Matrix.from_ints(f, [[1, 0], [0, 0]])
     sys = TdSystem(f, 2, a, a, (f.one, f.zero), (f.one, f.zero))
     with pytest.raises(ValueError):
-        check_irreducible(sys, strategy="exhaustive_gfp", exhaustive_limit=100)
+        check_irreducible(SystemContext(sys), strategy="exhaustive_gfp", exhaustive_limit=100)
 
 
 def test_assume_strategy_recorded():
@@ -214,9 +215,8 @@ def test_eigen_subset_needs_line_eigenspaces():
     # identity has a single two-dimensional eigenspace
     ident = Matrix.identity(QQ, 2)
     sys = TdSystem(QQ, 2, ident, ident, (F(1),), (F(1),))
-    fam = primitive_idempotents(sys.A, sys.thetas)
     with pytest.raises(ValueError):
-        check_irreducible(sys, fam, strategy="eigen_subset")
+        check_irreducible(SystemContext(sys), strategy="eigen_subset")
 
 
 def test_inconclusive_when_no_complete_strategy_applies():
