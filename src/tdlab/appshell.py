@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 
 from . import conjlab as cj
 from . import d4orbit as d4
@@ -238,8 +239,7 @@ def builtin_x1():
     """The golden d=1 instance over the rationals."""
     field = RationalField()
     one, zero = field.one, field.zero
-    sys, report = gen_leonard_split(field, (one, zero), (one, zero), (one,))
-    return sys, report
+    return gen_leonard_split(field, (one, zero), (one, zero), (one,))
 
 
 # ---------------------------------------------------------------------------
@@ -257,28 +257,24 @@ class RunConfig:
     chain_depth: int = 3
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise InputError("trials must be at least 1")
+        if self.jobs < 1:
+            raise InputError("jobs must be at least 1")
         if self.d_max < 1:
             raise InputError("d_max must be at least 1")
         if isinstance(self.field, PrimeField) and self.field.p < 5:
             raise InputError("fuzz needs a prime modulus of at least 5")
 
     def descriptor(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "d_max": self.d_max,
-            "field": self.field.descriptor(),
-            "irreducibility": self.irreducibility,
-            "jobs": self.jobs,
-            "chain_depth": self.chain_depth,
-        }
+        return {**asdict(self), "field": self.field.descriptor()}
 
 
 _Q_CHOICES_RATIONAL = (2, 3, 4, 5, -2, -3, -4, -5, (3, 2), (-3, 2), (5, 2), (5, 3))
 
 
-def _random_scalars(field: Field, rng: SplitMix64, d: int):
-    """Candidate (thetas, thetas_star, phis) for one trial.
+def _random_candidate(config: RunConfig, rng: SplitMix64, d: int) -> SystemContext:
+    """The bidiagonal candidate of one trial, in a context to validate it.
 
     Eigenvalue sequences are free at d <= 2 and geometric (same ratio,
     which satisfies the three-term ratio condition) at d >= 3.  The
@@ -286,6 +282,7 @@ def _random_scalars(field: Field, rng: SplitMix64, d: int):
     compatible with block-tridiagonality; the full validator still gates
     every candidate, so construction never decides acceptance.
     """
+    field = config.field
     if isinstance(field, RationalField):
         if d <= 2:
             pool = list(range(-9, 10))
@@ -309,8 +306,12 @@ def _random_scalars(field: Field, rng: SplitMix64, d: int):
             c_star = field.from_int(1 + rng.randrange(p - 1))
             thetas = tuple(c * q**i for i in range(d + 1))
             thetas_star = tuple(c_star * q**i for i in range(d + 1))
-    phis = _sample_superdiagonal(field, rng, thetas, thetas_star)
-    return thetas, thetas_star, phis
+    phis, e_fam = _sample_superdiagonal(field, rng, thetas, thetas_star)
+    sys = _bidiagonal_system(field, thetas, thetas_star, phis)
+    ctx = SystemContext(sys, ValidateOptions(irreducibility=config.irreducibility))
+    if e_fam is not None:
+        ctx.e_fam = e_fam  # A does not depend on the superdiagonal
+    return ctx
 
 
 def _random_nonzero(field: Field, rng: SplitMix64):
@@ -326,11 +327,12 @@ def _sample_superdiagonal(field: Field, rng: SplitMix64, thetas, thetas_star):
     E_i Astar E_j = 0 (|i-j| > 1) are affine in the superdiagonal entries;
     the exact solver produces the solution line and a zero-free point on it
     is sampled.  Falls back to unconstrained entries when the system is
-    degenerate (the validator then rejects the candidate).
+    degenerate (the validator then rejects the candidate).  Returns the
+    superdiagonal and the idempotent family of A, when it was derived.
     """
     d = len(thetas) - 1
     if d == 1 or len(set(field.format(t) for t in thetas)) != d + 1:
-        return tuple(_random_nonzero(field, rng) for _ in range(d))
+        return tuple(_random_nonzero(field, rng) for _ in range(d)), None
     n = d + 1
     zero = field.zero
     # with a zero superdiagonal, A* is the diagonal part the units are added to
@@ -355,7 +357,7 @@ def _sample_superdiagonal(field: Field, rng: SplitMix64, thetas, thetas_star):
     system = Matrix(field, rows)
     particular = mx.solve(system, tuple(rhs))
     if particular is None:
-        return tuple(_random_nonzero(field, rng) for _ in range(d))
+        return tuple(_random_nonzero(field, rng) for _ in range(d)), e_fam
     directions = mx.kernel_vectors(system)
     for _ in range(16):
         phi = list(particular)
@@ -363,8 +365,8 @@ def _sample_superdiagonal(field: Field, rng: SplitMix64, thetas, thetas_star):
             t = _random_nonzero(field, rng)
             phi = [p + t * k for p, k in zip(phi, direction)]
         if all(x != zero for x in phi):
-            return tuple(phi)
-    return tuple(particular)
+            return tuple(phi), e_fam
+    return tuple(particular), e_fam
 
 
 def _nonzero_int(rng: SplitMix64, bound: int) -> int:
@@ -410,14 +412,13 @@ def run_trial(config: RunConfig, index: int) -> TrialResult:
     seed = trial_seed(config.seed, index)
     rng = SplitMix64(seed)
     d = rng.randint(1, config.d_max)
-    thetas, thetas_star, phis = _random_scalars(config.field, rng, d)
-    ctx = _candidate_context(config, thetas, thetas_star, phis)
+    ctx = _random_candidate(config, rng, d)
     report = ctx.report
     doc = document_from_system(ctx.sys)
     checks = list(report.checks)
     if not (report.passed() and report.sharp):
         return TrialResult(index, seed, d, False, doc, checks)
-    suite_checks, _ = run_identity_suite(ctx, chain_depth=config.chain_depth)
+    suite_checks = run_identity_suite(ctx, chain_depth=config.chain_depth)
     checks.extend(suite_checks)
     failed = any(c.status == FAIL for c in suite_checks)
     return TrialResult(index, seed, d, True, doc, checks, context=ctx, failed_identity=failed)
@@ -432,34 +433,89 @@ def gen_random(config: RunConfig):
         yield run_trial(config, index)
 
 
-def _candidate_context(config: RunConfig, thetas, thetas_star, phis) -> SystemContext:
-    sys = _bidiagonal_system(config.field, thetas, thetas_star, phis)
-    return SystemContext(sys, ValidateOptions(irreducibility=config.irreducibility))
-
-
 # ---------------------------------------------------------------------------
 # The identity suite
 #
-# Each *_stage function runs one group of checks over a validated sharp
-# context (conjectures_stage also takes a non-sharp one) and returns
-# (checks, extra): the checks in report order and the payload a report
-# embeds.  The CLI subcommands and the identity suite call the same stages.
+# A stage maps a validated sharp context (conjectures_stage also takes a
+# non-sharp one) to (checks, payload): its checks in report order and what a
+# report embeds.  A None payload means a gate failed: a derivation the later
+# checks depend on raised.  The CLI subcommands call the same stages.
+
+
+def _gate(checks: list, check_id: str, derive, witness: bool = False):
+    """Record the check of a derivation the later checks depend on.
+
+    Returns the derived value, or None when it raised InvariantViolation; the
+    check then fails with the error.  With `witness`, a pass carries the value.
+    """
+    try:
+        value = derive()
+    except InvariantViolation as err:
+        checks.append(Check(check_id, FAIL, {"error": str(err)}))
+        return None
+    checks.append(Check(check_id, PASS, value if witness else None))
+    return value
+
+
+def split_stage(ctx: SystemContext):
+    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
+    checks = []
+    if _gate(checks, "split/decomposition", lambda: ctx.decomposition) is None:
+        return checks, None
+    zetas = _gate(checks, "split/sequence", lambda: ctx.zetas)
+    if zetas is None:
+        return checks, None
+    checks.extend(sp.trace_zeta(sys, e_fam, estar_fam, zetas)[1])
+    checks.extend(sp.vanishing_check(sys, e_fam, estar_fam, zetas))
+    checks.append(sp.bijection_check(sys, e_fam, estar_fam))
+    checks.append(sp.zeta_d_closed_form(sys, e_fam, estar_fam, zetas))
+    return checks, {}
 
 
 def params_stage(ctx: SystemContext):
-    try:
-        array = sp.parameter_array(ctx.sys, ctx.zetas)
-    except InvariantViolation as err:
-        return [Check("split/parameter_array", FAIL, {"error": str(err)})], {}
-    return [Check("split/parameter_array", PASS)], {"parameter_array": array}
+    checks = []
+    array = _gate(checks, "split/parameter_array", lambda: sp.parameter_array(ctx.sys, ctx.zetas))
+    return checks, None if array is None else {"parameter_array": array}
+
+
+def relations_stage(ctx: SystemContext):
+    """The q-bracket identities and the split data of the eight relatives."""
+    sys = ctx.sys
+    ok, witness = eta_expansion_check(sys.field, sys.thetas, sys.thetas_star)
+    checks = [Check("poly/eta_expansion", PASS if ok else FAIL, witness)]
+    qd = _gate(checks, "orbit/q_extract", lambda: d4.q_extract(sys), witness=True)
+    if qd is None:
+        return checks, None
+    checks.append(d4.bracket_expansion_check(sys, qd))
+    orbit = _gate(checks, "orbit/relatives_validate", lambda: d4.compute_orbit(ctx))
+    if orbit is None:
+        return checks, None
+    checks.append(sp.zeta_star_check(sys, ctx.zetas, orbit["swap"]["zetas"]))
+    checks.extend(d4.zeta_relations_check(sys, qd, orbit))
+    return checks, {}
 
 
 def orbit_stage(ctx: SystemContext):
-    try:
-        out = d4.orbit_report(ctx)
-    except InvariantViolation as err:
-        return [Check("orbit/relatives_validate", FAIL, {"error": str(err)})], {}
-    return out["checks"], {"orbit": out["orbit"], "q": out["q"]}
+    """All eight relatives with their split data, and the relations between them."""
+    sys = ctx.sys
+    checks = []
+    derived = _gate(
+        checks, "orbit/relatives_validate", lambda: (d4.compute_orbit(ctx), d4.q_extract(sys))
+    )
+    if derived is None:
+        return checks, None
+    orbit, qd = derived
+    entries = [
+        {
+            "relative": g.name,
+            "theta": list(orbit[g.name]["array"].thetas),
+            "theta_star": list(orbit[g.name]["array"].thetas_star),
+            "zeta": list(orbit[g.name]["array"].zetas),
+            "shape": list(orbit[g.name]["shape"]),
+        }
+        for g in d4.ALL_ELEMENTS
+    ]
+    return d4.zeta_relations_check(sys, qd, orbit), {"orbit": entries, "q": qd}
 
 
 def form_stage(ctx: SystemContext):
@@ -468,9 +524,12 @@ def form_stage(ctx: SystemContext):
     if form is None:
         return checks, {}
     checks.extend(fl.form_checks(form, sys, e_fam, estar_fam))
-    _, anti_cks = fl.anti_automorphism(form, sys, e_fam, estar_fam)
-    checks.extend(anti_cks)
+    checks.extend(fl.anti_automorphism(form, sys, e_fam, estar_fam)[1])
     return checks, {"gram": form.gram}
+
+
+def dual_stage(ctx: SystemContext):
+    return fl.dual_system(ctx)[1], {}
 
 
 def conjectures_stage(ctx: SystemContext, chain_depth: int = 3):
@@ -506,108 +565,46 @@ def conjectures_stage(ctx: SystemContext, chain_depth: int = 3):
     return checks, extra
 
 
-def run_identity_suite(ctx: SystemContext, chain_depth: int = 3):
+def problems_stage(ctx: SystemContext):
+    checks = []
+    problems = _gate(
+        checks,
+        "split/problems_invertible",
+        lambda: sp.problems_report(ctx.sys, ctx.decomposition, ctx.e_fam, ctx.estar_fam),
+    )
+    return checks, None if problems is None else {}
+
+
+def identity_stages(chain_depth: int = 3) -> tuple:
+    """The identity suite's stages, in report order."""
+    return (
+        split_stage,
+        params_stage,
+        relations_stage,
+        form_stage,
+        dual_stage,
+        partial(conjectures_stage, chain_depth=chain_depth),
+        problems_stage,
+    )
+
+
+def run_identity_suite(ctx: SystemContext, chain_depth: int = 3) -> list:
     """Every identity the package knows, against one validated sharp system.
 
-    Returns (checks, payload); the payload carries the derived objects a
-    report might want to embed.  An InvariantViolation inside a stage turns
-    into a fail check for that stage and stops the stages that depend on it.
+    Runs the stages in order and returns their checks; a failed gate stops
+    the stages after it.
     """
-    sys = ctx.sys
-    field = sys.field
     checks: list[Check] = []
-    payload: dict = {}
-    e_fam, estar_fam = ctx.e_fam, ctx.estar_fam
-
-    try:
-        decomp = ctx.decomposition
-        checks.append(Check("split/decomposition", PASS))
-    except InvariantViolation as err:
-        checks.append(Check("split/decomposition", FAIL, {"error": str(err)}))
-        return checks, payload
-    try:
-        zetas = ctx.zetas
-        checks.append(Check("split/sequence", PASS))
-    except InvariantViolation as err:
-        checks.append(Check("split/sequence", FAIL, {"error": str(err)}))
-        return checks, payload
-    payload["zetas"] = zetas
-    payload["decomposition"] = decomp
-
-    _, tz_checks = sp.trace_zeta(sys, e_fam, estar_fam, zetas)
-    checks.extend(tz_checks)
-    checks.extend(sp.vanishing_check(sys, e_fam, estar_fam, zetas))
-    checks.append(sp.bijection_check(sys, e_fam, estar_fam))
-    checks.append(sp.zeta_d_closed_form(sys, e_fam, estar_fam, zetas))
-
-    stage_checks, extra = params_stage(ctx)
-    checks.extend(stage_checks)
-    if not extra:
-        return checks, payload
-    payload.update(extra)
-
-    ok, witness = eta_expansion_check(field, sys.thetas, sys.thetas_star)
-    checks.append(Check("poly/eta_expansion", PASS if ok else FAIL, witness))
-
-    try:
-        qd = d4.q_extract(sys)
-        payload["q"] = qd
-        checks.append(Check("orbit/q_extract", PASS, qd))
-    except InvariantViolation as err:
-        checks.append(Check("orbit/q_extract", FAIL, {"error": str(err)}))
-        return checks, payload
-    checks.append(d4.bracket_expansion_check(sys, qd))
-
-    try:
-        orbit = d4.compute_orbit(ctx)
-        checks.append(Check("orbit/relatives_validate", PASS))
-    except InvariantViolation as err:
-        checks.append(Check("orbit/relatives_validate", FAIL, {"error": str(err)}))
-        return checks, payload
-    payload["orbit"] = orbit
-    checks.append(sp.zeta_star_check(sys, zetas, orbit["swap"]["zetas"]))
-    checks.extend(d4.zeta_relations_check(sys, qd, orbit))
-
-    stage_checks, extra = form_stage(ctx)
-    checks.extend(stage_checks)
-    payload.update(extra)
-
-    _, dual_cks = fl.dual_system(ctx)
-    checks.extend(dual_cks)
-
-    stage_checks, extra = conjectures_stage(ctx, chain_depth)
-    checks.extend(stage_checks)
-    payload.update(extra)
-
-    try:
-        problems = sp.problems_report(sys, decomp, e_fam, estar_fam)
-        checks.append(Check("split/problems_invertible", PASS))
-        payload["problems"] = problems
-    except InvariantViolation as err:
-        checks.append(Check("split/problems_invertible", FAIL, {"error": str(err)}))
-    return checks, payload
+    for stage in identity_stages(chain_depth):
+        stage_checks, payload = stage(ctx)
+        checks.extend(stage_checks)
+        if payload is None:
+            break
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Fuzzing
-
-
-def _run_trial_for_pool(args):
-    config_desc, index = args
-    config = config_from_descriptor(config_desc)
-    return run_trial(config, index)
-
-
-def config_from_descriptor(desc: dict) -> RunConfig:
-    return RunConfig(
-        seed=desc["seed"],
-        trials=desc["trials"],
-        d_max=desc["d_max"],
-        field=field_from_descriptor(desc["field"]),
-        irreducibility=desc["irreducibility"],
-        jobs=desc["jobs"],
-        chain_depth=desc["chain_depth"],
-    )
 
 
 def fuzz_run(config: RunConfig, out_dir: str | None = None):
@@ -667,16 +664,11 @@ def fuzz_run(config: RunConfig, out_dir: str | None = None):
 
 
 def _run_all_trials(config: RunConfig):
-    indices = list(range(config.trials))
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(
-                pool.map(_run_trial_for_pool, [(config.descriptor(), i) for i in indices])
-            )
-    else:
-        results = [run_trial(config, i) for i in indices]
-    results.sort(key=lambda r: r.index)
-    return results
+    trial = partial(run_trial, config)
+    if config.jobs == 1:
+        return [trial(i) for i in range(config.trials)]
+    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        return list(pool.map(trial, range(config.trials)))
 
 
 def _isomorphism_stage(config: RunConfig, results):
@@ -699,8 +691,7 @@ def _isomorphism_stage(config: RunConfig, results):
 
     def tested_verdict(a, b):
         try:
-            verdict, payload = fl.isomorphism_test(a, b)
-            return verdict, payload
+            return fl.isomorphism_test(a, b)
         except InvariantViolation as err:
             return "error", {"error": str(err)}
 

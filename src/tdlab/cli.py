@@ -71,32 +71,15 @@ def cmd_verify(args) -> int:
     return app.exit_code_from_checks(doc["checks"])
 
 
-def _run_stage(path: str, stage, sharp_only: bool = True) -> int:
+def _run_stage(stage, args, sharp_only: bool = True) -> int:
     """Validate, then run one report stage when validation allows it."""
-    ctx = _validated(path)
+    ctx = _validated(args.file)
     report = ctx.report
     checks, extra = list(report.checks), {}
     if report.passed() and (report.sharp or not sharp_only):
         stage_checks, extra = stage(ctx)
         checks.extend(stage_checks)
     return _emit(_report_doc(ctx.sys.field, checks, extra))
-
-
-def cmd_params(args) -> int:
-    return _run_stage(args.file, app.params_stage)
-
-
-def cmd_orbit(args) -> int:
-    return _run_stage(args.file, app.orbit_stage)
-
-
-def cmd_form(args) -> int:
-    return _run_stage(args.file, app.form_stage)
-
-
-def cmd_conjectures(args) -> int:
-    stage = partial(app.conjectures_stage, chain_depth=args.chain_depth)
-    return _run_stage(args.file, stage, sharp_only=False)
 
 
 def _parse_scalar_list(field, text: str):
@@ -161,22 +144,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("params", help="parameter array of a sharp system")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("orbit", help="all eight relatives with their split data")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("form", help="invariant bilinear form and anti-automorphism")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_form)
+    for name, stage, text in (
+        ("params", app.params_stage, "parameter array of a sharp system"),
+        ("orbit", app.orbit_stage, "all eight relatives with their split data"),
+        ("form", app.form_stage, "invariant bilinear form and anti-automorphism"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        p.set_defaults(func=partial(_run_stage, stage))
 
     p = sub.add_parser("conjectures", help="subalgebra and corner-algebra checks")
     p.add_argument("file")
     p.add_argument("--chain-depth", type=int, default=3)
-    p.set_defaults(func=cmd_conjectures)
+    # the one stage that also runs on a system that is not sharp
+    p.set_defaults(
+        func=lambda args: _run_stage(
+            partial(app.conjectures_stage, chain_depth=args.chain_depth), args, sharp_only=False
+        )
+    )
 
     p = sub.add_parser("gen", help="construct an instance from split data")
     p.add_argument("kind", choices=["leonard"])

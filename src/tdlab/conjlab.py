@@ -17,7 +17,9 @@ from .matrices import Matrix, Subspace
 from .polys import Poly, poly_gcd
 from .scalars import PrimeField, RationalField, rational_sqrt
 from .splitparam import three_term_ratios, weighted_zeta_sum
-from .tdcore import FAIL, INCONCLUSIVE, PASS, Check, InvariantViolation, TdSystem, find_duplicate
+from .tdcore import (
+    EXHAUSTIVE_LIMIT, FAIL, INCONCLUSIVE, PASS, Check, InvariantViolation, TdSystem, find_duplicate,
+)
 
 
 @dataclass
@@ -107,7 +109,7 @@ def corner_algebra_checks(
             break
     checks.append(Check("conj/chain_equalities", FAIL if bad else PASS, bad or {"depth": depth}))
 
-    generated = mx.algebra_closure(cut_d_mats, include_identity=False, unit=estar0)
+    generated = mx.algebra_closure(cut_d_mats, unit=estar0)
     gen_space = _span_of(field, n, generated)
     corner_space = _span_of(field, n, corner.basis)
     ok = gen_space == corner_space
@@ -164,16 +166,10 @@ def _reduce_products(field, n, left_mats, right_mats):
     return _subspace_to_mats(field, n, space)
 
 
-def field_check(
-    field,
-    corner: SubalgebraBasis,
-    estar0: Matrix,
-    estar0_rank: int,
-    exhaustive_limit: int = 10**6,
-):
+def field_check(field, corner: SubalgebraBasis, estar0: Matrix, estar0_rank: int):
     """Is the corner algebra a field with the cut idempotent as identity?
 
-    Over GF(p) with at most `exhaustive_limit` elements the verdict is
+    Over GF(p) with at most EXHAUSTIVE_LIMIT elements the verdict is
     complete (every nonzero element's multiplication operator is tested
     for full rank).  Over the rationals the generator's minimal polynomial
     decides degrees <= 2; beyond that square-freeness and a rational-root
@@ -212,7 +208,7 @@ def field_check(
         checks.append(Check("conj/corner_field", PASS, {"reason": "one-dimensional corner"}))
         return "field", checks
 
-    if isinstance(field, PrimeField) and field.p**dim <= exhaustive_limit:
+    if isinstance(field, PrimeField) and field.p**dim <= EXHAUSTIVE_LIMIT:
         witness = _exhaustive_zero_divisor(field, mats, estar0)
         if witness is not None:
             checks.append(Check("conj/corner_field", FAIL, {"zero_divisor_coeffs": witness}))

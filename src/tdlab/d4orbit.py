@@ -444,23 +444,3 @@ def _relation_witness(field, d, qd, dens, weight_at, z_lhs, z_rhs):
             return {"i": i, "lhs": field.format(lhs), "rhs": field.format(rhs)}
     return None
 
-
-def orbit_report(ctx: SystemContext):
-    """Parameter arrays of all eight relatives plus the relation verdicts."""
-    sys = ctx.sys
-    orbit = compute_orbit(ctx)
-    qd = q_extract(sys)
-    checks = zeta_relations_check(sys, qd, orbit)
-    entries = []
-    for g in ALL_ELEMENTS:
-        data = orbit[g.name]
-        entries.append(
-            {
-                "relative": g.name,
-                "theta": list(data["array"].thetas),
-                "theta_star": list(data["array"].thetas_star),
-                "zeta": list(data["array"].zetas),
-                "shape": list(data["shape"]),
-            }
-        )
-    return {"orbit": entries, "checks": checks, "q": qd}

@@ -465,8 +465,9 @@ class SpanBuilder:
         return Subspace.from_vectors(self.field, self.ambient, self.rows)
 
 
-def algebra_closure(gens, include_identity: bool = True, unit: Matrix | None = None):
-    """Basis of the smallest unital subalgebra containing the generators.
+def algebra_closure(gens, unit: Matrix | None = None):
+    """Basis of the smallest subalgebra with unit `unit` (by default the
+    identity) containing the generators.
 
     Grows a span by left multiplication by the generators until it
     stabilizes; with the unit included, the span of all words is reached,
@@ -487,13 +488,7 @@ def algebra_closure(gens, include_identity: bool = True, unit: Matrix | None = N
             raise MatrixError("algebra closure needs square matrices of one size")
     span = SpanBuilder(field, n * n)
     frontier = []
-    seeds = []
-    if unit is not None:
-        seeds.append(unit)
-    elif include_identity:
-        seeds.append(Matrix.identity(field, n))
-    seeds.extend(gens)
-    for s in seeds:
+    for s in [Matrix.identity(field, n) if unit is None else unit, *gens]:
         if span.add(s.vec()):
             frontier.append(s)
     rounds = 0

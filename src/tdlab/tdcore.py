@@ -151,7 +151,6 @@ class IdempotentFamily:
 class ValidateOptions:
     irreducibility: str = "auto"  # auto | burnside | eigen_subset | exhaustive_gfp | assume
     assume_note: str | None = None
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT
 
 
 class SystemContext:
@@ -492,7 +491,6 @@ def validate(
         ctx,
         strategy=options.irreducibility,
         assume_note=options.assume_note,
-        exhaustive_limit=options.exhaustive_limit,
     )
     report.irreducibility_strategy = used
     if verdict == "reducible":

@@ -14,8 +14,7 @@ from tdlab.appshell import (
     RunConfig,
     builtin_x1,
     run_trial,
-    _candidate_context,
-    _random_scalars,
+    _random_candidate,
 )
 from tdlab.cli import run
 from tdlab.matrices import Matrix, det, inverse
@@ -207,8 +206,7 @@ def test_criterion_4_standard_ordering_enumeration():
         d = 2 + rng.randrange(2)  # d in {2, 3}
         field = QQ if rng.randrange(2) else GFBIG
         config = RunConfig(seed=4242, trials=1, d_max=5, field=field)
-        thetas, thetas_star, phis = _random_scalars(field, rng, d)
-        ctx = _candidate_context(config, thetas, thetas_star, phis)
+        ctx = _random_candidate(config, rng, d)
         sys, report = ctx.sys, ctx.report
         if not (report.passed() and report.sharp):
             continue

@@ -9,6 +9,7 @@ from tdlab.appshell import (
     InputError,
     RunConfig,
     builtin_x1,
+    conjectures_stage,
     document_from_system,
     dumps_document,
     exit_code_from_checks,
@@ -19,9 +20,11 @@ from tdlab.appshell import (
     run_trial,
     system_from_document,
 )
+from tdlab import d4orbit as d4
+from tdlab import splitparam as sp
 from tdlab.rng import MASK64, SplitMix64, trial_seed
 from tdlab.scalars import PrimeField, RationalField
-from tdlab.tdcore import SystemContext
+from tdlab.tdcore import InvariantViolation, SystemContext
 
 QQ = RationalField()
 
@@ -161,9 +164,11 @@ def test_run_trial_deterministic():
 
 def test_identity_suite_payload(x1):
     sys, report = x1
-    checks, payload = run_identity_suite(SystemContext(sys))
+    ctx = SystemContext(sys)
+    checks = run_identity_suite(ctx)
     assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
-    assert payload["zetas"] == (F(1), F(1))
+    assert ctx.zetas == (F(1), F(1))
+    _, payload = conjectures_stage(ctx)
     assert payload["subalgebra_dims"] == {"D": 2, "Dstar": 2, "T": 4, "corner": 1}
 
 
@@ -227,3 +232,25 @@ def test_fuzz_jobs_do_not_change_bytes():
     d1["config"].pop("jobs")
     d2["config"].pop("jobs")
     assert dumps_document(d1) == dumps_document(d2)
+
+
+def _raise_invariant(*args, **kwargs):
+    raise InvariantViolation("injected failure")
+
+
+@pytest.mark.parametrize(
+    "module, name, gate",
+    [
+        (d4, "compute_orbit", "orbit/relatives_validate"),
+        (d4, "q_extract", "orbit/q_extract"),
+        (sp, "parameter_array", "split/parameter_array"),
+    ],
+)
+def test_failed_gate_stops_the_suite(x1, monkeypatch, module, name, gate):
+    sys, _ = x1
+    full = [c.id for c in run_identity_suite(SystemContext(sys))]
+    monkeypatch.setattr(module, name, _raise_invariant)
+    checks = run_identity_suite(SystemContext(sys))
+    assert [c.id for c in checks] == full[: full.index(gate) + 1]
+    assert checks[-1].status == "fail"
+    assert checks[-1].witness == {"error": "injected failure"}

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from tdlab import d4orbit as d4
+from tdlab import splitparam as sp
 from tdlab.appshell import document_from_system, dumps_document, builtin_x1
 from tdlab.cli import run
+from tdlab.tdcore import InvariantViolation
 
 
 def _write_x1(tmp_path, **extra):
@@ -225,8 +228,44 @@ def test_boolean_dimension_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--field", "p=2"], ["--field", "p=3"], ["--d-max", "0"], ["--d-max", "-1"]]
+    "flags",
+    [
+        ["--field", "p=2"],
+        ["--field", "p=3"],
+        ["--d-max", "0"],
+        ["--d-max", "-1"],
+        ["--trials", "0"],
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
+    ],
 )
 def test_fuzz_rejects_unusable_arguments(flags, capsys):
     assert run(["fuzz", "--trials", "2", "--seed", "2", *flags]) == 2
     assert capsys.readouterr().out == ""
+
+
+def _raise_invariant(*args, **kwargs):
+    raise InvariantViolation("injected failure")
+
+
+@pytest.mark.parametrize(
+    "command, module, name, gate",
+    [
+        ("orbit", d4, "compute_orbit", "orbit/relatives_validate"),
+        ("orbit", d4, "q_extract", "orbit/relatives_validate"),
+        ("params", sp, "parameter_array", "split/parameter_array"),
+    ],
+)
+def test_failed_gate_fails_the_request(tmp_path, capsys, monkeypatch, command, module, name, gate):
+    path = _write_x1(tmp_path)
+    monkeypatch.setattr(module, name, _raise_invariant)
+    assert run([command, path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["checks"][-1] == {"id": gate, "status": "fail", "witness": {"error": "injected failure"}}
+    assert [c["id"] for c in out["checks"]].count(gate) == 1
+
+
+def test_fuzz_over_a_large_prime_field(capsys):
+    assert run(["fuzz", "--trials", "1", "--seed", "1", "--field", f"p={2**61 - 1}"]) == 0
+    assert run(["fuzz", "--trials", "1", "--seed", "1", "--field", f"p={2**89 - 1}"]) == 2
+    assert "too large" in capsys.readouterr().err

@@ -17,10 +17,10 @@ from tdlab.d4orbit import (
     compute_orbit,
     d4_compose,
     d4_inverse,
-    orbit_report,
     q_extract,
     zeta_relations_check,
 )
+from tdlab.appshell import orbit_stage
 from tdlab.polys import Poly
 from tdlab.rng import SplitMix64
 from tdlab.scalars import PrimeField, RationalField
@@ -299,7 +299,7 @@ def test_zeta_relations_skip_bracket_parts_only(inst_d3_no_q):
 
 def test_orbit_report_x1(x1):
     sys, _ = x1
-    out = orbit_report(SystemContext(sys))
+    _, out = orbit_stage(SystemContext(sys))
     assert len(out["orbit"]) == 8
     by_name = {e["relative"]: e for e in out["orbit"]}
     assert by_name["id"]["zeta"] == [F(1), F(1)]

@@ -60,6 +60,17 @@ def test_is_prime_matches_trial_division():
     assert [n for n in range(200) if is_prime(n)] == [n for n in range(200) if sieve[n]]
 
 
+def test_is_prime_on_large_moduli():
+    assert is_prime(2**61 - 1)
+    # a Carmichael number, a strong pseudoprime to the bases 2, 3, 5 and 7,
+    # and a multiple of 3
+    for composite in (561, 3215031751, 2**61 + 1):
+        assert not is_prime(composite)
+    PrimeField(2**61 - 1)
+    with pytest.raises(FieldError):
+        PrimeField(2**89 - 1)  # prime, but above the bound where the test is exact
+
+
 def test_inverse_of_five_mod_thirteen_by_exhaustion():
     # independent oracle: scan every residue for the inverse
     expected = [r for r in range(13) if 5 * r % 13 == 1]
