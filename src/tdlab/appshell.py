@@ -202,15 +202,15 @@ def _bidiagonal_system(field: Field, thetas, thetas_star, phis) -> TdSystem:
     return TdSystem(field, n, a, astar, tuple(thetas), tuple(thetas_star))
 
 
-def gen_leonard_split(field: Field, thetas, thetas_star, phis):
+def gen_leonard_split(field: Field, thetas, thetas_star, phis) -> SystemContext:
     """Bidiagonal candidate from split data, gated by full validation.
 
     The primary operator is lower bidiagonal with unit subdiagonal; the
     dual one is upper bidiagonal with the supplied superdiagonal.  On a
     validated sharp instance the split sequence must equal the cumulative
-    products of the superdiagonal entries, which is asserted.  Rejected
-    candidates come back with their failure report; they are legitimate
-    negative instances.
+    products of the superdiagonal entries, which is asserted.  Returns the
+    candidate's context; rejected candidates carry their failure report
+    and are legitimate negative instances.
     """
     thetas = tuple(thetas)
     thetas_star = tuple(thetas_star)
@@ -232,7 +232,7 @@ def gen_leonard_split(field: Field, thetas, thetas_star, phis):
                 "split sequence differs from cumulative superdiagonal products",
                 {"zetas": [field.format(z) for z in zetas]},
             )
-    return ctx.sys, report
+    return ctx
 
 
 def builtin_x1():
@@ -263,6 +263,8 @@ class RunConfig:
             raise InputError("jobs must be at least 1")
         if self.d_max < 1:
             raise InputError("d_max must be at least 1")
+        if self.chain_depth < 1:
+            raise InputError("chain_depth must be at least 1")
         if isinstance(self.field, PrimeField) and self.field.p < 5:
             raise InputError("fuzz needs a prime modulus of at least 5")
 
@@ -424,15 +426,6 @@ def run_trial(config: RunConfig, index: int) -> TrialResult:
     return TrialResult(index, seed, d, True, doc, checks, context=ctx, failed_identity=failed)
 
 
-def gen_random(config: RunConfig):
-    """The seeded candidate stream: yields one TrialResult per trial.
-
-    Deterministic in the config; identical configs yield identical streams.
-    """
-    for index in range(config.trials):
-        yield run_trial(config, index)
-
-
 # ---------------------------------------------------------------------------
 # The identity suite
 #
@@ -458,17 +451,15 @@ def _gate(checks: list, check_id: str, derive, witness: bool = False):
 
 
 def split_stage(ctx: SystemContext):
-    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
     checks = []
     if _gate(checks, "split/decomposition", lambda: ctx.decomposition) is None:
         return checks, None
-    zetas = _gate(checks, "split/sequence", lambda: ctx.zetas)
-    if zetas is None:
+    if _gate(checks, "split/sequence", lambda: ctx.zetas) is None:
         return checks, None
-    checks.extend(sp.trace_zeta(sys, e_fam, estar_fam, zetas)[1])
-    checks.extend(sp.vanishing_check(sys, e_fam, estar_fam, zetas))
-    checks.append(sp.bijection_check(sys, e_fam, estar_fam))
-    checks.append(sp.zeta_d_closed_form(sys, e_fam, estar_fam, zetas))
+    checks.extend(sp.trace_zeta(ctx)[1])
+    checks.extend(sp.vanishing_check(ctx))
+    checks.append(sp.bijection_check(ctx))
+    checks.append(sp.zeta_d_closed_form(ctx))
     return checks, {}
 
 
@@ -519,12 +510,11 @@ def orbit_stage(ctx: SystemContext):
 
 
 def form_stage(ctx: SystemContext):
-    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
-    form, checks = fl.invariant_form(sys)
+    form, checks = fl.invariant_form(ctx.sys)
     if form is None:
         return checks, {}
-    checks.extend(fl.form_checks(form, sys, e_fam, estar_fam))
-    checks.extend(fl.anti_automorphism(form, sys, e_fam, estar_fam)[1])
+    checks.extend(fl.form_checks(form, ctx))
+    checks.extend(fl.anti_automorphism(form, ctx)[1])
     return checks, {"gram": form.gram}
 
 
@@ -570,7 +560,7 @@ def problems_stage(ctx: SystemContext):
     problems = _gate(
         checks,
         "split/problems_invertible",
-        lambda: sp.problems_report(ctx.sys, ctx.decomposition, ctx.e_fam, ctx.estar_fam),
+        lambda: sp.problems_report(ctx),
     )
     return checks, None if problems is None else {}
 

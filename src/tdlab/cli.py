@@ -82,6 +82,14 @@ def _run_stage(stage, args, sharp_only: bool = True) -> int:
     return _emit(_report_doc(ctx.sys.field, checks, extra))
 
 
+def _run_conjectures(args) -> int:
+    if args.chain_depth < 1:
+        raise app.InputError("chain-depth must be at least 1")
+    # the one stage that also runs on a system that is not sharp
+    stage = partial(app.conjectures_stage, chain_depth=args.chain_depth)
+    return _run_stage(stage, args, sharp_only=False)
+
+
 def _parse_scalar_list(field, text: str):
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
@@ -99,17 +107,13 @@ def cmd_gen(args) -> int:
     thetas = _parse_scalar_list(field, args.theta)
     thetas_star = _parse_scalar_list(field, args.theta_star)
     phis = _parse_scalar_list(field, args.phi)
-    if len(thetas) != len(thetas_star):
-        raise app.InputError("theta and theta-star must have equal length")
-    if len(phis) != len(thetas) - 1:
-        raise app.InputError("phi must have one entry fewer than theta")
-    sys, report = app.gen_leonard_split(field, thetas, thetas_star, phis)
-    doc = app.document_from_system(sys)
+    ctx = app.gen_leonard_split(field, thetas, thetas_star, phis)
+    doc = app.document_from_system(ctx.sys)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(app.dumps_document(doc))
     extra = {"system": doc} if not args.output else {}
-    return _emit(_report_doc(field, report.checks, extra))
+    return _emit(_report_doc(field, ctx.report.checks, extra))
 
 
 def cmd_fuzz(args) -> int:
@@ -156,12 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjectures", help="subalgebra and corner-algebra checks")
     p.add_argument("file")
     p.add_argument("--chain-depth", type=int, default=3)
-    # the one stage that also runs on a system that is not sharp
-    p.set_defaults(
-        func=lambda args: _run_stage(
-            partial(app.conjectures_stage, chain_depth=args.chain_depth), args, sharp_only=False
-        )
-    )
+    p.set_defaults(func=_run_conjectures)
 
     p = sub.add_parser("gen", help="construct an instance from split data")
     p.add_argument("kind", choices=["leonard"])

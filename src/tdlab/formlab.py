@@ -19,7 +19,6 @@ from .tdcore import (
     FAIL,
     PASS,
     Check,
-    IdempotentFamily,
     InvariantViolation,
     SystemContext,
     TdSystem,
@@ -85,18 +84,14 @@ def _normalize_first_nonzero(m: Matrix) -> Matrix:
     raise InvariantViolation("zero matrix in an intertwiner basis")
 
 
-def form_checks(
-    form: BilinearForm,
-    sys: TdSystem,
-    e_fam: IdempotentFamily,
-    estar_fam: IdempotentFamily,
-):
+def form_checks(form: BilinearForm, ctx: SystemContext):
     """Orthogonality of distinct eigenspaces and nondegenerate restrictions."""
     g = form.gram
-    field = sys.field
+    field = ctx.sys.field
+    families = (("primary", ctx.e_fam), ("dual", ctx.estar_fam))
     checks = []
     bad = None
-    for label, fam in (("primary", e_fam), ("dual", estar_fam)):
+    for label, fam in families:
         d1 = len(fam)
         for i in range(d1):
             for j in range(d1):
@@ -120,7 +115,7 @@ def form_checks(
     checks.append(Check("form/eigenspaces_orthogonal", FAIL if bad else PASS, bad))
 
     bad = None
-    for label, fam in (("primary", e_fam), ("dual", estar_fam)):
+    for label, fam in families:
         for i, space in enumerate(fam.eigenspaces):
             rows = [
                 [mx._dot(g.apply(u), v) for v in space.basis] for u in space.basis
@@ -134,26 +129,20 @@ def form_checks(
     return checks
 
 
-def anti_automorphism(
-    form: BilinearForm,
-    sys: TdSystem,
-    e_fam: IdempotentFamily,
-    estar_fam: IdempotentFamily,
-    sample_seed: int = 0x5EED,
-):
+def anti_automorphism(form: BilinearForm, ctx: SystemContext, sample_seed: int = 0x5EED):
     """The transpose-conjugation map attached to the form, plus its checks.
 
     The deterministic sample for the involution/trace/anti-multiplicativity
     spot checks contains both operators, every idempotent, and seeded
     products of them.
     """
-    g = form.gram
+    sys, g = ctx.sys, form.gram
     dagger = AntiMap(conjugator=g, conjugator_inv=mx.inverse(g))
     checks = []
     fixed = dagger.apply(sys.A) == sys.A and dagger.apply(sys.Astar) == sys.Astar
     checks.append(Check("form/anti_fixes_generators", PASS if fixed else FAIL))
 
-    sample = [sys.A, sys.Astar, *e_fam.mats, *estar_fam.mats]
+    sample = [sys.A, sys.Astar, *ctx.e_fam.mats, *ctx.estar_fam.mats]
     rng = SplitMix64(sample_seed)
     pool = list(sample)
     for _ in range(4):

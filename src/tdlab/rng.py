@@ -46,9 +46,6 @@ class SplitMix64:
         """Uniform integer in [lo, hi] inclusive."""
         return lo + self.randrange(hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
 
 def trial_seed(root: int, index: int) -> int:
     """Seed for trial `index` of a run: the index-th root-stream output."""

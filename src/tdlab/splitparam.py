@@ -5,12 +5,16 @@ Builders (split_decomposition, split_sequence, parameter_array,
 problems_report) raise InvariantViolation when something that must hold on a
 validated system does not; checker functions (vanishing_check,
 bijection_check, trace_zeta, zeta_d_closed_form) return Check verdicts so a
-harness can aggregate them.
+harness can aggregate them.  All of these but parameter_array take the
+system's SystemContext and read the idempotent families and the operator
+tables tau_i(A), tau*_i(A*) and the alternating products from it, so each
+polynomial in A and A* is built once per system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import matrices as mx
 from .matrices import Matrix, Subspace
@@ -19,9 +23,10 @@ from .tdcore import (
     FAIL,
     PASS,
     Check,
-    IdempotentFamily,
     InvariantViolation,
+    SystemContext,
     TdSystem,
+    _linear_products,
 )
 
 
@@ -47,16 +52,7 @@ def _ensure(cond: bool, message: str, witness=None):
         raise InvariantViolation(message, witness)
 
 
-def eigenspace_partial_sum(fam: IdempotentFamily, lo: int, hi: int, field, n) -> Subspace:
-    acc = Subspace.zero(field, n)
-    for k in range(lo, hi + 1):
-        acc = mx.subspace_sum(acc, fam.eigenspaces[k])
-    return acc
-
-
-def split_decomposition(
-    sys: TdSystem, e_fam: IdempotentFamily, estar_fam: IdempotentFamily
-) -> SplitDecomposition:
+def split_decomposition(ctx: SystemContext) -> SplitDecomposition:
     """Build the split summands and their projections, asserting everything.
 
     U_i is the intersection of the first i+1 dual eigenspaces' sum with the
@@ -64,9 +60,10 @@ def split_decomposition(
     two partial-sum identities, the raising/lowering containments, and
     dim U_i equal to the shape entry.
     """
+    sys, e_fam = ctx.sys, ctx.e_fam
     field, n, d = sys.field, sys.n, sys.d
-    lower = [eigenspace_partial_sum(estar_fam, 0, i, field, n) for i in range(d + 1)]
-    upper = [eigenspace_partial_sum(e_fam, i, d, field, n) for i in range(d + 1)]
+    lower = list(accumulate(ctx.estar_fam.eigenspaces, mx.subspace_sum))
+    upper = list(accumulate(reversed(e_fam.eigenspaces), mx.subspace_sum))[::-1]
     subspaces = [mx.subspace_intersect(lower[i], upper[i]) for i in range(d + 1)]
 
     running = Subspace.zero(field, n)
@@ -148,38 +145,21 @@ def _projections(field, n, subspaces):
     return projections
 
 
-def _updown_operator(sys: TdSystem, i: int) -> Matrix:
-    """The alternating lowering-raising product for index i.
-
-    Applied to a vector it acts first by (A - theta_0), ascending through
-    (A - theta_{i-1}), then by (A - theta_star_i) descending back to
-    (A - theta_star_1).
-    """
-    field, n = sys.field, sys.n
-    ident = Matrix.identity(field, n)
-    op = ident
-    for k in range(1, i + 1):
-        op = op * (sys.Astar - ident.scale(sys.thetas_star[k]))
-    for k in range(i - 1, -1, -1):
-        op = op * (sys.A - ident.scale(sys.thetas[k]))
-    return op
-
-
-def split_sequence(sys: TdSystem, decomp: SplitDecomposition):
+def split_sequence(ctx: SystemContext):
     """The scalars by which the alternating products act on U_0.
 
     Defined only for sharp systems (U_0 is a line); the image of the
     spanning vector must be parallel to it, and that parallelism is
     asserted with a witness on failure.
     """
-    u0 = decomp.subspaces[0]
+    u0 = ctx.decomposition.subspaces[0]
     if u0.dim != 1:
         raise InvariantViolation("split sequence requested for a non-sharp system", u0)
     v = u0.basis[0]
     zetas = []
-    field = sys.field
-    for i in range(sys.d + 1):
-        w = _updown_operator(sys, i).apply(v)
+    field = ctx.sys.field
+    for i, op in enumerate(ctx.alternating):
+        w = op.apply(v)
         zeta = _parallel_ratio(field, w, v)
         if zeta is None:
             raise InvariantViolation(
@@ -218,21 +198,15 @@ def _prefix_products(field, values, x0):
     return out
 
 
-def trace_zeta(
-    sys: TdSystem,
-    e_fam: IdempotentFamily,
-    estar_fam: IdempotentFamily,
-    zetas,
-):
+def trace_zeta(ctx: SystemContext):
     """The four trace formulas for the split sequence, checked exactly.
 
     Returns (values, checks): values maps each formula id to its list, and
     the checks assert the pairwise-nonzero traces plus the 4-way agreement
     with the alternating-product sequence.
     """
+    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
     field, d = sys.field, sys.d
-    fam_t = TauEtaFamily(field, sys.thetas)
-    fam_s = TauEtaFamily(field, sys.thetas_star)
     e0, ed = e_fam[0], e_fam[d]
     es0, esd = estar_fam[0], estar_fam[d]
     checks = []
@@ -253,22 +227,15 @@ def trace_zeta(
     pre_s = _prefix_products(field, list(sys.thetas_star), sys.thetas_star[0])
     tr_e0es0 = corner_traces["tr_E0Estar0"]
     tr_es0e0 = (es0 * e0).trace()
+    tau, tau_star = ctx.tau, ctx.tau_star
 
-    by_dual_prefix = [
-        pre_s[i] * (fam_t.tau(i).at_matrix(sys.A) * es0).trace() for i in range(d + 1)
-    ]
-    by_primary_prefix = [
-        pre_t[i] * (fam_s.tau(i).at_matrix(sys.Astar) * e0).trace() for i in range(d + 1)
-    ]
+    by_dual_prefix = [pre_s[i] * (tau[i] * es0).trace() for i in range(d + 1)]
+    by_primary_prefix = [pre_t[i] * (tau_star[i] * e0).trace() for i in range(d + 1)]
     by_corner_ratio = [
-        (e0 * fam_s.tau(i).at_matrix(sys.Astar) * fam_t.tau(i).at_matrix(sys.A) * es0).trace()
-        / tr_e0es0
-        for i in range(d + 1)
+        (e0 * tau_star[i] * tau[i] * es0).trace() / tr_e0es0 for i in range(d + 1)
     ]
     by_corner_ratio_dual = [
-        (es0 * fam_t.tau(i).at_matrix(sys.A) * fam_s.tau(i).at_matrix(sys.Astar) * e0).trace()
-        / tr_es0e0
-        for i in range(d + 1)
+        (es0 * tau[i] * tau_star[i] * e0).trace() / tr_es0e0 for i in range(d + 1)
     ]
     values = {
         "dual_prefix_times_trace": by_dual_prefix,
@@ -277,7 +244,7 @@ def trace_zeta(
         "corner_trace_ratio_dual": by_corner_ratio_dual,
         "corner_traces": corner_traces,
     }
-    zt = list(zetas)
+    zt = list(ctx.zetas)
     mismatch = None
     for name in (
         "dual_prefix_times_trace",
@@ -296,12 +263,7 @@ def trace_zeta(
     return values, checks
 
 
-def vanishing_check(
-    sys: TdSystem,
-    e_fam: IdempotentFamily,
-    estar_fam: IdempotentFamily,
-    zetas,
-):
+def vanishing_check(ctx: SystemContext):
     """The corner-product identities around the split sequence.
 
     Checks, for all index pairs: the off-diagonal corner products vanish;
@@ -310,16 +272,12 @@ def vanishing_check(
     the first dual eigenspace; and the equality of the split sequence with
     its swapped twin.
     """
-    field, d, n = sys.field, sys.d, sys.n
-    fam_t = TauEtaFamily(field, sys.thetas)
-    fam_s = TauEtaFamily(field, sys.thetas_star)
-    e0 = e_fam[0]
-    es0 = estar_fam[0]
-    ident = Matrix.identity(field, n)
+    sys, zetas = ctx.sys, ctx.zetas
+    field, d = sys.field, sys.d
+    e0 = ctx.e_fam[0]
+    es0 = ctx.estar_fam[0]
+    taus_a, taus_b = ctx.tau, ctx.tau_star
     checks = []
-
-    taus_a = [fam_t.tau(i).at_matrix(sys.A) for i in range(d + 1)]
-    taus_b = [fam_s.tau(i).at_matrix(sys.Astar) for i in range(d + 1)]
 
     bad = None
     for i in range(d + 1):
@@ -368,16 +326,10 @@ def vanishing_check(
 
     bad = None
     for i in range(d + 1):
-        left = ident
-        for k in range(1, i + 1):
-            left = left * (sys.Astar - ident.scale(sys.thetas_star[k]))
-        if left * taus_a[i] * es0 != es0.scale(zetas[i]):
+        if ctx.alternating[i] * es0 != es0.scale(zetas[i]):
             bad = {"identity": "alternating product on first dual eigenspace", "i": i}
             break
-        left = ident
-        for k in range(1, i + 1):
-            left = left * (sys.A - ident.scale(sys.thetas[k]))
-        if left * taus_b[i] * e0 != e0.scale(zetas[i]):
+        if ctx.alternating_star[i] * e0 != e0.scale(zetas[i]):
             bad = {"identity": "alternating product on first primary eigenspace", "i": i}
             break
     checks.append(Check("split/raising_identities", FAIL if bad else PASS, bad))
@@ -396,12 +348,13 @@ def zeta_star_check(sys: TdSystem, zetas, zetas_star):
     return Check("split/zeta_star_equal", PASS if ok else FAIL, witness)
 
 
-def bijection_check(sys: TdSystem, e_fam: IdempotentFamily, estar_fam: IdempotentFamily):
+def bijection_check(ctx: SystemContext):
     """The eight projection maps between extreme eigenspaces are bijections.
 
     Injectivity on a basis suffices (finite dimension): the image of each
     source basis must keep its dimension.
     """
+    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
     field, n, d = sys.field, sys.n, sys.d
     maps = [
         ("Estar0V->E0V", estar_fam.eigenspaces[0], e_fam[0]),
@@ -423,14 +376,13 @@ def bijection_check(sys: TdSystem, e_fam: IdempotentFamily, estar_fam: Idempoten
     return Check("split/bijections", FAIL if bad else PASS, bad)
 
 
-def zeta_d_closed_form(
-    sys: TdSystem, e_fam: IdempotentFamily, estar_fam: IdempotentFamily, zetas
-):
+def zeta_d_closed_form(ctx: SystemContext):
     """Both closed forms of the last split-sequence term."""
+    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
     field, d = sys.field, sys.d
     fam_t = TauEtaFamily(field, sys.thetas)
     fam_s = TauEtaFamily(field, sys.thetas_star)
-    lhs = zetas[d]
+    lhs = ctx.zetas[d]
     first = (
         fam_s.eta_at(d, sys.thetas_star[0])
         * fam_t.tau_at(d, sys.thetas[d])
@@ -479,23 +431,16 @@ def parameter_array(sys: TdSystem, zetas) -> ParameterArray:
 
 
 def _invariant_operator(sys: TdSystem, i: int) -> Matrix:
-    """The middle alternating product that preserves split summand i."""
-    field, n, d = sys.field, sys.n, sys.d
-    ident = Matrix.identity(field, n)
-    op = ident
-    for k in range(i + 1, d - i + 1):
-        op = op * (sys.Astar - ident.scale(sys.thetas_star[k]))
-    for k in range(d - i - 1, i - 1, -1):
-        op = op * (sys.A - ident.scale(sys.thetas[k]))
-    return op
+    """The middle alternating product that preserves split summand i:
+    (A* - theta*_{i+1})...(A* - theta*_{d-i}) (A - theta_i)...(A - theta_{d-i-1})."""
+    d = sys.d
+    lowering = _linear_products(sys.Astar, sys.thetas_star[i + 1 : d - i + 1])[-1]
+    if 2 * i == d:
+        return lowering  # both products are empty
+    return lowering * _linear_products(sys.A, sys.thetas[i : d - i])[-1]
 
 
-def problems_report(
-    sys: TdSystem,
-    decomp: SplitDecomposition,
-    e_fam: IdempotentFamily,
-    estar_fam: IdempotentFamily,
-):
+def problems_report(ctx: SystemContext):
     """Instance data for the open questions: restriction spectra, the
     cross-trace table, and the split projections.
 
@@ -504,6 +449,7 @@ def problems_report(
     and its characteristic polynomial reported (coefficients only; no
     factoring).
     """
+    sys, decomp, e_fam, estar_fam = ctx.sys, ctx.decomposition, ctx.e_fam, ctx.estar_fam
     field, d = sys.field, sys.d
     restrictions = []
     for i in range(d // 2 + 1):

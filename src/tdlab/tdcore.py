@@ -65,8 +65,6 @@ class VerificationReport:
     shape: tuple | None = None
     sharp: bool | None = None
     irreducibility_strategy: str | None = None
-    idempotents: "IdempotentFamily | None" = None
-    idempotents_star: "IdempotentFamily | None" = None
 
     def add(self, check: Check):
         self.checks.append(check)
@@ -109,11 +107,6 @@ class TdSystem:
     @property
     def d(self) -> int:
         return len(self.thetas) - 1
-
-    def swapped(self) -> "TdSystem":
-        return TdSystem(
-            self.field, self.n, self.Astar, self.A, self.thetas_star, self.thetas, self.q_hint
-        )
 
 
 @dataclass
@@ -158,9 +151,10 @@ class SystemContext:
 
     Derived on first use: the two idempotent families, the validation
     report, the basis of the algebra generated by A and A*, the split
-    decomposition and the split sequence.  A context for a relative or the
-    dual of a system starts from families permuted or transposed from that
-    system's, so it never rebuilds them.
+    decomposition, the split sequence, and the operator polynomials the
+    split identities read.  A context for a relative or the dual of a system
+    starts from families permuted or transposed from that system's, so it
+    never rebuilds them.
     """
 
     def __init__(self, sys: TdSystem, options: ValidateOptions | None = None, families=None):
@@ -190,13 +184,50 @@ class SystemContext:
     def decomposition(self):
         from .splitparam import split_decomposition
 
-        return split_decomposition(self.sys, self.e_fam, self.estar_fam)
+        return split_decomposition(self)
 
     @cached_property
     def zetas(self) -> tuple:
         from .splitparam import split_sequence
 
-        return split_sequence(self.sys, self.decomposition)
+        return split_sequence(self)
+
+    @cached_property
+    def tau(self) -> list:
+        """tau_i(A) = (A - theta_0)...(A - theta_{i-1}) for i = 0..d."""
+        return _linear_products(self.sys.A, self.sys.thetas[:-1])
+
+    @cached_property
+    def tau_star(self) -> list:
+        """tau*_i(A*) = (A* - theta*_0)...(A* - theta*_{i-1}) for i = 0..d."""
+        return _linear_products(self.sys.Astar, self.sys.thetas_star[:-1])
+
+    @cached_property
+    def alternating(self) -> list:
+        """(A* - theta*_1)...(A* - theta*_i) tau_i(A) for i = 0..d; on U_0 it is zeta_i."""
+        return _alternating(_linear_products(self.sys.Astar, self.sys.thetas_star[1:]), self.tau)
+
+    @cached_property
+    def alternating_star(self) -> list:
+        """(A - theta_1)...(A - theta_i) tau*_i(A*) for i = 0..d."""
+        return _alternating(_linear_products(self.sys.A, self.sys.thetas[1:]), self.tau_star)
+
+
+def _linear_products(m: Matrix, values) -> list:
+    """The prefix products of (m - v I) over `values`: entry i is the product
+    of the first i factors, entry 0 the identity.  The identity is never a
+    factor of a multiplication."""
+    ident = Matrix.identity(m.field, m.rows)
+    out = [ident]
+    for v in values:
+        factor = m - ident.scale(v)
+        out.append(factor if len(out) == 1 else out[-1] * factor)
+    return out
+
+
+def _alternating(sigma: list, tau: list) -> list:
+    """sigma_i tau_i for i = 0..d, where both tables start at the identity."""
+    return [tau[0]] + [s * t for s, t in zip(sigma[1:], tau[1:])]
 
 
 def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
@@ -221,13 +252,12 @@ def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
             defect={"kernel_dims": [s.dim for s in spaces], "n": n},
         )
     mats = []
-    one = field.one
     for i, ti in enumerate(thetas):
-        e = ident
-        for j, tj in enumerate(thetas):
-            if j != i:
-                e = e * (m - ident.scale(tj)).scale(one / (ti - tj))
-        mats.append(e)
+        others = thetas[:i] + thetas[i + 1 :]
+        scale = field.one
+        for tj in others:
+            scale = scale / (ti - tj)
+        mats.append(_linear_products(m, others)[-1].scale(scale))
     fam = IdempotentFamily(
         mats=tuple(mats),
         eigenvalues=thetas,
@@ -479,8 +509,6 @@ def validate(
         report.add(Check(f"diagonalizable/{name}", PASS))
         report.add(Check(f"idempotents/{name}", PASS, {"ranks": list(fams[name].ranks)}))
     e_fam, estar_fam = fams["A"], fams["Astar"]
-    report.idempotents = e_fam
-    report.idempotents_star = estar_fam
 
     trid = check_tridiagonal(sys, e_fam, estar_fam)
     report.checks.extend(trid)

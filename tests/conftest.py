@@ -18,44 +18,44 @@ def GF13():
 
 @pytest.fixture(scope="session")
 def x1(QQ):
-    """The golden d=1 instance with its validation report."""
-    sys, report = gen_leonard_split(QQ, (F(1), F(0)), (F(1), F(0)), (F(1),))
-    assert report.passed()
-    return sys, report
+    """The golden d=1 instance and its context."""
+    ctx = gen_leonard_split(QQ, (F(1), F(0)), (F(1), F(0)), (F(1),))
+    assert ctx.report.passed()
+    return ctx.sys, ctx
 
 
 @pytest.fixture(scope="session")
 def inst_d2(QQ):
     """A frozen validated d=2 instance over the rationals."""
-    sys, report = gen_leonard_split(QQ, (F(0), F(1), F(3)), (F(2), F(-1), F(5)), (F(16), F(1)))
-    assert report.passed()
-    return sys, report
+    ctx = gen_leonard_split(QQ, (F(0), F(1), F(3)), (F(2), F(-1), F(5)), (F(16), F(1)))
+    assert ctx.report.passed()
+    return ctx.sys, ctx
 
 
 @pytest.fixture(scope="session")
 def inst_d3(QQ):
     """A frozen validated geometric d=3 instance (ratio 2) over the rationals."""
-    sys, report = gen_leonard_split(
+    ctx = gen_leonard_split(
         QQ, (F(1), F(2), F(4), F(8)), (F(3), F(6), F(12), F(24)), (F(59), F(342, 7), F(-4))
     )
-    assert report.passed()
-    return sys, report
+    assert ctx.report.passed()
+    return ctx.sys, ctx
 
 
 @pytest.fixture(scope="session")
 def inst_d3_no_q(QQ):
     """A frozen d=3 instance whose ratio quadratic has no rational root."""
-    sys, report = gen_leonard_split(
+    ctx = gen_leonard_split(
         QQ, (F(0), F(1), F(3), F(2)), (F(0), F(1), F(3), F(2)), (F(-1), F(-1), F(3))
     )
-    assert report.passed()
-    return sys, report
+    assert ctx.report.passed()
+    return ctx.sys, ctx
 
 
 @pytest.fixture(scope="session")
 def inst_gf13_d2(GF13):
     """A frozen validated d=2 instance over GF(13)."""
     e = GF13.from_int
-    sys, report = gen_leonard_split(GF13, (e(0), e(1), e(3)), (e(2), e(12), e(5)), (e(5), e(3)))
-    assert report.passed()
-    return sys, report
+    ctx = gen_leonard_split(GF13, (e(0), e(1), e(3)), (e(2), e(12), e(5)), (e(5), e(3)))
+    assert ctx.report.passed()
+    return ctx.sys, ctx

@@ -72,16 +72,16 @@ def _report(line: str):
 
 def test_criterion_1_golden_instance():
     start = time.monotonic()
-    sys, report = builtin_x1()
+    ctx = builtin_x1()
+    sys, report = ctx.sys, ctx.report
     assert report.passed() and report.shape == (1, 1) and report.sharp
 
-    e, es = report.idempotents, report.idempotents_star
+    e, es = ctx.e_fam, ctx.estar_fam
     assert e[0] == sys.A  # E_0 = A
 
-    decomp = sp.split_decomposition(sys, e, es)
-    zetas = sp.split_sequence(sys, decomp)
+    zetas = sp.split_sequence(ctx)
     assert zetas == (F(1), F(1))
-    values, checks = sp.trace_zeta(sys, e, es, zetas)
+    values, checks = sp.trace_zeta(ctx)
     assert all(c.status == "pass" for c in checks)
     for name in (
         "dual_prefix_times_trace",
@@ -98,11 +98,11 @@ def test_criterion_1_golden_instance():
         (F(1), F(1)),
     )
 
-    table = sp.problems_report(sys, decomp, e, es)["cross_traces"]
+    table = sp.problems_report(ctx)["cross_traces"]
     assert table["tr_Ei_Estar0"] == [F(2), F(-1)]
     assert table["tr_Ei_Estard"] == [F(-1), F(2)]
 
-    assert sp.zeta_d_closed_form(sys, e, es, zetas).status == "pass"
+    assert sp.zeta_d_closed_form(ctx).status == "pass"
     fam_t = __import__("tdlab.polys", fromlist=["TauEtaFamily"]).TauEtaFamily
     f1 = fam_t(QQ, sys.thetas)
     f2 = fam_t(QQ, sys.thetas_star)
@@ -110,7 +110,6 @@ def test_criterion_1_golden_instance():
         e[1] * es[0]
     ).trace() == F(1)
 
-    ctx = td.SystemContext(sys)
     orbit = d4.compute_orbit(ctx)
     assert orbit["rev_primary"]["zetas"] == (F(1), F(2))
     assert sp.weighted_zeta_sum(QQ, sys.thetas, sys.thetas_star, zetas) == F(2)
@@ -122,7 +121,7 @@ def test_criterion_1_golden_instance():
     assert form.solution_dim == 1
     assert form.gram == Matrix.from_ints(QQ, [[1, 1], [1, -1]])
     assert det(form.gram) == F(-2)
-    dagger, achecks = fl.anti_automorphism(form, sys, e, es)
+    dagger, achecks = fl.anti_automorphism(form, ctx)
     assert all(c.status == "pass" for c in achecks)
     assert dagger.apply(sys.A) == sys.A and dagger.apply(sys.Astar) == sys.Astar
 
@@ -210,9 +209,7 @@ def test_criterion_4_standard_ordering_enumeration():
         sys, report = ctx.sys, ctx.report
         if not (report.passed() and report.sharp):
             continue
-        orderings = td.enumerate_standard_orderings(
-            sys, report.idempotents, report.idempotents_star
-        )
+        orderings = td.enumerate_standard_orderings(sys, ctx.e_fam, ctx.estar_fam)
         assert len(orderings["A"]) == 2, orderings["A"]
         assert len(orderings["Astar"]) == 2
         assert tuple(sys.thetas) in orderings["A"]
@@ -252,18 +249,16 @@ def test_criterion_5_isomorphism_suite():
             assert gamma * sys.A == conj.A * gamma
             assert gamma * sys.Astar == conj.Astar * gamma
             assert det(gamma) != field.zero
-            conj_report = td.validate(
+            conj_ctx = td.SystemContext(
                 conj,
                 td.ValidateOptions(
                     irreducibility="assume",
                     assume_note="conjugate of a validated system",
                 ),
             )
-            conj_decomp = sp.split_decomposition(
-                conj, conj_report.idempotents, conj_report.idempotents_star
-            )
+            assert conj_ctx.report.passed()
             conj_array = sp.ParameterArray(
-                conj.thetas, conj.thetas_star, sp.split_sequence(conj, conj_decomp)
+                conj.thetas, conj.thetas_star, sp.split_sequence(conj_ctx)
             )
             if fl.conjecture_crosscheck(verdict, array, conj_array).status != "pass":
                 disagreements += 1
@@ -308,7 +303,8 @@ def test_criterion_6_negative_instances():
 
     from tdlab.appshell import gen_leonard_split
 
-    sys2, report2 = gen_leonard_split(QQ, (F(1), F(0)), (F(1), F(0)), (F(0),))
+    ctx2 = gen_leonard_split(QQ, (F(1), F(0)), (F(1), F(0)), (F(0),))
+    sys2, report2 = ctx2.sys, ctx2.report
     assert report2.overall == "fail"
     w2 = report2.reducibility_witness
     assert w2 is not None and w2.contains((F(0), F(1)))

@@ -88,15 +88,16 @@ def test_non_canonical_scalars_canonicalize_on_load(x1, tmp_path):
 
 
 def test_builtin_x1_matches_spec_matrices():
-    sys, report = builtin_x1()
-    assert report.passed()
+    ctx = builtin_x1()
+    sys = ctx.sys
+    assert ctx.report.passed()
     assert document_from_system(sys)["A"] == [["1", "0"], ["1", "0"]]
     assert document_from_system(sys)["Astar"] == [["1", "1"], ["0", "0"]]
 
 
 def test_gen_d0_over_gf13():
     f = PrimeField(13)
-    sys, report = gen_leonard_split(f, (f.from_int(5),), (f.from_int(7),), ())
+    report = gen_leonard_split(f, (f.from_int(5),), (f.from_int(7),), ()).report
     assert report.passed()
     assert report.shape == (1,)
 
@@ -109,11 +110,10 @@ def test_gen_rejects_bad_lengths():
 
 
 def test_zeta_equals_cumulative_phi_products(inst_d3):
-    sys, report = inst_d3
-    from tdlab.splitparam import split_decomposition, split_sequence
+    _, ctx = inst_d3
+    from tdlab.splitparam import split_sequence
 
-    decomp = split_decomposition(sys, report.idempotents, report.idempotents_star)
-    zetas = split_sequence(sys, decomp)
+    zetas = split_sequence(ctx)
     phis = (F(59), F(342, 7), F(-4))
     acc = F(1)
     expected = [F(1)]
@@ -163,7 +163,7 @@ def test_run_trial_deterministic():
 
 
 def test_identity_suite_payload(x1):
-    sys, report = x1
+    sys, _ = x1
     ctx = SystemContext(sys)
     checks = run_identity_suite(ctx)
     assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
@@ -214,14 +214,6 @@ def test_load_missing_file_is_input_error(tmp_path):
 
 def test_format_tag_constant():
     assert FORMAT_SYSTEM == "tdlab/1"
-
-
-def test_gen_random_stream_matches_run_trial():
-    from tdlab.appshell import gen_random
-
-    cfg = RunConfig(seed=21, trials=3, d_max=2, field=PrimeField(10007))
-    stream = list(gen_random(cfg))
-    assert [r.doc for r in stream] == [run_trial(cfg, i).doc for i in range(3)]
 
 
 def test_fuzz_jobs_do_not_change_bytes():

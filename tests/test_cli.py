@@ -10,7 +10,7 @@ from tdlab.tdcore import InvariantViolation
 
 
 def _write_x1(tmp_path, **extra):
-    sys, _ = builtin_x1()
+    sys = builtin_x1().sys
     doc = document_from_system(sys)
     doc.update(extra)
     path = tmp_path / "x1.json"
@@ -134,6 +134,20 @@ def test_gen_rejected_candidate_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        (["--theta=1,0", "--theta-star=1", "--phi=1"], "theta and theta_star must have equal length"),
+        (["--theta=1,0", "--theta-star=1,0", "--phi=1,2"], "phi must have length d"),
+    ],
+)
+def test_gen_rejects_mismatched_lengths(lengths, message, capsys):
+    assert run(["gen", "leonard", *lengths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_gen_over_prime_field(tmp_path, capsys):
     out = tmp_path / "p.json"
     code = run(
@@ -237,11 +251,23 @@ def test_boolean_dimension_exits_two(tmp_path, capsys):
         ["--trials", "0"],
         ["--jobs", "0"],
         ["--jobs", "-3"],
+        ["--chain-depth", "0"],
+        ["--chain-depth", "-4"],
     ],
 )
 def test_fuzz_rejects_unusable_arguments(flags, capsys):
     assert run(["fuzz", "--trials", "2", "--seed", "2", *flags]) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("depth", ["0", "-4"])
+def test_conjectures_rejects_chain_depth_below_one(depth, tmp_path, capsys):
+    assert run(["conjectures", _write_x1(tmp_path), "--chain-depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: chain-depth must be at least 1\n"
 
 
 def _raise_invariant(*args, **kwargs):

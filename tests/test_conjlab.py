@@ -10,7 +10,7 @@ from tdlab.conjlab import (
 )
 from tdlab.matrices import Matrix
 from tdlab.scalars import PrimeField, RationalField
-from tdlab.tdcore import SystemContext, TdSystem, validate
+from tdlab.tdcore import SystemContext, TdSystem
 
 QQ = RationalField()
 
@@ -31,11 +31,11 @@ def test_subalgebra_dimension_is_diameter_plus_one(inst_d3):
 
 
 def test_x1_corner_checks(x1):
-    sys, report = x1
+    sys, ctx = x1
     algs = generate_subalgebras(sys, SystemContext(sys).closure)
     corner, checks = corner_algebra_checks(
         sys, algs["T"], algs["D"], algs["Dstar"],
-        report.idempotents_star[0], report.idempotents[0],
+        ctx.estar_fam[0], ctx.e_fam[0],
     )
     assert corner.dim == 1
     assert all(c.status == "pass" for c in checks), checks
@@ -46,34 +46,35 @@ def test_d0_everything_trivial():
     a = Matrix(f, [[f.from_int(5)]])
     astar = Matrix(f, [[f.from_int(7)]])
     sys = TdSystem(f, 1, a, astar, (f.from_int(5),), (f.from_int(7),))
-    report = validate(sys)
-    algs = generate_subalgebras(sys, SystemContext(sys).closure)
+    ctx = SystemContext(sys)
+    assert ctx.report.passed()
+    algs = generate_subalgebras(sys, ctx.closure)
     assert algs["D"].dim == algs["Dstar"].dim == algs["T"].dim == 1
     corner, checks = corner_algebra_checks(
         sys, algs["T"], algs["D"], algs["Dstar"],
-        report.idempotents_star[0], report.idempotents[0],
+        ctx.estar_fam[0], ctx.e_fam[0],
     )
     assert corner.dim == 1
-    verdict, fchecks = field_check(f, corner, report.idempotents_star[0], 1)
+    verdict, fchecks = field_check(f, corner, ctx.estar_fam[0], 1)
     assert verdict == "field"
 
 
 def test_x1_field_check(x1):
-    sys, report = x1
+    sys, ctx = x1
     algs = generate_subalgebras(sys, SystemContext(sys).closure)
-    corner = corner_algebra(sys, algs["T"], report.idempotents_star[0])
-    verdict, checks = field_check(QQ, corner, report.idempotents_star[0], 1)
+    corner = corner_algebra(sys, algs["T"], ctx.estar_fam[0])
+    verdict, checks = field_check(QQ, corner, ctx.estar_fam[0], 1)
     assert verdict == "field"
     assert any(c.id == "conj/corner_dim_matches_rank" and c.status == "pass" for c in checks)
 
 
 def test_chain_monotonicity(inst_d3):
-    sys, report = inst_d3
+    sys, ctx = inst_d3
     algs = generate_subalgebras(sys, SystemContext(sys).closure)
     for depth in (1, 2, 3):
         _, checks = corner_algebra_checks(
             sys, algs["T"], algs["D"], algs["Dstar"],
-            report.idempotents_star[0], report.idempotents[0], depth=depth,
+            ctx.estar_fam[0], ctx.e_fam[0], depth=depth,
         )
         chain = next(c for c in checks if c.id == "conj/chain_equalities")
         assert chain.status == "pass", (depth, chain)
@@ -175,10 +176,9 @@ def test_pa_conditions_vacuous_ratio_below_d3(x1):
 
 
 def test_emitted_arrays_always_pass(inst_d2, inst_d3, inst_gf13_d2):
-    from tdlab.splitparam import split_decomposition, split_sequence
+    from tdlab.splitparam import split_sequence
 
-    for sys, report in (inst_d2, inst_d3, inst_gf13_d2):
-        decomp = split_decomposition(sys, report.idempotents, report.idempotents_star)
-        zetas = split_sequence(sys, decomp)
+    for sys, ctx in (inst_d2, inst_d3, inst_gf13_d2):
+        zetas = split_sequence(ctx)
         checks = pa_conditions(sys.field, sys.thetas, sys.thetas_star, zetas)
         assert all(c.status == "pass" for c in checks)

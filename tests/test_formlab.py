@@ -20,7 +20,7 @@ QQ = RationalField()
 
 
 def test_x1_gram_matrix(x1):
-    sys, report = x1
+    sys, _ = x1
     form, checks = invariant_form(sys)
     assert all(c.status == "pass" for c in checks)
     assert form.solution_dim == 1
@@ -30,17 +30,17 @@ def test_x1_gram_matrix(x1):
 
 def test_x1_form_orthogonality_numbers(x1):
     # G maps (0,1) to (1,-1); the first eigenspace basis (1,1) pairs to zero
-    sys, report = x1
+    sys, ctx = x1
     form, _ = invariant_form(sys)
     gu = form.gram.apply((F(0), F(1)))
     assert gu == (F(1), F(-1))
     assert sum(a * b for a, b in zip((F(1), F(1)), gu)) == F(0)
-    checks = form_checks(form, sys, report.idempotents, report.idempotents_star)
+    checks = form_checks(form, ctx)
     assert all(c.status == "pass" for c in checks)
 
 
 def test_x1_restriction_value(x1):
-    sys, report = x1
+    sys, _ = x1
     form, _ = invariant_form(sys)
     v = (F(1), F(1))  # spans the first primary eigenspace
     assert sum(a * b for a, b in zip(v, form.gram.apply(v))) == F(2)
@@ -57,9 +57,9 @@ def test_d0_gram_is_scalar():
 
 
 def test_x1_anti_automorphism(x1):
-    sys, report = x1
+    sys, ctx = x1
     form, _ = invariant_form(sys)
-    dagger, checks = anti_automorphism(form, sys, report.idempotents, report.idempotents_star)
+    dagger, checks = anti_automorphism(form, ctx)
     assert all(c.status == "pass" for c in checks)
     assert dagger.apply(sys.A) == sys.A
     assert dagger.apply(sys.Astar) == sys.Astar
@@ -69,7 +69,7 @@ def test_x1_anti_automorphism(x1):
 
 
 def test_dual_system_x1(x1):
-    sys, report = x1
+    sys, _ = x1
     ctx = SystemContext(sys)
     dual, checks = dual_system(ctx)
     assert all(c.status == "pass" for c in checks), checks
@@ -84,7 +84,7 @@ def test_dual_system_x1(x1):
 
 
 def test_dual_system_frozen_instances(inst_d2, inst_d3, inst_gf13_d2):
-    for sys, report in (inst_d2, inst_d3, inst_gf13_d2):
+    for sys, ctx in (inst_d2, inst_d3, inst_gf13_d2):
         _, checks = dual_system(SystemContext(sys))
         assert all(c.status == "pass" for c in checks), checks
 

@@ -16,18 +16,16 @@ from tdlab.splitparam import (
     zeta_d_closed_form,
     zeta_star_check,
 )
-from tdlab.tdcore import InvariantViolation, TdSystem, validate
+from tdlab.tdcore import InvariantViolation, SystemContext, TdSystem
 
 
-def _pipeline(sys, report):
-    decomp = split_decomposition(sys, report.idempotents, report.idempotents_star)
-    zetas = split_sequence(sys, decomp)
-    return decomp, zetas
+def _pipeline(ctx):
+    return split_decomposition(ctx), split_sequence(ctx)
 
 
 def test_x1_split_summands(x1):
-    sys, report = x1
-    decomp, zetas = _pipeline(sys, report)
+    sys, ctx = x1
+    decomp, zetas = _pipeline(ctx)
     assert decomp.subspaces[0] == Subspace.from_vectors(sys.field, 2, [(F(1), F(0))])
     assert decomp.subspaces[1] == Subspace.from_vectors(sys.field, 2, [(F(0), F(1))])
     assert decomp.projections[0] == Matrix.from_ints(sys.field, [[1, 0], [0, 0]])
@@ -37,8 +35,8 @@ def test_x1_split_summands(x1):
 
 def test_x1_raising_containment(x1):
     # (A - theta_0 I) maps the first summand into the second
-    sys, report = x1
-    decomp, _ = _pipeline(sys, report)
+    sys, ctx = x1
+    decomp, _ = _pipeline(ctx)
     shifted = sys.A - Matrix.identity(sys.field, 2)
     img = shifted.apply((F(1), F(0)))
     assert img == (F(0), F(1))
@@ -50,8 +48,7 @@ def test_d0_split_trivial():
     a = Matrix(f, [[f.from_int(5)]])
     astar = Matrix(f, [[f.from_int(7)]])
     sys = TdSystem(f, 1, a, astar, (f.from_int(5),), (f.from_int(7),))
-    report = validate(sys)
-    decomp, zetas = _pipeline(sys, report)
+    decomp, zetas = _pipeline(SystemContext(sys))
     assert decomp.subspaces[0].is_full()
     assert decomp.projections[0] == Matrix.identity(f, 1)
     assert zetas == (f.one,)
@@ -59,9 +56,8 @@ def test_d0_split_trivial():
 
 
 def test_x1_trace_formulas(x1):
-    sys, report = x1
-    _, zetas = _pipeline(sys, report)
-    values, checks = trace_zeta(sys, report.idempotents, report.idempotents_star, zetas)
+    _, ctx = x1
+    values, checks = trace_zeta(ctx)
     assert all(c.status == "pass" for c in checks)
     assert values["dual_prefix_times_trace"] == [F(1), F(1)]
     assert values["corner_traces"]["tr_E0Estar0"] == F(2)
@@ -71,34 +67,32 @@ def test_x1_trace_formulas(x1):
 
 def test_x1_vanishing_example(x1):
     # E_0 tau*_0(A*) tau_1(A) E*_0 = A (A - I) A* = 0 because A^2 = A
-    sys, report = x1
+    sys, ctx = x1
     prod = sys.A * (sys.A - Matrix.identity(sys.field, 2)) * sys.Astar
     assert prod.is_zero()
-    _, zetas = _pipeline(sys, report)
-    checks = vanishing_check(sys, report.idempotents, report.idempotents_star, zetas)
+    checks = vanishing_check(ctx)
     assert all(c.status == "pass" for c in checks)
 
 
 def test_x1_bijections(x1):
-    sys, report = x1
-    assert report.idempotents[0].apply((F(1), F(0))) == (F(1), F(1))
-    check = bijection_check(sys, report.idempotents, report.idempotents_star)
+    _, ctx = x1
+    assert ctx.e_fam[0].apply((F(1), F(0))) == (F(1), F(1))
+    check = bijection_check(ctx)
     assert check.status == "pass"
 
 
 def test_x1_zeta_d_closed_form(x1):
-    sys, report = x1
-    _, zetas = _pipeline(sys, report)
+    _, ctx = x1
     # eta*_1(theta*_0) tau_1(theta_1) tr(E_1 E*_0) = 1 * (-1) * (-1) = 1
-    tr = (report.idempotents[1] * report.idempotents_star[0]).trace()
+    tr = (ctx.e_fam[1] * ctx.estar_fam[0]).trace()
     assert tr == F(-1)
-    check = zeta_d_closed_form(sys, report.idempotents, report.idempotents_star, zetas)
+    check = zeta_d_closed_form(ctx)
     assert check.status == "pass"
 
 
 def test_x1_parameter_array(x1):
-    sys, report = x1
-    _, zetas = _pipeline(sys, report)
+    sys, ctx = x1
+    _, zetas = _pipeline(ctx)
     array = parameter_array(sys, zetas)
     assert array.thetas == (F(1), F(0))
     assert array.thetas_star == (F(1), F(0))
@@ -107,9 +101,8 @@ def test_x1_parameter_array(x1):
 
 
 def test_x1_cross_trace_table(x1):
-    sys, report = x1
-    decomp, _ = _pipeline(sys, report)
-    out = problems_report(sys, decomp, report.idempotents, report.idempotents_star)
+    _, ctx = x1
+    out = problems_report(ctx)
     t = out["cross_traces"]
     assert t["tr_Ei_Estar0"] == [F(2), F(-1)]
     assert t["tr_Ei_Estard"] == [F(-1), F(2)]
@@ -118,23 +111,23 @@ def test_x1_cross_trace_table(x1):
 
 
 def test_x1_problem_restriction(x1):
-    sys, report = x1
-    decomp, _ = _pipeline(sys, report)
-    out = problems_report(sys, decomp, report.idempotents, report.idempotents_star)
+    sys, ctx = x1
+    out = problems_report(ctx)
     rest = out["restrictions"][0]
     assert rest["matrix"] == Matrix.identity(sys.field, 1)
     assert rest["char_poly"] == (F(-1), F(1))  # x - 1
 
 
 def test_non_sharp_split_sequence_rejected(x1):
-    sys, report = x1
-    decomp, _ = _pipeline(sys, report)
-    fake = type(decomp)(
+    sys, ctx = x1
+    decomp, _ = _pipeline(ctx)
+    fake = SystemContext(sys)
+    fake.decomposition = type(decomp)(
         subspaces=(Subspace.full(sys.field, 2),) + decomp.subspaces[1:],
         projections=decomp.projections,
     )
     with pytest.raises(InvariantViolation):
-        split_sequence(sys, fake)
+        split_sequence(fake)
 
 
 def test_zeta_star_check_flags_mismatch(x1):
@@ -147,15 +140,15 @@ def test_zeta_star_check_flags_mismatch(x1):
 
 @pytest.mark.parametrize("fixture", ["inst_d2", "inst_d3", "inst_gf13_d2"])
 def test_full_split_stage_on_frozen_instances(fixture, request):
-    sys, report = request.getfixturevalue(fixture)
-    decomp, zetas = _pipeline(sys, report)
+    sys, ctx = request.getfixturevalue(fixture)
+    decomp, zetas = _pipeline(ctx)
     assert zetas[0] == sys.field.one
     for i, s in enumerate(decomp.subspaces):
-        assert s.dim == report.shape[i]
-    _, checks = trace_zeta(sys, report.idempotents, report.idempotents_star, zetas)
-    checks += vanishing_check(sys, report.idempotents, report.idempotents_star, zetas)
-    checks.append(bijection_check(sys, report.idempotents, report.idempotents_star))
-    checks.append(zeta_d_closed_form(sys, report.idempotents, report.idempotents_star, zetas))
+        assert s.dim == ctx.report.shape[i]
+    _, checks = trace_zeta(ctx)
+    checks += vanishing_check(ctx)
+    checks.append(bijection_check(ctx))
+    checks.append(zeta_d_closed_form(ctx))
     assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
-    out = problems_report(sys, decomp, report.idempotents, report.idempotents_star)
+    out = problems_report(ctx)
     assert len(out["restrictions"]) == sys.d // 2 + 1

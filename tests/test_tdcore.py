@@ -25,11 +25,11 @@ def _diag_pair(field=QQ):
 
 
 def test_x1_validates(x1):
-    sys, report = x1
-    assert report.passed()
-    assert report.shape == (1, 1)
-    assert report.sharp is True
-    assert {c.id for c in report.checks} >= {
+    _, ctx = x1
+    assert ctx.report.passed()
+    assert ctx.report.shape == (1, 1)
+    assert ctx.report.sharp is True
+    assert {c.id for c in ctx.report.checks} >= {
         "input/dimension",
         "eigenvalues/distinct",
         "diagonalizable/A",
@@ -42,8 +42,8 @@ def test_x1_validates(x1):
 
 
 def test_x1_idempotents_are_lagrange_products(x1):
-    sys, report = x1
-    e = report.idempotents
+    sys, ctx = x1
+    e = ctx.e_fam
     assert e[0] == sys.A  # (A - 0I)/(1 - 0)
     assert e[1] == Matrix.identity(QQ, 2) - sys.A
     assert e[0] + e[1] == Matrix.identity(QQ, 2)
@@ -76,7 +76,7 @@ def test_reducible_diagonal_pair_rejected():
 def test_phi_zero_candidate_rejected():
     from tdlab.appshell import gen_leonard_split
 
-    sys, report = gen_leonard_split(QQ, (F(1), F(0)), (F(1), F(0)), (F(0),))
+    report = gen_leonard_split(QQ, (F(1), F(0)), (F(1), F(0)), (F(0),)).report
     assert report.overall == "fail"
     w = report.reducibility_witness
     assert w is not None
@@ -121,7 +121,7 @@ def test_check_sharp(shape, expected):
 
 
 def test_irreducibility_strategies_agree(x1):
-    sys, report = x1
+    sys, _ = x1
     ctx = SystemContext(sys)
     v1, _, s1 = check_irreducible(ctx, strategy="burnside")
     v2, _, s2 = check_irreducible(ctx, strategy="eigen_subset")
@@ -130,7 +130,7 @@ def test_irreducibility_strategies_agree(x1):
 
 
 def test_exhaustive_gfp_agrees(inst_gf13_d2):
-    sys, report = inst_gf13_d2
+    sys, _ = inst_gf13_d2
     verdict, _, used = check_irreducible(SystemContext(sys), strategy="exhaustive_gfp")
     assert verdict == "irreducible" and used == "exhaustive_gfp"
 
@@ -162,8 +162,8 @@ def test_assume_strategy_recorded():
 
 
 def test_standard_orderings_x1(x1):
-    sys, report = x1
-    out = enumerate_standard_orderings(sys, report.idempotents, report.idempotents_star)
+    sys, ctx = x1
+    out = enumerate_standard_orderings(sys, ctx.e_fam, ctx.estar_fam)
     assert len(out["A"]) == 2 and len(out["Astar"]) == 2
     assert set(out["A"]) == {(F(1), F(0)), (F(0), F(1))}
 
@@ -172,15 +172,16 @@ def test_standard_orderings_d0():
     f = PrimeField(13)
     a = Matrix(f, [[f.from_int(5)]])
     sys = TdSystem(f, 1, a, a, (f.from_int(5),), (f.from_int(5),))
-    report = validate(sys)
-    out = enumerate_standard_orderings(sys, report.idempotents, report.idempotents_star)
+    ctx = SystemContext(sys)
+    assert ctx.report.passed()
+    out = enumerate_standard_orderings(sys, ctx.e_fam, ctx.estar_fam)
     assert len(out["A"]) == 1 and len(out["Astar"]) == 1
 
 
 @pytest.mark.parametrize("fixture", ["inst_d2", "inst_d3"])
 def test_standard_orderings_are_exactly_two(fixture, request):
-    sys, report = request.getfixturevalue(fixture)
-    out = enumerate_standard_orderings(sys, report.idempotents, report.idempotents_star)
+    sys, ctx = request.getfixturevalue(fixture)
+    out = enumerate_standard_orderings(sys, ctx.e_fam, ctx.estar_fam)
     assert len(out["A"]) == 2 and len(out["Astar"]) == 2
     assert tuple(sys.thetas) in out["A"]
     assert tuple(reversed(sys.thetas)) in out["A"]
