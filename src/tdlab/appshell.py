@@ -25,6 +25,7 @@ from .polys import eta_expansion_check
 from .rng import SplitMix64, trial_seed
 from .scalars import Field, FieldError, FpElement, PrimeField, RationalField, field_from_descriptor
 from .tdcore import (
+    EXHAUSTIVE_LIMIT,
     FAIL,
     PASS,
     SKIP,
@@ -135,6 +136,8 @@ def system_from_document(doc: dict):
             raise InputError("dimension must be a positive integer")
         a = _parse_matrix(field, doc["A"], n)
         astar = _parse_matrix(field, doc["Astar"], n)
+        if not isinstance(doc["theta"], list) or not isinstance(doc["theta_star"], list):
+            raise InputError("theta and theta_star must be arrays")
         thetas = tuple(field.parse(t) for t in doc["theta"])
         thetas_star = tuple(field.parse(t) for t in doc["theta_star"])
         if len(thetas) != len(thetas_star):
@@ -267,6 +270,12 @@ class RunConfig:
             raise InputError("chain_depth must be at least 1")
         if isinstance(self.field, PrimeField) and self.field.p < 5:
             raise InputError("fuzz needs a prime modulus of at least 5")
+        if self.irreducibility == "exhaustive_gfp" and not (
+            isinstance(self.field, PrimeField) and self.field.p ** (self.d_max + 1) <= EXHAUSTIVE_LIMIT
+        ):
+            raise InputError(
+                f"exhaustive_gfp needs a prime field with p^(d_max+1) <= {EXHAUSTIVE_LIMIT}"
+            )
 
     def descriptor(self) -> dict:
         return {**asdict(self), "field": self.field.descriptor()}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, product
 from math import gcd
 
 from . import matrices as mx
@@ -65,8 +66,9 @@ def generate_subalgebras(sys: TdSystem, closure):
     return out
 
 
-def _product_span(field, n, left_mats, right_mats) -> Subspace:
-    return _span_of(field, n, [x * y for x in left_mats for y in right_mats])
+def _times(field, n, space: Subspace, mats) -> Subspace:
+    """The span of the products x*y, x in space and y in mats."""
+    return _span_of(field, n, [x * y for x in _subspace_to_mats(field, n, space) for y in mats])
 
 
 def corner_algebra(sys: TdSystem, t_alg: SubalgebraBasis, estar0: Matrix) -> SubalgebraBasis:
@@ -101,23 +103,17 @@ def corner_algebra_checks(
     bad = _first_noncommuting(cut_d_mats)
     checks.append(Check("conj/corner_cut_commutes", FAIL if bad else PASS, bad))
 
-    bad = None
-    for line in range(1, depth + 1):
-        lhs, rhs = _chain_line(field, n, d_alg.basis, dstar_alg.basis, estar0, e0, line)
-        if lhs != rhs:
-            bad = {"line": line, "lhs_dim": lhs.dim, "rhs_dim": rhs.dim}
-            break
+    bad = _first_chain_failure(field, n, d_alg.basis, dstar_alg.basis, estar0, e0, depth)
     checks.append(Check("conj/chain_equalities", FAIL if bad else PASS, bad or {"depth": depth}))
 
+    # both bases are rref-canonical, so equal spans have equal bases
     generated = mx.algebra_closure(cut_d_mats, unit=estar0)
-    gen_space = _span_of(field, n, generated)
-    corner_space = _span_of(field, n, corner.basis)
-    ok = gen_space == corner_space
+    ok = generated == corner.basis
     checks.append(
         Check(
             "conj/corner_generated_by_cut",
             PASS if ok else FAIL,
-            None if ok else {"generated_dim": gen_space.dim, "corner_dim": corner_space.dim},
+            None if ok else {"generated_dim": len(generated), "corner_dim": corner.dim},
         )
     )
 
@@ -135,35 +131,38 @@ def _first_noncommuting(mats):
     return None
 
 
-def _chain_line(field, n, d_mats, dstar_mats, estar0, e0, line: int):
-    """Line `line` of the alternating-word chain, both sides as subspaces.
+def _first_chain_failure(field, n, d_mats, dstar_mats, estar0, e0, depth: int):
+    """The witness of the first alternating-word chain line up to `depth`
+    whose two sides differ, or None.
 
-    The left side is estar0 followed by line+1 alternating algebra factors
-    starting with the primary one, capped by e0 when the word ends in the
-    dual algebra (odd lines) and by estar0 otherwise.  The right side is the
-    same word with every dual-algebra factor replaced by estar0.  Products
-    are reduced to a span basis after every factor to keep sizes flat.
+    The left side of line L is estar0 followed by L+1 alternating algebra
+    factors starting with the primary one, capped by e0 when the word ends
+    in the dual algebra (odd lines) and by estar0 otherwise.  The right side
+    is the same word with every dual-algebra factor replaced by estar0.
+
+    Both uncapped sides are spans extended by one factor per line.  The
+    factors alternate, so a line's prefixes are a function of those two
+    lines before: once both prefixes equal theirs from two lines back,
+    every later line repeats one of the last two, and the scan stops.
     """
-    left = [estar0]
-    right = [estar0]
-    for k in range(line + 1):
-        use_d = k % 2 == 0
-        left = _reduce_products(field, n, left, d_mats if use_d else dstar_mats)
-        if use_d:
-            right = _reduce_products(field, n, right, d_mats)
-            right = _reduce_products(field, n, right, [estar0])
-    if line % 2 == 1:
-        left = _reduce_products(field, n, left, [e0])
-        right = _reduce_products(field, n, right, [e0])
-    else:
-        left = _reduce_products(field, n, left, [estar0])
-        # right already ends with estar0 after its final primary factor
-    return _span_of(field, n, left), _span_of(field, n, right)
-
-
-def _reduce_products(field, n, left_mats, right_mats):
-    space = _product_span(field, n, left_mats, right_mats)
-    return _subspace_to_mats(field, n, space)
+    left = right = _span_of(field, n, [estar0])
+    back = [None, None]  # the prefixes of the two previous lines
+    for line in range(depth + 1):
+        even = line % 2 == 0
+        left = _times(field, n, left, d_mats if even else dstar_mats)
+        if even:
+            right = _times(field, n, _times(field, n, right, d_mats), [estar0])
+        if line:
+            if even:  # the right side already ends with estar0
+                lhs, rhs = _times(field, n, left, [estar0]), right
+            else:
+                lhs, rhs = _times(field, n, left, [e0]), _times(field, n, right, [e0])
+            if lhs != rhs:
+                return {"line": line, "lhs_dim": lhs.dim, "rhs_dim": rhs.dim}
+        if back[0] == (left, right):
+            return None
+        back = [back[1], (left, right)]
+    return None
 
 
 def field_check(field, corner: SubalgebraBasis, estar0: Matrix, estar0_rank: int):
@@ -246,19 +245,9 @@ def _exhaustive_zero_divisor(field: PrimeField, mats, estar0):
     Works on precomputed structure constants so the scan touches only
     dim-sized residue arithmetic.
     """
-    p, dim = field.p, len(mats)
+    dim = len(mats)
     sc = _structure_constants(field, mats)
-    counter = [0] * dim
-    while True:
-        i = dim - 1
-        while i >= 0:
-            counter[i] += 1
-            if counter[i] < p:
-                break
-            counter[i] = 0
-            i -= 1
-        else:
-            return None
+    for counter in islice(product(range(field.p), repeat=dim), 1, None):  # skip x = 0
         # left-multiplication operator of x = sum counter[i]*mats[i]
         op_rows = [[field.zero] * dim for _ in range(dim)]
         for i, ci in enumerate(counter):
@@ -271,6 +260,7 @@ def _exhaustive_zero_divisor(field: PrimeField, mats, estar0):
                     op_rows[k][j] = op_rows[k][j] + c * coords[k]
         if mx.rank(Matrix(field, op_rows)) < dim:
             return list(counter)
+    return None
 
 
 def _rational_field_check(field, corner: SubalgebraBasis, estar0, checks):

@@ -12,6 +12,7 @@ and the space of intertwiners between two operator pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import product as _cartesian
 
 from .scalars import Field, FieldError
@@ -165,36 +166,16 @@ def _dot(u, v):
 def rref(m: Matrix):
     """Reduced row-echelon form.
 
-    Returns (R, rank, pivot_columns).  Deterministic: pivots are chosen as
-    the first nonzero entry scanning down each column, so results are
-    bit-identical across runs.
+    Returns (R, rank, pivot_columns): the reduced rows of the span of m's
+    rows, padded with zero rows to m's shape.  The rref of a matrix is
+    unique, so R does not depend on how the rows were eliminated.
     """
-    grid = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    zero = m.field.zero
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if grid[i][c] != zero:
-                pr = i
-                break
-        if pr is None:
-            continue
-        grid[r], grid[pr] = grid[pr], grid[r]
-        inv = grid[r][c]
-        if inv != m.field.one:
-            grid[r] = [a / inv for a in grid[r]]
-        for i in range(nrows):
-            if i != r and grid[i][c] != zero:
-                f = grid[i][c]
-                grid[i] = [a - f * b for a, b in zip(grid[i], grid[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(m.field, grid), len(pivots), pivots
+    span = SpanBuilder(m.field, m.cols)
+    for row in m.data:
+        span.add(row)
+    rows = span.reduced_rows()
+    rows += [[m.field.zero] * m.cols] * (m.rows - len(rows))
+    return Matrix(m.field, rows), span.dim, list(span.pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -202,31 +183,18 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix):
-    """Determinant by Gaussian elimination with exact division."""
+    """Determinant: the product of the pivots that SpanBuilder.add divides
+    the rows by, negated once per pair of rows added out of pivot order."""
     if not m.is_square():
         raise MatrixError("determinant of a non-square matrix")
-    grid = [list(row) for row in m.data]
-    n = m.rows
-    zero = m.field.zero
+    span = SpanBuilder(m.field, m.cols)
     acc = m.field.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if grid[i][c] != zero:
-                pr = i
-                break
-        if pr is None:
-            return zero
-        if pr != c:
-            grid[c], grid[pr] = grid[pr], grid[c]
-            acc = -acc
-        acc = acc * grid[c][c]
-        inv = grid[c][c]
-        for i in range(c + 1, n):
-            if grid[i][c] != zero:
-                f = grid[i][c] / inv
-                grid[i] = [a - f * b for a, b in zip(grid[i], grid[c])]
-    return acc
+    for row in m.data:
+        pivot = span.add(row)
+        if pivot is None:
+            return m.field.zero
+        acc = acc * pivot
+    return -acc if span.inversions % 2 else acc
 
 
 def solve(m: Matrix, rhs):
@@ -258,34 +226,34 @@ class Subspace:
     """A subspace of K^ambient, canonically a full-row-rank rref basis.
 
     The zero subspace has an empty basis.  Canonicality makes __eq__ a
-    complete equality test.
+    complete equality test.  `pivots` holds the pivot column of each basis
+    row, so a vector of the subspace has its coordinates at the pivots.
     """
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "pivots")
 
-    def __init__(self, field: Field, ambient: int, basis_rows):
+    def __init__(self, field: Field, ambient: int, basis_rows, pivots):
         self.field = field
         self.ambient = ambient
         self.basis = tuple(tuple(r) for r in basis_rows)
+        self.pivots = tuple(pivots)
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors) -> "Subspace":
-        vecs = [v for v in vectors]
-        if not vecs:
-            return cls(field, ambient, [])
-        m = Matrix(field, vecs)
-        if m.cols != ambient:
-            raise MatrixError("vector length does not match ambient dimension")
-        r, rk, _ = rref(m)
-        return cls(field, ambient, r.data[:rk])
+        span = SpanBuilder(field, ambient)
+        for v in vectors:
+            if len(v) != ambient:
+                raise MatrixError("vector length does not match ambient dimension")
+            span.add(v)
+        return span.subspace()
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, [])
+        return cls(field, ambient, [], [])
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient).data)
+        return cls(field, ambient, Matrix.identity(field, ambient).data, range(ambient))
 
     @property
     def dim(self) -> int:
@@ -300,14 +268,7 @@ class Subspace:
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
             raise MatrixError("vector length does not match ambient dimension")
-        zero = self.field.zero
-        v = list(vec)
-        for row in self.basis:
-            lead = _leading_index(row, zero)
-            if v[lead] != zero:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(a == zero for a in v)
+        return not any(_reduce(self.pivots, self.basis, vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis)
@@ -326,13 +287,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
-
-
-def _leading_index(row, zero):
-    for j, a in enumerate(row):
-        if a != zero:
-            return j
-    raise MatrixError("zero row in a subspace basis")
 
 
 def _check_ambient(s: Subspace, t: Subspace):
@@ -419,50 +373,66 @@ def image(m: Matrix) -> Subspace:
     return Subspace.from_vectors(m.field, m.rows, zip(*m.data))
 
 
+def _reduce(pivots, rows, vec):
+    """vec minus the combination of echelon rows (unit pivots, in pivot
+    order) that clears it at every pivot column."""
+    v = list(vec)
+    for c, row in zip(pivots, rows):
+        f = v[c]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
 class SpanBuilder:
-    """Incrementally row-reduced span of vectors; used for algebra closure."""
+    """Incrementally row-reduced span of vectors: the package's one row
+    reduction, behind rref, det and every Subspace.
+
+    Rows are kept in echelon form with unit pivots, sorted by pivot column;
+    a new row is inserted at its place.  reduced_rows back-substitutes once
+    to the rref, so rows are never fully reduced on every add.
+    """
 
     def __init__(self, field: Field, ambient: int):
         self.field = field
         self.ambient = ambient
-        self.rows = []  # kept in echelon (not fully reduced) form
-        self.leads = []
+        self.rows = []
+        self.pivots = []
+        self.inversions = 0  # pairs of rows added out of pivot order
 
-    def reduce(self, vec):
-        zero = self.field.zero
-        v = list(vec)
-        for lead, row in zip(self.leads, self.rows):
-            if v[lead] != zero:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        """Add vec to the span; True if it enlarged the span."""
-        zero = self.field.zero
-        v = self.reduce(vec)
-        for j, a in enumerate(v):
-            if a != zero:
-                v = [x / a for x in v]
-                self.rows.append(v)
-                self.leads.append(j)
-                # keep rows ordered by leading index for determinism
-                order = sorted(range(len(self.leads)), key=self.leads.__getitem__)
-                self.rows = [self.rows[k] for k in order]
-                self.leads = [self.leads[k] for k in order]
-                return True
-        return False
+    def add(self, vec):
+        """Add vec to the span.  Returns the nonzero scalar its new row was
+        divided by, or None if vec already lay in the span."""
+        v = _reduce(self.pivots, self.rows, vec)
+        for c, a in enumerate(v):
+            if a:
+                k = bisect_left(self.pivots, c)
+                self.inversions += len(self.pivots) - k
+                self.rows.insert(k, [x / a for x in v])
+                self.pivots.insert(k, c)
+                return a
+        return None
 
     def contains(self, vec) -> bool:
-        zero = self.field.zero
-        return all(a == zero for a in self.reduce(vec))
+        return not any(_reduce(self.pivots, self.rows, vec))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    def reduced_rows(self):
+        """The rref basis of the span, by one back-substitution."""
+        rows = list(self.rows)
+        for k in range(len(rows) - 1, 0, -1):
+            c, pivot_row = self.pivots[k], rows[k]
+            for i in range(k):
+                f = rows[i][c]
+                if f:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], pivot_row)]
+        return rows
+
     def subspace(self) -> Subspace:
-        return Subspace.from_vectors(self.field, self.ambient, self.rows)
+        return Subspace(self.field, self.ambient, self.reduced_rows(), self.pivots)
 
 
 def algebra_closure(gens, unit: Matrix | None = None):

@@ -455,13 +455,11 @@ def problems_report(ctx: SystemContext):
     for i in range(d // 2 + 1):
         op = _invariant_operator(sys, i)
         s = decomp.subspaces[i]
-        basis_cols = Matrix(field, s.basis).transpose()
         cols = []
         for v in s.basis:
             w = op.apply(v)
-            coords = mx.solve(basis_cols, w)
-            _ensure(coords is not None, f"alternating product leaves split summand {i}")
-            cols.append(coords)
+            _ensure(s.contains(w), f"alternating product leaves split summand {i}")
+            cols.append([w[c] for c in s.pivots])  # coordinates in the rref basis
         restriction = Matrix(field, cols).transpose()
         _ensure(
             mx.det(restriction) != field.zero,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from . import matrices as mx
 from .matrices import Matrix, Subspace
@@ -419,25 +419,10 @@ def _gfp_line_representatives(field: PrimeField, n: int):
     Representatives have first nonzero coordinate 1: for each position k the
     earlier coordinates are 0, coordinate k is 1, later coordinates free.
     """
-    p = field.p
     zero, one = field.zero, field.one
     for k in range(n):
-        tail = n - k - 1
-        counter = [0] * tail
-        while True:
-            yield tuple(
-                [zero] * k + [one] + [field.from_int(c) for c in counter]
-            )
-            i = tail - 1
-            while i >= 0:
-                counter[i] += 1
-                if counter[i] < p:
-                    break
-                counter[i] = 0
-                i -= 1
-            else:
-                break
-            continue
+        for tail in product(range(field.p), repeat=n - k - 1):
+            yield tuple([zero] * k + [one] + [field.from_int(c) for c in tail])
 
 
 def compute_shape(e_fam: IdempotentFamily, estar_fam: IdempotentFamily):

@@ -136,6 +136,8 @@ def test_zeta_equals_cumulative_phi_products(inst_d3):
         lambda d: d.update(irreducibility={"assume": False}),
         lambda d: d.update(dimension=True),
         lambda d: d.update(q="0"),
+        lambda d: d.update(theta="10"),
+        lambda d: d.update(theta_star="10"),
     ],
 )
 def test_malformed_documents_rejected(mutate, x1):

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from test_golden import KRAW_Q
 
 from tdlab import d4orbit as d4
 from tdlab import splitparam as sp
@@ -235,6 +236,15 @@ def test_zero_q_hint_exits_two(tmp_path, capsys):
     assert "q must be nonzero" in capsys.readouterr().err
 
 
+def test_deep_chain_on_a_sharp_pair(tmp_path, capsys):
+    path = tmp_path / "kraw121.json"
+    path.write_text(json.dumps(KRAW_Q), encoding="utf-8")
+    assert run(["conjectures", str(path), "--chain-depth", "100000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    chain = next(c for c in out["checks"] if c["id"] == "conj/chain_equalities")
+    assert chain == {"id": "conj/chain_equalities", "status": "pass", "witness": {"depth": 100000}}
+
+
 def test_boolean_dimension_exits_two(tmp_path, capsys):
     path = _write_x1(tmp_path, dimension=True)
     assert run(["verify", path]) == 2
@@ -253,6 +263,8 @@ def test_boolean_dimension_exits_two(tmp_path, capsys):
         ["--jobs", "-3"],
         ["--chain-depth", "0"],
         ["--chain-depth", "-4"],
+        ["--irreducibility", "exhaustive_gfp"],
+        ["--irreducibility", "exhaustive_gfp", "--field", "p=10007"],
     ],
 )
 def test_fuzz_rejects_unusable_arguments(flags, capsys):

@@ -1,5 +1,10 @@
 from fractions import Fraction as F
 
+import pytest
+from test_golden import KRAW1221_Q, KRAW_GF, KRAW_Q
+
+from tdlab import conjlab
+from tdlab.appshell import system_from_document
 from tdlab.conjlab import (
     SubalgebraBasis,
     corner_algebra,
@@ -8,7 +13,8 @@ from tdlab.conjlab import (
     generate_subalgebras,
     pa_conditions,
 )
-from tdlab.matrices import Matrix
+from tdlab.matrices import Matrix, Subspace
+from tdlab.rng import SplitMix64
 from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import SystemContext, TdSystem
 
@@ -78,6 +84,111 @@ def test_chain_monotonicity(inst_d3):
         )
         chain = next(c for c in checks if c.id == "conj/chain_equalities")
         assert chain.status == "pass", (depth, chain)
+
+
+def _span(field, n, mats):
+    return Subspace.from_vectors(field, n * n, [m.vec() for m in mats])
+
+
+def _chain_line(field, n, d_mats, dstar_mats, estar0, e0, line):
+    # the line-by-line definition: every line's two words built from scratch
+    def times(mats, factors):
+        space = _span(field, n, [x * y for x in mats for y in factors])
+        return [Matrix.from_vec(field, row, n, n) for row in space.basis]
+
+    left, right = [estar0], [estar0]
+    for k in range(line + 1):
+        left = times(left, d_mats if k % 2 == 0 else dstar_mats)
+        if k % 2 == 0:
+            right = times(times(right, d_mats), [estar0])
+    if line % 2:
+        left, right = times(left, [e0]), times(right, [e0])
+    else:
+        left = times(left, [estar0])
+    return _span(field, n, left), _span(field, n, right)
+
+
+def _chain_by_definition(field, n, d_mats, dstar_mats, estar0, e0, depth):
+    for line in range(1, depth + 1):
+        lhs, rhs = _chain_line(field, n, d_mats, dstar_mats, estar0, e0, line)
+        if lhs != rhs:
+            return {"line": line, "lhs_dim": lhs.dim, "rhs_dim": rhs.dim}
+    return None
+
+
+def _first_failing_line(field, n, case):
+    # asserts agreement with the definition at every depth 1..8
+    first = _chain_by_definition(field, n, *case, 8)
+    for depth in range(1, 9):
+        expected = first if first and first["line"] <= depth else None
+        assert conjlab._first_chain_failure(field, n, *case, depth) == expected, (case, depth)
+    return first and first["line"]
+
+
+def _chain_inputs(ctx):
+    algs = generate_subalgebras(ctx.sys, ctx.closure)
+    return ctx.sys.field, ctx.sys.n, algs["D"].basis, algs["Dstar"].basis
+
+
+def _kraw_context(doc):
+    sys, _ = system_from_document(doc)
+    return SystemContext(sys)
+
+
+@pytest.mark.parametrize(
+    "doc", [None, KRAW_Q, KRAW_GF, KRAW1221_Q], ids=["x1", "KRAW_Q", "KRAW_GF", "KRAW1221_Q"]
+)
+def test_chain_matches_line_by_line_definition(doc, x1):
+    ctx = x1[1] if doc is None else _kraw_context(doc)
+    field, n, d_mats, dstar_mats = _chain_inputs(ctx)
+    cases = [(d_mats, dstar_mats, ctx.estar_fam[0], ctx.e_fam[0])]
+    if n == 4:
+        # other idempotents as start and cap, so that lines 1, 2 and 3 fail
+        # and the witnesses are compared too
+        cases = [(d_mats, dstar_mats, s, c) for s in ctx.estar_fam for c in ctx.e_fam]
+        cases += [(d_mats, dstar_mats, s, c) for s in ctx.e_fam for c in ctx.estar_fam]
+    failing_lines = [_first_failing_line(field, n, case) for case in cases]
+    assert failing_lines[0] is None
+    if n == 4:
+        assert {1, 2, 3} <= set(failing_lines)
+
+
+def test_chain_stop_rule_on_arbitrary_factors():
+    # the stop rule needs no algebra structure: on arbitrary factor sets
+    # over GF(3) it agrees with the definition
+    f = PrimeField(3)
+    rng = SplitMix64(47)
+    ident = Matrix.identity(f, 2)
+
+    def rand():
+        return Matrix.from_ints(f, [[rng.randrange(3) for _ in range(2)] for _ in range(2)])
+
+    # both prefixes are unchanged from line 0 to line 1, yet line 2 fails:
+    # stopping on one repeated line would miss it
+    m = Matrix.from_ints(f, [[0, 1], [1, 1]])
+    cases = [([ident, m], [ident, m], Matrix.from_ints(f, [[0, 1], [2, 1]]), Matrix.from_ints(f, [[0, 1], [0, 2]]))]
+    cases += [([ident, rand()], [ident, rand()], rand(), rand()) for _ in range(60)]
+    assert {None, 1, 2} <= {_first_failing_line(f, 2, case) for case in cases}
+
+
+def test_chain_work_is_bounded_in_depth(monkeypatch):
+    ctx = _kraw_context(KRAW_Q)
+    field, n, d_mats, dstar_mats = _chain_inputs(ctx)
+    calls = []
+    times = conjlab._times
+
+    def counting_times(*args):
+        calls.append(1)
+        return times(*args)
+
+    monkeypatch.setattr(conjlab, "_times", counting_times)
+    counts = []
+    for depth in (50, 10**5):
+        calls.clear()
+        args = (field, n, d_mats, dstar_mats, ctx.estar_fam[0], ctx.e_fam[0], depth)
+        assert conjlab._first_chain_failure(*args) is None
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
 
 
 def _artificial_corner(field, second):

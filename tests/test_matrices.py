@@ -229,3 +229,104 @@ def test_image_matches_column_space():
 def test_vec_round_trip():
     m = M([[1, 2, 3], [4, 5, 6]])
     assert Matrix.from_vec(QQ, m.vec(), 2, 3) == m
+
+
+def _gauss_jordan(m):
+    # independent oracle: textbook Gauss-Jordan, pivoting on the first
+    # nonzero entry down each column and clearing the whole column
+    grid = [list(row) for row in m.data]
+    zero, one = m.field.zero, m.field.one
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if grid[i][c] != zero), None)
+        if pr is None:
+            continue
+        grid[r], grid[pr] = grid[pr], grid[r]
+        inv = grid[r][c]
+        if inv != one:
+            grid[r] = [a / inv for a in grid[r]]
+        for i in range(m.rows):
+            if i != r and grid[i][c] != zero:
+                f = grid[i][c]
+                grid[i] = [a - f * b for a, b in zip(grid[i], grid[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix(m.field, grid), len(pivots), pivots
+
+
+def _leibniz_det(m):
+    # independent oracle: the permutation expansion over any field
+    total = m.field.zero
+    for perm in permutations(range(m.rows)):
+        inversions = sum(perm[i] > perm[j] for i in range(m.rows) for j in range(i + 1, m.rows))
+        term = m.field.one
+        for i in range(m.rows):
+            term = term * m.data[i][perm[i]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _random_of_rank(field, rng, rows, cols, k):
+    # a product through K^k: rank at most k, usually exactly k
+    left = Matrix(field, [[field.from_int(rng.randint(-4, 4)) for _ in range(k)] for _ in range(rows)])
+    right = Matrix(field, [[field.from_int(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(k)])
+    return left * right
+
+
+def _oracle_cases(field, seed):
+    rng = SplitMix64(seed)
+    for rows, cols in ((4, 4), (5, 5), (3, 6), (6, 3), (2, 7), (7, 2)):
+        for k in range(1, min(rows, cols) + 1):
+            yield _random_of_rank(field, rng, rows, cols, k)
+            yield _random_matrix(field, rng, rows, cols)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_elimination_matches_gauss_jordan(field):
+    for m in _oracle_cases(field, 41):
+        r, rk, pivots = _gauss_jordan(m)
+        assert rref(m) == (r, rk, pivots)
+        assert rank(m) == rk
+        zero, one = field.zero, field.one
+        free = [c for c in range(m.cols) if c not in pivots]
+        oracle_kernel = []
+        for f in free:
+            v = [zero] * m.cols
+            v[f] = one
+            for k, c in enumerate(pivots):
+                v[c] = -r.data[k][f]
+            oracle_kernel.append(v)
+        if oracle_kernel:
+            kr, krk, _ = _gauss_jordan(Matrix(field, oracle_kernel))
+            assert kernel(m).basis == kr.data[:krk]
+        else:
+            assert kernel(m).is_zero()
+        rhs = tuple(field.from_int(k + 1) for k in range(m.rows))
+        aug_r, _, aug_pivots = _gauss_jordan(Matrix(field, [list(row) + [b] for row, b in zip(m.data, rhs)]))
+        if m.cols in aug_pivots:
+            assert solve(m, rhs) is None
+        else:
+            x = [zero] * m.cols
+            for k, c in enumerate(aug_pivots):
+                x[c] = aug_r.data[k][m.cols]
+            assert solve(m, rhs) == tuple(x)
+        if m.is_square():
+            assert det(m) == _leibniz_det(m)
+            if rk < m.rows:
+                with pytest.raises(MatrixError):
+                    inverse(m)
+            else:
+                ident = Matrix.identity(field, m.rows)
+                aug = _gauss_jordan(Matrix(field, [list(a) + list(b) for a, b in zip(m.data, ident.data)]))[0]
+                assert inverse(m) == Matrix(field, [row[m.cols :] for row in aug.data])
+
+
+def test_det_sign_follows_row_order():
+    rng = SplitMix64(43)
+    m = _random_matrix(QQ, rng, 4, 4)
+    for perm in permutations(range(4)):
+        permuted = Matrix(QQ, [m.data[i] for i in perm])
+        assert det(permuted) == _leibniz_det(permuted)
