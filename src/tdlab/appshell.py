@@ -238,13 +238,6 @@ def gen_leonard_split(field: Field, thetas, thetas_star, phis) -> SystemContext:
     return ctx
 
 
-def builtin_x1():
-    """The golden d=1 instance over the rationals."""
-    field = RationalField()
-    one, zero = field.one, field.zero
-    return gen_leonard_split(field, (one, zero), (one, zero), (one,))
-
-
 # ---------------------------------------------------------------------------
 # Random generation
 
@@ -519,7 +512,7 @@ def orbit_stage(ctx: SystemContext):
 
 
 def form_stage(ctx: SystemContext):
-    form, checks = fl.invariant_form(ctx.sys)
+    form, checks = fl.invariant_form(ctx)
     if form is None:
         return checks, {}
     checks.extend(fl.form_checks(form, ctx))

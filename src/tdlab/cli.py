@@ -2,8 +2,9 @@
 
 Every subcommand prints a tdlab-report/1 JSON document (verify prints a
 human summary unless --json is given) and exits 0 when all checks pass,
-1 on any failed check, 2 on malformed input, and 3 when the only non-pass
-statuses are skip/inconclusive.
+1 on any failed check, 2 on malformed input, 3 when the only non-pass
+statuses are skip/inconclusive, and 4 on an internal error, which prints
+one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -196,6 +197,9 @@ def run(argv=None) -> int:
     except app.InputError as err:
         print(f"error: {err}", file=_sys.stderr)
         return 2
+    except Exception as err:  # exit code 1 is reserved for a failed check
+        print(f"internal error: {type(err).__name__}: {err}", file=_sys.stderr)
+        return 4
 
 
 def main() -> None:

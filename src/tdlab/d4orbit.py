@@ -83,13 +83,6 @@ def d4_compose(g: D4Element, h: D4Element) -> D4Element:
     return D4Element(a, b, g.swap ^ h.swap)
 
 
-def d4_inverse(g: D4Element) -> D4Element:
-    for h in ALL_ELEMENTS:
-        if d4_compose(g, h) == IDENTITY:
-            return h
-    raise RuntimeError("unreachable")
-
-
 def apply_relative(sys: TdSystem, g: D4Element) -> TdSystem:
     """The relative of a system: reorderings and/or the operator swap.
 

@@ -1,10 +1,13 @@
 """Invariant bilinear forms, the associated anti-automorphism, the
 transpose-realized dual system, and isomorphism testing.
 
-The form solver is the intertwiner computation in disguise: a Gram matrix G
-with G A = A^t G and G A* = A*^t G is exactly an intertwiner from the pair
-to its transposed pair.  Existence, uniqueness (solution dimension 1),
-symmetry, and nondegeneracy are checked per instance, never assumed.
+Both the form and the isomorphism test are intertwiner computations: a Gram
+matrix G with G A = A^t G and G A* = A*^t G is exactly an intertwiner from
+the pair to its transposed pair.  On a sharp system one spin decides either:
+an intertwiner maps the line E*_0 V into the target's E*_0 line, so it is
+fixed up to one scalar by the image of a vector v0 spanning that line, and
+v0 spins to V.  Existence, uniqueness (solution dimension 1), symmetry, and
+nondegeneracy are checked per instance, never assumed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .tdcore import (
     SystemContext,
     TdSystem,
     ValidateOptions,
+    _first_dual_line,
+    _spin,
 )
 
 
@@ -41,24 +46,55 @@ class AntiMap:
         return self.conjugator_inv * x.transpose() * self.conjugator
 
 
-def invariant_form(sys: TdSystem):
+def spin_intertwiner(ctx: SystemContext, b: Matrix, bstar: Matrix, w0):
+    """The intertwiners g with g A = b g and g A* = bstar g, by one spin.
+
+    `ctx` must be sharp (else ValueError), with v0 spanning E*_0 V, and w0
+    must span the target's eigenspace of bstar for theta*_0, a line.  Every
+    intertwiner maps v0 to a multiple of w0, so it is fixed by that multiple
+    once v0 spins to V: the spin's words replayed on w0 give the one
+    candidate g = W V^-1, which is kept when it satisfies both relations
+    exactly.
+
+    Returns (basis, spin_dim): basis is [] or [g], normalized to first
+    nonzero entry 1, and None when v0 does not spin to V (the pair is
+    reducible), where the spin cannot decide.
+    """
+    sys = ctx.sys
+    v0 = _first_dual_line(ctx)[0]
+    span, kept, images = _spin((sys.A, sys.Astar), v0, replay=((b, bstar), w0))
+    if span.dim < sys.n:
+        return None, span.dim
+    field = sys.field
+    gamma = Matrix(field, images).transpose() * mx.inverse(Matrix(field, kept).transpose())
+    if gamma * sys.A != b * gamma or gamma * sys.Astar != bstar * gamma:
+        return [], span.dim
+    return [_normalize_first_nonzero(gamma)], span.dim
+
+
+def invariant_form(ctx: SystemContext):
     """Solve for the compatible Gram matrices and vet the solution space.
 
     Returns (form_or_none, checks).  On sharp validated systems the space
     must be a line; anything else is reported as a counterexample candidate
-    rather than silently accepted.
+    rather than silently accepted.  When E*_0 V does not spin to V the
+    solution space is undecided and form/solution_dim fails with the spin
+    dimension.
     """
+    sys = ctx.sys
     checks = []
-    basis = mx.intertwiner_matrices(
-        sys.A, sys.Astar, sys.A.transpose(), sys.Astar.transpose()
-    )
+    u0 = _first_dual_line(ctx)[1]
+    basis, spin_dim = spin_intertwiner(ctx, sys.A.transpose(), sys.Astar.transpose(), u0)
+    if basis is None:
+        checks.append(Check("form/solution_dim", FAIL, {"spin_dim": spin_dim}))
+        return None, checks
     dim = len(basis)
     checks.append(
         Check("form/solution_dim", PASS if dim == 1 else FAIL, {"solution_dim": dim})
     )
     if dim != 1:
         return None, checks
-    g = _normalize_first_nonzero(basis[0])
+    g = basis[0]
     sym = g == g.transpose()
     checks.append(Check("form/symmetric", PASS if sym else FAIL, None if sym else {"gram": g}))
     dg = mx.det(g)
@@ -232,13 +268,14 @@ def dual_system(ctx: SystemContext):
 
 
 def isomorphism_test(ctx1: SystemContext, ctx2: SystemContext):
-    """Decide isomorphism of two validated systems.
+    """Decide isomorphism of two validated sharp systems.
 
-    Equal eigenvalue sequences are necessary; after that the intertwiner
-    space decides: a nonzero space yields a witness map, invertible by the
-    Schur argument and verified against both operators and every
-    idempotent (taken from the two contexts).  Returns (verdict, payload)
-    with verdict "isomorphic" or "not_isomorphic".
+    Equal eigenvalue sequences and equal dual eigenspace dimensions are
+    necessary; after that one spin (spin_intertwiner) decides: a nonzero
+    intertwiner is a witness map, invertible by the Schur argument and
+    verified against both operators and every idempotent (taken from the
+    two contexts).  Returns (verdict, payload) with verdict "isomorphic" or
+    "not_isomorphic".
     """
     sys1, sys2 = ctx1.sys, ctx2.sys
     if sys1.field != sys2.field:
@@ -251,7 +288,15 @@ def isomorphism_test(ctx1: SystemContext, ctx2: SystemContext):
         sys2.thetas_star
     ):
         return "not_isomorphic", {"reason": "eigenvalue sequences differ"}
-    basis = mx.intertwiner_matrices(sys1.A, sys1.Astar, sys2.A, sys2.Astar)
+    if ctx1.estar_fam.ranks != ctx2.estar_fam.ranks:
+        return "not_isomorphic", {"reason": "eigenspace dimensions differ"}
+    w0 = _first_dual_line(ctx2)[0]
+    basis, spin_dim = spin_intertwiner(ctx1, sys2.A, sys2.Astar, w0)
+    if basis is None:
+        raise InvariantViolation(
+            "E*_0 V does not spin to the whole space; an input system is not irreducible",
+            {"spin_dim": spin_dim},
+        )
     if not basis:
         return "not_isomorphic", {"reason": "no nonzero intertwiner"}
     gamma = basis[0]

@@ -5,9 +5,8 @@ in reduced row-echelon form, which makes rref the unique canonical
 representative: subspace equality is plain entry equality, and every
 set-level statement downstream becomes a decidable check.
 
-Also houses the two solver-shaped operations the rest of the package leans
-on: the closure of a set of matrices into the unital algebra they generate,
-and the space of intertwiners between two operator pairs.
+Also houses the closure of a set of matrices into the unital algebra they
+generate.
 """
 
 from __future__ import annotations
@@ -270,9 +269,6 @@ class Subspace:
             raise MatrixError("vector length does not match ambient dimension")
         return not any(_reduce(self.pivots, self.basis, vec))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -489,41 +485,3 @@ def assert_multiplication_closed(basis):
     for x, y in _cartesian(basis, repeat=2):
         if not span.contains((x * y).vec()):
             raise MatrixError("algebra basis is not multiplication-closed")
-
-
-def intertwiner_space(a: Matrix, astar: Matrix, b: Matrix, bstar: Matrix) -> Subspace:
-    """All g with g·a = b·g and g·astar = bstar·g, as a subspace of K^(n^2).
-
-    The constraint matrix is the stacked Sylvester-style system; the result
-    is the canonical (rref) basis of its kernel.  Basis vectors devectorize
-    to n x n matrices via Matrix.from_vec.
-    """
-    mats = (a, astar, b, bstar)
-    field = a.field
-    n = a.rows
-    for m in mats:
-        if m.field != field:
-            raise FieldError("mixed fields in intertwiner computation")
-        if not m.is_square() or m.rows != n:
-            raise MatrixError("intertwiner computation needs same-size square matrices")
-    zero = field.zero
-    rows = []
-    for lhs, rhs in ((a, b), (astar, bstar)):
-        for i in range(n):
-            for j in range(n):
-                # coefficient of g_kl in (g·lhs - rhs·g)_{ij}
-                row = [zero] * (n * n)
-                for l in range(n):
-                    row[i * n + l] = row[i * n + l] + lhs.data[l][j]
-                for k in range(n):
-                    row[k * n + j] = row[k * n + j] - rhs.data[i][k]
-                rows.append(row)
-    constraint = Matrix(field, rows)
-    return kernel(constraint)
-
-
-def intertwiner_matrices(a: Matrix, astar: Matrix, b: Matrix, bstar: Matrix):
-    """The intertwiner space devectorized to a list of basis matrices."""
-    space = intertwiner_space(a, astar, b, bstar)
-    n = a.rows
-    return [Matrix.from_vec(a.field, row, n, n) for row in space.basis]

@@ -55,9 +55,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
     def _check(self, other: "Poly"):
         if self.field != other.field:
             raise FieldError("mixed fields in polynomial arithmetic")
@@ -106,19 +103,6 @@ class Poly:
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def at_matrix(self, m: Matrix) -> Matrix:
-        """Horner evaluation at a square matrix (constant term times I)."""
-        if not m.is_square():
-            raise MatrixError("polynomial evaluation needs a square matrix")
-        if m.field != self.field:
-            raise FieldError("mixed fields in polynomial evaluation")
-        n = m.rows
-        acc = Matrix.zeros(self.field, n, n)
-        ident = Matrix.identity(self.field, n)
-        for c in reversed(self.coeffs):
-            acc = acc * m + ident.scale(c)
         return acc
 
     def derivative(self) -> "Poly":
@@ -264,37 +248,55 @@ def eta_expansion_check(field: Field, thetas, thetas_star):
 
 
 def char_poly(m: Matrix) -> Poly:
-    """Characteristic polynomial det(xI - m) by cofactor expansion.
+    """Characteristic polynomial det(xI - m), exact over any field, in O(n^3).
 
-    Entries of xI - m are polynomials; sizes here are tiny (restrictions to
-    split summands), so the factorial cost is irrelevant.
+    m is first brought to upper Hessenberg form h by elimination
+    similarities; then p_k, the characteristic polynomial of the leading
+    k x k block of h, satisfies p_0 = 1 and
+
+        p_k = (x - h[k-1][k-1]) p_{k-1}
+              - sum_{i<k} h[i-1][k-1] h[k-1][k-2] ... h[i][i-1] p_{i-1}
+
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
     """
     if not m.is_square():
         raise MatrixError("characteristic polynomial of a non-square matrix")
     field = m.field
-    n = m.rows
-    x = Poly.x(field)
-    grid = [
-        [
-            x - Poly.constant(field, m.data[i][j])
-            if i == j
-            else Poly.constant(field, -m.data[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _poly_det(field, grid)
+    h = _hessenberg(m)
+    polys = [Poly.one(field)]
+    for k in range(1, m.rows + 1):
+        p = Poly(field, [-h[k - 1][k - 1], field.one]) * polys[k - 1]
+        sub = field.one
+        for i in range(k - 1, 0, -1):
+            sub = sub * h[i][i - 1]
+            p = p - polys[i - 1].scale(h[i - 1][k - 1] * sub)
+        polys.append(p)
+    return polys[-1]
 
 
-def _poly_det(field: Field, grid) -> Poly:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    acc = Poly.zero(field)
-    sign = field.one
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = grid[0][j] * _poly_det(field, minor)
-        acc = acc + term.scale(sign)
-        sign = -sign
-    return acc
+def _hessenberg(m: Matrix):
+    """An upper Hessenberg matrix similar to m, as a list of rows.
+
+    Column by column, a nonzero entry below the subdiagonal is swapped onto
+    it (rows and columns together), and each row below is cleared by a row
+    operation whose inverse column operation keeps the similarity.
+    """
+    h = [list(row) for row in m.data]
+    n = len(h)
+    for c in range(n - 2):
+        pivot = next((r for r in range(c + 1, n) if h[r][c]), None)
+        if pivot is None:
+            continue
+        if pivot != c + 1:
+            h[pivot], h[c + 1] = h[c + 1], h[pivot]
+            for row in h:
+                row[pivot], row[c + 1] = row[c + 1], row[pivot]
+        top = h[c + 1]
+        for r in range(c + 2, n):
+            f = h[r][c] / top[c]
+            if not f:
+                continue
+            h[r] = [a - f * b for a, b in zip(h[r], top)]
+            for row in h:
+                row[c + 1] = row[c + 1] + f * row[r]
+    return h

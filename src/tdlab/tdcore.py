@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from . import matrices as mx
 from .matrices import Matrix, Subspace
@@ -142,7 +142,7 @@ class IdempotentFamily:
 
 @dataclass(frozen=True)
 class ValidateOptions:
-    irreducibility: str = "auto"  # auto | burnside | eigen_subset | exhaustive_gfp | assume
+    irreducibility: str = "auto"  # auto | norton | burnside | eigen_subset | exhaustive_gfp | assume
     assume_note: str | None = None
 
 
@@ -160,6 +160,8 @@ class SystemContext:
     def __init__(self, sys: TdSystem, options: ValidateOptions | None = None, families=None):
         self.sys = sys
         self.options = options or ValidateOptions()
+        # set by check_irreducible: only scalars commute with A and A*
+        self.absolutely_irreducible = False
         if families is not None:
             self.e_fam, self.estar_fam = families
 
@@ -173,8 +175,17 @@ class SystemContext:
 
     @cached_property
     def closure(self) -> list:
-        """rref-canonical basis of the algebra generated by A and A*."""
-        return mx.algebra_closure([self.sys.A, self.sys.Astar])
+        """rref-canonical basis of the algebra generated by A and A*.
+
+        On an absolutely irreducible pair (see check_irreducible) this is
+        all of Mat_n by the density theorem, whose rref basis is the matrix
+        units, so nothing is solved.
+        """
+        sys = self.sys
+        if self.absolutely_irreducible:
+            units = Matrix.identity(sys.field, sys.n * sys.n).data
+            return [Matrix.from_vec(sys.field, row, sys.n, sys.n) for row in units]
+        return mx.algebra_closure([sys.A, sys.Astar])
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -332,19 +343,63 @@ def _verify_invariant_subspace(sys: TdSystem, w: Subspace) -> bool:
     return True
 
 
-def _closure_of_vector(sys: TdSystem, vec) -> Subspace:
-    builder = mx.SpanBuilder(sys.field, sys.n)
-    builder.add(vec)
-    frontier = [vec]
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for m in (sys.A, sys.Astar):
-                w = m.apply(v)
-                if builder.add(w):
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return builder.subspace()
+def _spin(ops, vec, replay=None):
+    """Spin `vec` under the operators `ops`, breadth-first.
+
+    Each vector found, in the order found, is multiplied by each operator in
+    turn, and the product is kept when it leaves the span so far; the spin
+    stops when nothing new appears or the span is the whole space.  So each
+    kept vector is one word in `ops` applied to `vec`, and the words come in
+    a fixed order.  With `replay = (ops2, vec2)` the same words are applied
+    to vec2 under ops2, one image per kept vector.
+
+    Returns (span, kept vectors, images): the span is a SpanBuilder, and
+    images is empty without a replay.
+    """
+    n = ops[0].rows
+    span = mx.SpanBuilder(ops[0].field, n)
+    kept = [vec] if span.add(vec) is not None else []
+    images = [replay[1]] if replay and kept else []
+    k = 0
+    while k < len(kept) and span.dim < n:
+        for i, m in enumerate(ops):
+            w = m.apply(kept[k])
+            if span.add(w) is not None:
+                kept.append(w)
+                if replay:
+                    images.append(replay[0][i].apply(images[k]))
+        k += 1
+    return span, kept, images
+
+
+def _first_dual_line(ctx: SystemContext):
+    """(v0, u0) on a sharp system: v0 spans the line E*_0 V, and u0, a
+    nonzero row of E*_0, spans the theta*_0-eigenspace of A*^t."""
+    fam = ctx.estar_fam
+    if fam.ranks[0] != 1:
+        raise ValueError("E*_0 is not a line")
+    u0 = next(row for row in fam[0].data if any(row))
+    return fam.eigenspaces[0].basis[0], u0
+
+
+def _norton(ctx: SystemContext, v0, u0):
+    """Norton's irreducibility test from the line E*_0 V.
+
+    A proper invariant subspace W misses v0, so it lies in the sum of the
+    other A*-eigenspaces and u0 annihilates it; the annihilator of W is then
+    invariant under the transposes and contains u0.  Hence the pair is
+    irreducible iff v0 spins to V under (A, A*) and u0 spins to V* under
+    (A^t, A*^t).  A short v0-spin is itself an invariant subspace; a short
+    u0-spin gives one as its annihilator.
+    """
+    sys = ctx.sys
+    span, _, _ = _spin((sys.A, sys.Astar), v0)
+    if span.dim < sys.n:
+        return span.subspace()
+    dual, _, _ = _spin((sys.A.transpose(), sys.Astar.transpose()), u0)
+    if dual.dim < sys.n:
+        return mx.kernel(Matrix(sys.field, dual.reduced_rows()))
+    return {"line": "Estar_0", "spin_dim": span.dim, "dual_spin_dim": dual.dim}
 
 
 def check_irreducible(
@@ -358,6 +413,9 @@ def check_irreducible(
     Returns (verdict, witness, strategy_used) where verdict is one of
     "irreducible", "reducible", "inconclusive".
 
+    * norton: complete when E*_0 has rank 1; one spin of the line E*_0 V
+      and one of its transposed twin decide (see _norton).  `auto` tries it
+      first.
     * burnside: generated-algebra dimension n^2 implies irreducible
       (sufficient only over non-closed fields).
     * eigen_subset: complete when every eigenspace of A is a line; any
@@ -367,12 +425,18 @@ def check_irreducible(
       budget; every line is closed under both operators.
     * assume: trust the caller and record the note.
 
-    The generated algebra and the primary family come from `ctx`, and are
-    derived only when a strategy needs them.
+    When a complete strategy proves irreducibility and E_0 or E*_0 is a
+    line, every map commuting with A and A* fixes that line and so is a
+    scalar; this is recorded as `ctx.absolutely_irreducible`.  Every
+    reducibility witness is re-verified before it is returned.  The
+    generated algebra and the families come from `ctx`, and are derived
+    only when a strategy needs them.
     """
     sys = ctx.sys
     if strategy == "assume":
         return "irreducible", {"note": assume_note or "assumed by caller"}, "assume"
+    if strategy == "norton" or (strategy == "auto" and ctx.estar_fam.ranks[0] == 1):
+        return _proved(ctx, _norton(ctx, *_first_dual_line(ctx)), "norton")
     if strategy in ("auto", "burnside"):
         basis = ctx.closure
         if len(basis) == sys.n * sys.n:
@@ -388,10 +452,8 @@ def check_irreducible(
                 for idx in combinations(range(d1), size):
                     w = Subspace.from_vectors(sys.field, sys.n, [lines[k] for k in idx])
                     if all(w.contains(sys.Astar.apply(v)) for v in w.basis):
-                        if not _verify_invariant_subspace(sys, w):
-                            raise InvariantViolation("eigen-subset witness failed re-verification")
-                        return "reducible", w, "eigen_subset"
-            return "irreducible", {"subsets_tested": 2**d1 - 2}, "eigen_subset"
+                        return _proved(ctx, w, "eigen_subset")
+            return _proved(ctx, {"subsets_tested": 2**d1 - 2}, "eigen_subset")
         if strategy == "eigen_subset":
             raise ValueError("eigen_subset strategy needs every eigenspace of A to be a line")
     if strategy == "exhaustive_gfp":
@@ -402,15 +464,30 @@ def check_irreducible(
                 f"exhaustive_gfp infeasible: {sys.field.p}^{sys.n} exceeds {exhaustive_limit}"
             )
         for vec in _gfp_line_representatives(sys.field, sys.n):
-            closure = _closure_of_vector(sys, vec)
-            if not closure.is_full():
-                if not _verify_invariant_subspace(sys, closure):
-                    raise InvariantViolation("exhaustive witness failed re-verification")
-                return "reducible", closure, "exhaustive_gfp"
-        return "irreducible", {"lines_tested": (sys.field.p**sys.n - 1) // (sys.field.p - 1)}, "exhaustive_gfp"
+            span, _, _ = _spin((sys.A, sys.Astar), vec)
+            if span.dim < sys.n:
+                return _proved(ctx, span.subspace(), "exhaustive_gfp")
+        lines_tested = (sys.field.p**sys.n - 1) // (sys.field.p - 1)
+        return _proved(ctx, {"lines_tested": lines_tested}, "exhaustive_gfp")
     if strategy == "auto":
         return "inconclusive", {"note": "burnside insufficient and eigen_subset inapplicable"}, "auto"
     raise ValueError(f"unknown irreducibility strategy {strategy!r}")
+
+
+def _proved(ctx: SystemContext, outcome, strategy: str):
+    """The verdict of a complete strategy: a Subspace outcome is an invariant
+    subspace, re-verified here; anything else details a proof of
+    irreducibility."""
+    if isinstance(outcome, Subspace):
+        if not _verify_invariant_subspace(ctx.sys, outcome):
+            raise InvariantViolation(f"{strategy} witness failed re-verification")
+        return "reducible", outcome, strategy
+    # norton and eigen_subset run only when a first eigenspace is a line
+    ctx.absolutely_irreducible = strategy != "exhaustive_gfp" or 1 in (
+        ctx.e_fam.ranks[0],
+        ctx.estar_fam.ranks[0],
+    )
+    return "irreducible", outcome, strategy
 
 
 def _gfp_line_representatives(field: PrimeField, n: int):
@@ -542,20 +619,3 @@ def find_duplicate(field, values):
             return {"indices": [seen[key], i], "value": key}
         seen[key] = i
     return None
-
-
-def enumerate_standard_orderings(sys: TdSystem, e_fam: IdempotentFamily, estar_fam: IdempotentFamily):
-    """All standard orderings of each eigenvalue list, by full enumeration.
-
-    Factorial in d+1; restricted to d <= 4.
-    """
-    if sys.d > 4:
-        raise ValueError("standard-ordering enumeration is limited to d <= 4")
-    out = {}
-    for name, fam, middle in (("A", e_fam, sys.Astar), ("Astar", estar_fam, sys.A)):
-        good = []
-        for perm in permutations(range(len(fam))):
-            if _off_band_pair([fam[k] for k in perm], middle) is None:
-                good.append(tuple(fam.eigenvalues[k] for k in perm))
-        out[name] = good
-    return out

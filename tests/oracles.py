@@ -1,0 +1,86 @@
+"""Reference implementations the tests compare the package against.
+
+Each one is the direct, slow construction of something the package now
+computes another way, or a fixture builder only tests need: the intertwiner
+space as the kernel of the n^2-unknown Sylvester system (the package spins
+one vector instead), Horner evaluation of a polynomial at a matrix (the
+package reads its operator tables), the standard orderings by full
+enumeration, and the golden d=1 instance.
+"""
+
+from fractions import Fraction as F
+from itertools import permutations
+
+from tdlab.appshell import gen_leonard_split
+from tdlab.matrices import Matrix, MatrixError, kernel
+from tdlab.scalars import FieldError, RationalField
+from tdlab.tdcore import _off_band_pair
+
+
+def intertwiner_space(a, astar, b, bstar):
+    """All g with g·a = b·g and g·astar = bstar·g, as a subspace of K^(n^2).
+
+    The constraint matrix is the stacked Sylvester-style system; the result
+    is the canonical (rref) basis of its kernel.  Basis vectors devectorize
+    to n x n matrices via Matrix.from_vec.
+    """
+    mats = (a, astar, b, bstar)
+    field = a.field
+    n = a.rows
+    for m in mats:
+        if m.field != field:
+            raise FieldError("mixed fields in intertwiner computation")
+        if not m.is_square() or m.rows != n:
+            raise MatrixError("intertwiner computation needs same-size square matrices")
+    zero = field.zero
+    rows = []
+    for lhs, rhs in ((a, b), (astar, bstar)):
+        for i in range(n):
+            for j in range(n):
+                # coefficient of g_kl in (g·lhs - rhs·g)_{ij}
+                row = [zero] * (n * n)
+                for l in range(n):
+                    row[i * n + l] = row[i * n + l] + lhs.data[l][j]
+                for k in range(n):
+                    row[k * n + j] = row[k * n + j] - rhs.data[i][k]
+                rows.append(row)
+    return kernel(Matrix(field, rows))
+
+
+def intertwiner_matrices(a, astar, b, bstar):
+    """The intertwiner space devectorized to a list of basis matrices."""
+    space = intertwiner_space(a, astar, b, bstar)
+    n = a.rows
+    return [Matrix.from_vec(a.field, row, n, n) for row in space.basis]
+
+
+def at_matrix(poly, m):
+    """Horner evaluation of a polynomial at a square matrix."""
+    n = m.rows
+    acc = Matrix.zeros(poly.field, n, n)
+    ident = Matrix.identity(poly.field, n)
+    for c in reversed(poly.coeffs):
+        acc = acc * m + ident.scale(c)
+    return acc
+
+
+def enumerate_standard_orderings(sys, e_fam, estar_fam):
+    """All standard orderings of each eigenvalue list, by full enumeration.
+
+    Factorial in d+1; restricted to d <= 4.
+    """
+    if sys.d > 4:
+        raise ValueError("standard-ordering enumeration is limited to d <= 4")
+    out = {}
+    for name, fam, middle in (("A", e_fam, sys.Astar), ("Astar", estar_fam, sys.A)):
+        good = []
+        for perm in permutations(range(len(fam))):
+            if _off_band_pair([fam[k] for k in perm], middle) is None:
+                good.append(tuple(fam.eigenvalues[k] for k in perm))
+        out[name] = good
+    return out
+
+
+def builtin_x1():
+    """The golden d=1 instance over the rationals, in its context."""
+    return gen_leonard_split(RationalField(), (F(1), F(0)), (F(1), F(0)), (F(1),))

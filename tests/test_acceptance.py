@@ -12,7 +12,6 @@ from tdlab import splitparam as sp
 from tdlab import tdcore as td
 from tdlab.appshell import (
     RunConfig,
-    builtin_x1,
     run_trial,
     _random_candidate,
 )
@@ -20,6 +19,8 @@ from tdlab.cli import run
 from tdlab.matrices import Matrix, det, inverse
 from tdlab.rng import SplitMix64, trial_seed
 from tdlab.scalars import PrimeField, RationalField
+
+from oracles import builtin_x1, enumerate_standard_orderings
 
 QQ = RationalField()
 GFBIG = PrimeField(10007)
@@ -116,7 +117,7 @@ def test_criterion_1_golden_instance():
     for c in d4.zeta_relations_check(sys, d4.q_extract(sys), orbit):
         assert c.status == "pass", c
 
-    form, fchecks = fl.invariant_form(sys)
+    form, fchecks = fl.invariant_form(ctx)
     assert all(c.status == "pass" for c in fchecks)
     assert form.solution_dim == 1
     assert form.gram == Matrix.from_ints(QQ, [[1, 1], [1, -1]])
@@ -209,7 +210,7 @@ def test_criterion_4_standard_ordering_enumeration():
         sys, report = ctx.sys, ctx.report
         if not (report.passed() and report.sharp):
             continue
-        orderings = td.enumerate_standard_orderings(sys, ctx.e_fam, ctx.estar_fam)
+        orderings = enumerate_standard_orderings(sys, ctx.e_fam, ctx.estar_fam)
         assert len(orderings["A"]) == 2, orderings["A"]
         assert len(orderings["Astar"]) == 2
         assert tuple(sys.thetas) in orderings["A"]

@@ -8,7 +8,6 @@ from tdlab.appshell import (
     FORMAT_SYSTEM,
     InputError,
     RunConfig,
-    builtin_x1,
     conjectures_stage,
     document_from_system,
     dumps_document,
@@ -25,6 +24,8 @@ from tdlab import splitparam as sp
 from tdlab.rng import MASK64, SplitMix64, trial_seed
 from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import InvariantViolation, SystemContext
+
+from oracles import builtin_x1
 
 QQ = RationalField()
 

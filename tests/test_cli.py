@@ -1,11 +1,13 @@
 import json
 
 import pytest
+from oracles import builtin_x1
 from test_golden import KRAW_Q
 
+from tdlab import appshell as app
 from tdlab import d4orbit as d4
 from tdlab import splitparam as sp
-from tdlab.appshell import document_from_system, dumps_document, builtin_x1
+from tdlab.appshell import document_from_system, dumps_document
 from tdlab.cli import run
 from tdlab.tdcore import InvariantViolation
 
@@ -301,6 +303,18 @@ def test_failed_gate_fails_the_request(tmp_path, capsys, monkeypatch, command, m
     out = json.loads(capsys.readouterr().out)
     assert out["checks"][-1] == {"id": gate, "status": "fail", "witness": {"error": "injected failure"}}
     assert [c["id"] for c in out["checks"]].count(gate) == 1
+
+
+def test_internal_error_exits_four_without_traceback(tmp_path, capsys, monkeypatch):
+    def boom(ctx):
+        raise RuntimeError("injected internal error")
+
+    monkeypatch.setattr(app, "params_stage", boom)
+    assert run(["params", _write_x1(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: injected internal error\n"
+    assert "Traceback" not in captured.err
 
 
 def test_fuzz_over_a_large_prime_field(capsys):

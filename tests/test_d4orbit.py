@@ -16,7 +16,6 @@ from tdlab.d4orbit import (
     bracket_expansion_check,
     compute_orbit,
     d4_compose,
-    d4_inverse,
     q_extract,
     zeta_relations_check,
 )
@@ -45,6 +44,10 @@ def test_defining_relations():
     assert d4_compose(REV_PRIMARY, SWAP) == d4_compose(SWAP, REV_DUAL)
     assert d4_compose(REV_DUAL, SWAP) == d4_compose(SWAP, REV_PRIMARY)
     assert d4_compose(REV_DUAL, REV_PRIMARY) == d4_compose(REV_PRIMARY, REV_DUAL)
+
+
+def d4_inverse(g):
+    return next(h for h in ALL_ELEMENTS if d4_compose(g, h) == IDENTITY)
 
 
 def test_group_axioms():

@@ -20,8 +20,8 @@ QQ = RationalField()
 
 
 def test_x1_gram_matrix(x1):
-    sys, _ = x1
-    form, checks = invariant_form(sys)
+    _, ctx = x1
+    form, checks = invariant_form(ctx)
     assert all(c.status == "pass" for c in checks)
     assert form.solution_dim == 1
     assert form.gram == Matrix.from_ints(QQ, [[1, 1], [1, -1]])
@@ -30,8 +30,8 @@ def test_x1_gram_matrix(x1):
 
 def test_x1_form_orthogonality_numbers(x1):
     # G maps (0,1) to (1,-1); the first eigenspace basis (1,1) pairs to zero
-    sys, ctx = x1
-    form, _ = invariant_form(sys)
+    _, ctx = x1
+    form, _ = invariant_form(ctx)
     gu = form.gram.apply((F(0), F(1)))
     assert gu == (F(1), F(-1))
     assert sum(a * b for a, b in zip((F(1), F(1)), gu)) == F(0)
@@ -40,8 +40,8 @@ def test_x1_form_orthogonality_numbers(x1):
 
 
 def test_x1_restriction_value(x1):
-    sys, _ = x1
-    form, _ = invariant_form(sys)
+    _, ctx = x1
+    form, _ = invariant_form(ctx)
     v = (F(1), F(1))  # spans the first primary eigenspace
     assert sum(a * b for a, b in zip(v, form.gram.apply(v))) == F(2)
 
@@ -51,14 +51,14 @@ def test_d0_gram_is_scalar():
     a = Matrix(f, [[f.from_int(5)]])
     astar = Matrix(f, [[f.from_int(7)]])
     sys = TdSystem(f, 1, a, astar, (f.from_int(5),), (f.from_int(7),))
-    form, checks = invariant_form(sys)
+    form, checks = invariant_form(SystemContext(sys))
     assert all(c.status == "pass" for c in checks)
     assert form.gram == Matrix.identity(f, 1)
 
 
 def test_x1_anti_automorphism(x1):
     sys, ctx = x1
-    form, _ = invariant_form(sys)
+    form, _ = invariant_form(ctx)
     dagger, checks = anti_automorphism(form, ctx)
     assert all(c.status == "pass" for c in checks)
     assert dagger.apply(sys.A) == sys.A

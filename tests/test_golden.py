@@ -1,12 +1,20 @@
 """Golden report digests: the sha256 of each subcommand's default stdout on
 fixed documents, plus the exit code.  Any change to report bytes shows up
-here; an intended change must update the digest and say why."""
+here; an intended change must update the digest and say why.
+
+GOLDEN and GOLDEN_LEONARD_D6 pin the reports as they were when the
+`irreducible` check of a sharp system came from the Burnside closure.  Norton's
+test now decides it, so each report is checked twice: as printed, against
+NORTON and NORTON_LEONARD_D6, and with the Norton witness written back in the
+Burnside form, against the older digests.  The second digest matching shows
+that the witness is the only change."""
 
 import hashlib
 import json
 
 import pytest
 
+from tdlab.appshell import dumps_document
 from tdlab.cli import run
 
 X1 = {
@@ -144,15 +152,75 @@ GOLDEN_LEONARD_D6 = {
     ("rational", "verify"): (0, "3bcfc9c93264ead94ff5707caf81ff8058cea93686affba8e87fca468be642ea"),
 }
 
+# The reports as printed, with the Norton `irreducible` witness
+NORTON = {
+    ("kraw121_gf", "conjectures"): (0, "67e3ea5ba800b1675d05ff92f2edf8b226d8f4c5a40a110878ea8a92f26a55a8"),
+    ("kraw121_gf", "form"): (0, "48575e1d7610cf5081ecea7711502530fe74be7ff05b9e833553dcaa1225aeb7"),
+    ("kraw121_gf", "orbit"): (0, "b9fa6a26c25287cc80feb0bede5d0a2415956d54ab7193305fa0f9f15d5d1b3c"),
+    ("kraw121_gf", "params"): (0, "30b47b5ab660e033f0050a1cd5eed9741ec161d741867127a7b548016dcc3ce4"),
+    ("kraw121_gf", "verify"): (0, "5676a121ce8e5cf53607260459b3e5e8dc1df480fa13cb836993869d3afd9e65"),
+    ("kraw121_q", "conjectures"): (0, "67e3ea5ba800b1675d05ff92f2edf8b226d8f4c5a40a110878ea8a92f26a55a8"),
+    ("kraw121_q", "form"): (0, "48575e1d7610cf5081ecea7711502530fe74be7ff05b9e833553dcaa1225aeb7"),
+    ("kraw121_q", "orbit"): (0, "a57a49052bf5f5452864fdec5f06fafc1b26381d61c218fe56239cbc9fcf3468"),
+    ("kraw121_q", "params"): (0, "89e1d5049091e1f1dd1ef521510ed64ed640f777d92aad03c2ab04b6571b1626"),
+    ("kraw121_q", "verify"): (0, "5676a121ce8e5cf53607260459b3e5e8dc1df480fa13cb836993869d3afd9e65"),
+    ("kraw1221_q", "conjectures"): (0, "838255476d4c61b0997a916177bb8fdc1ca7619332670a0cd935f378733206d3"),
+    ("kraw1221_q", "form"): (0, "932ff22111a85f6aeb5fb1e1e0081cca9b40833c5aef1425d5719d2011baf92e"),
+    ("kraw1221_q", "orbit"): (0, "44706485305ac80d4dcd5fdffd2dc85c313d76e4892799f6b0a1a4975dc94641"),
+    ("kraw1221_q", "params"): (0, "c10c1c8578f25e23ee361fd98d12ea3d94feda1dba53ab9f3591dc7f81fd1a27"),
+    ("kraw1221_q", "verify"): (0, "7080f6b62f8d3263cb13a06b290d09ceca0767ef6279ec07d5c91d4311754de0"),
+    ("no_q", "conjectures"): (0, "c64afcf4291d703e3fce0c40ffc26db5cd5e7a094570df9c8c2e22004b2bb8c2"),
+    ("no_q", "form"): (0, "6cd2d18e37751d612f6c0189c5a4033aebe31b49b8e4f8716ed359cdc3f11bfa"),
+    ("no_q", "orbit"): (3, "2fb82ab48917701a144b5a4baed5294c4661d4dbc8e1ccf6287793ea96693eb1"),
+    ("no_q", "params"): (0, "ef9287ca9f7d9d6ec89fc3f7f846be10fbde5227e557730c409cff19abf4c52c"),
+    ("no_q", "verify"): (0, "c10a085f14eb5bc48be7a5ea33c09b79b9208b0590bf32c247b98d6b8644e453"),
+    ("x1", "conjectures"): (0, "0d27d7fd79ead2889890440e37ce0c8bcd6a4762cf36ed7939e14d06286c8715"),
+    ("x1", "form"): (0, "5bd0e7f73f0622d1f80f0ef1d0a43030a6d5b806487adf7266dbfa2a2377fa95"),
+    ("x1", "orbit"): (0, "a71069987bdbec54888efbaacbd879442237bbb078448d3b902250982f3cc844"),
+    ("x1", "params"): (0, "59016dc47a0d97c2318d349b9ffade44a806e1c8e9a95183a4be8552479a0a4d"),
+    ("x1", "verify"): (0, "f1673f6186c5ba8be118554944b895176d392a8900d56114e69824a08888369c"),
+}
+
+NORTON_LEONARD_D6 = {
+    ("p=10007", "conjectures"): (0, "ec7700f468632d0dd1bc6de9b08a3660b89e9bcd13e74bac8c2964c25bcd8e2e"),
+    ("p=10007", "form"): (0, "58ff63d67cb4f32d5c0679221af9467afc159794487ed991f8f86e7b3cb1b43a"),
+    ("p=10007", "orbit"): (0, "71344798cf7e3874a0b53e315a180caef3d66642562507ab07fdf493d7f85e30"),
+    ("p=10007", "params"): (0, "b6407cc39d878b5b94d9327e8e1a88de6806be4d466eb2a61a717a7e96e4ed57"),
+    ("p=10007", "verify"): (0, "87aeae32a15800a596f766417272ba150d73aac55bd483adbe61298afa45220b"),
+    ("rational", "conjectures"): (0, "ec7700f468632d0dd1bc6de9b08a3660b89e9bcd13e74bac8c2964c25bcd8e2e"),
+    ("rational", "form"): (0, "71d2129bab47ecf4292c95c70afb42d9f2837ea5a9b236e3befa70c682fd6746"),
+    ("rational", "orbit"): (0, "0912e0bcec2b8af0a5f0f480d92bee7a26444c3497a4583b88c71c9f6beafc0a"),
+    ("rational", "params"): (0, "3895ebce67fd1ffdda568c8b11e8acf3450d1f6c0b0b68384d5b08ae9ccaff0e"),
+    ("rational", "verify"): (0, "87aeae32a15800a596f766417272ba150d73aac55bd483adbe61298afa45220b"),
+}
+
 GOLDEN_FUZZ = {
     "p=10007": (0, "625bfef1597a8164d8c21e4d0aaf76ca75b88f71f80fe327eb8833ec11065ee5"),
     "rational": (0, "cb046861a1156e9a023e6f2d74a5e31af3cde8ee2877c3ac3bcd4ba9bcb97cc3"),
 }
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _digest(argv, capsys):
     code = run(argv)
-    return code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    return code, _sha256(capsys.readouterr().out)
+
+
+def _digests(argv, capsys):
+    """The exit code, the digest of the report and the digest of the report
+    with its Norton `irreducible` witness in the Burnside form."""
+    code = run(argv)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert dumps_document(doc) == out
+    (irreducible,) = [c for c in doc["checks"] if c["id"] == "irreducible"]
+    assert irreducible["witness"]["strategy"] == "norton"
+    n = irreducible["witness"]["detail"]["spin_dim"]
+    irreducible["witness"] = {"strategy": "burnside", "detail": {"closure_dim": n * n}}
+    return code, _sha256(out), _sha256(dumps_document(doc))
 
 
 @pytest.mark.parametrize("doc_name", sorted(DOCUMENTS))
@@ -161,7 +229,9 @@ def test_report_digest(doc_name, sub, tmp_path, capsys):
     path = tmp_path / f"{doc_name}.json"
     path.write_text(json.dumps(DOCUMENTS[doc_name], indent=2) + "\n", encoding="utf-8")
     head, *flags = SUBCOMMANDS[sub]
-    assert _digest([head, str(path), *flags], capsys) == GOLDEN[(doc_name, sub)]
+    code, norton, burnside = _digests([head, str(path), *flags], capsys)
+    assert (code, burnside) == GOLDEN[(doc_name, sub)]
+    assert (code, norton) == NORTON[(doc_name, sub)]
 
 
 @pytest.fixture(scope="module", params=["p=10007", "rational"])
@@ -176,7 +246,9 @@ def test_leonard_d6_report_digest(leonard_d6, sub, capsys):
     field, path = leonard_d6
     capsys.readouterr()
     head, *flags = SUBCOMMANDS[sub]
-    assert _digest([head, str(path), *flags], capsys) == GOLDEN_LEONARD_D6[(field, sub)]
+    code, norton, burnside = _digests([head, str(path), *flags], capsys)
+    assert (code, burnside) == GOLDEN_LEONARD_D6[(field, sub)]
+    assert (code, norton) == NORTON_LEONARD_D6[(field, sub)]
 
 
 @pytest.mark.parametrize("field", sorted(GOLDEN_FUZZ))

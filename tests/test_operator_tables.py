@@ -11,6 +11,7 @@ from tdlab.matrices import Matrix
 from tdlab.polys import Poly, TauEtaFamily
 from tdlab.tdcore import SystemContext, _linear_products
 
+from oracles import at_matrix
 from test_golden import KRAW_GF, KRAW_Q
 
 
@@ -44,8 +45,8 @@ def test_tau_tables_equal_horner_evaluation(base):
         fam_s = TauEtaFamily(sys.field, sys.thetas_star)
         assert len(ctx.tau) == len(ctx.tau_star) == sys.d + 1
         for i in range(sys.d + 1):
-            assert ctx.tau[i] == fam_t.tau(i).at_matrix(sys.A)
-            assert ctx.tau_star[i] == fam_s.tau(i).at_matrix(sys.Astar)
+            assert ctx.tau[i] == at_matrix(fam_t.tau(i), sys.A)
+            assert ctx.tau_star[i] == at_matrix(fam_s.tau(i), sys.Astar)
 
 
 def test_alternating_products_equal_explicit_products(base):
@@ -80,18 +81,12 @@ def test_linear_products_never_multiply_by_the_identity(monkeypatch, x1):
 
 
 @pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
-def test_identity_suite_never_evaluates_polynomials_at_matrices(doc, monkeypatch):
-    calls = []
-    original = Poly.at_matrix
-
-    def counted(self, m):
-        calls.append(self)
-        return original(self, m)
-
-    monkeypatch.setattr(Poly, "at_matrix", counted)
+def test_identity_suite_never_evaluates_polynomials_at_matrices(doc):
+    # the suite reads the context's tables; Horner evaluation at a matrix
+    # exists only as the test oracle, not as a Poly method the suite could call
+    assert not hasattr(Poly, "at_matrix")
     sys, _ = system_from_document(doc)
     ctx = SystemContext(sys)
     assert ctx.report.passed()
     checks = run_identity_suite(ctx)
     assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
-    assert calls == []

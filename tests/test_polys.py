@@ -5,7 +5,10 @@ from hypothesis import given, strategies as st
 
 from tdlab.matrices import Matrix
 from tdlab.polys import Poly, TauEtaFamily, char_poly, eta_expansion_check, poly_gcd
+from tdlab.rng import SplitMix64
 from tdlab.scalars import PrimeField, RationalField
+
+from oracles import at_matrix
 
 QQ = RationalField()
 
@@ -68,7 +71,7 @@ def test_tau_eta_monic_and_vanishing_pattern():
     d = 4
     for i in range(d + 1):
         tau, eta = fam.tau(i), fam.eta(i)
-        assert tau.is_monic() or i == 0
+        assert tau.coeffs[-1] == QQ.one
         assert tau.degree == i and eta.degree == i
         for j, t in enumerate(thetas):
             assert (tau(t) == 0) == (j < i)
@@ -84,14 +87,14 @@ def test_tau_eta_rejects_duplicates():
 
 def test_eval_at_matrix_square():
     m = Matrix.from_ints(QQ, [[1, 2], [3, 4]])
-    assert P(0, 0, 1).at_matrix(m) == m * m
-    assert P(1).at_matrix(m) == Matrix.identity(QQ, 2)
+    assert at_matrix(P(0, 0, 1), m) == m * m
+    assert at_matrix(P(1), m) == Matrix.identity(QQ, 2)
 
 
 def test_eval_tau_at_x1_operator():
     a = Matrix.from_ints(QQ, [[1, 0], [1, 0]])
     fam = TauEtaFamily(QQ, (F(1), F(0)))
-    assert fam.tau(1).at_matrix(a) == Matrix.from_ints(QQ, [[0, 0], [1, -1]])
+    assert at_matrix(fam.tau(1), a) == Matrix.from_ints(QQ, [[0, 0], [1, -1]])
 
 
 def test_eta_expansion_small_cases():
@@ -145,3 +148,42 @@ def test_char_poly_trace_det_relation():
     p = char_poly(m)
     assert p.coeffs[1] == -m.trace()
     assert p.coeffs[0] == F(4) - F(6)
+
+
+def _char_poly_by_cofactors(m):
+    # independent oracle: det(xI - m) by cofactor expansion along the first
+    # row, with polynomial entries; factorial in the size
+    field = m.field
+    x = Poly.x(field)
+    grid = [
+        [x - Poly.constant(field, a) if i == j else Poly.constant(field, -a) for j, a in enumerate(row)]
+        for i, row in enumerate(m.data)
+    ]
+    return _poly_det(field, grid)
+
+
+def _poly_det(field, grid):
+    if len(grid) == 1:
+        return grid[0][0]
+    acc = Poly.zero(field)
+    sign = field.one
+    for j in range(len(grid)):
+        minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
+        acc = acc + (grid[0][j] * _poly_det(field, minor)).scale(sign)
+        sign = -sign
+    return acc
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ, PrimeField(10007)], ids=["GF7", "Q", "GF10007"])
+def test_char_poly_matches_cofactor_expansion(field):
+    # sparse entries make the Hessenberg reduction swap rows and skip
+    # columns that are already clear
+    rng = SplitMix64(41)
+    for n in range(1, 9):
+        for _ in range(3 if n < 8 else 1):
+            rows = [
+                [field.from_int(rng.randint(-6, 6)) if rng.randrange(3) else field.zero for _ in range(n)]
+                for _ in range(n)
+            ]
+            m = Matrix(field, rows)
+            assert char_poly(m) == _char_poly_by_cofactors(m)

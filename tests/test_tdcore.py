@@ -11,10 +11,11 @@ from tdlab.tdcore import (
     ValidateOptions,
     check_irreducible,
     check_sharp,
-    enumerate_standard_orderings,
     primitive_idempotents,
     validate,
 )
+
+from oracles import enumerate_standard_orderings
 
 QQ = RationalField()
 
@@ -125,8 +126,10 @@ def test_irreducibility_strategies_agree(x1):
     ctx = SystemContext(sys)
     v1, _, s1 = check_irreducible(ctx, strategy="burnside")
     v2, _, s2 = check_irreducible(ctx, strategy="eigen_subset")
+    v3, _, s3 = check_irreducible(ctx, strategy="norton")
     assert (v1, s1) == ("irreducible", "burnside")
     assert (v2, s2) == ("irreducible", "eigen_subset")
+    assert (v3, s3) == ("irreducible", "norton")
 
 
 def test_exhaustive_gfp_agrees(inst_gf13_d2):
@@ -218,6 +221,13 @@ def test_eigen_subset_needs_line_eigenspaces():
     sys = TdSystem(QQ, 2, ident, ident, (F(1),), (F(1),))
     with pytest.raises(ValueError):
         check_irreducible(SystemContext(sys), strategy="eigen_subset")
+
+
+def test_norton_needs_a_dual_line():
+    ident = Matrix.identity(QQ, 2)
+    sys = TdSystem(QQ, 2, ident, ident, (F(1),), (F(1),))
+    with pytest.raises(ValueError):
+        check_irreducible(SystemContext(sys), strategy="norton")
 
 
 def test_inconclusive_when_no_complete_strategy_applies():
