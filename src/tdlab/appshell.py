@@ -669,7 +669,9 @@ def _isomorphism_stage(config: RunConfig, results):
     Every accepted instance is tested against two seeded conjugated copies
     (expected isomorphic) and its order-reversed relative (expected not
     isomorphic when the reversed sequence differs); instances sharing a
-    parameter array must be pairwise isomorphic.
+    parameter array must be pairwise isomorphic.  Returns the checks and
+    one (trial, kind, failed check) per disagreement, kind being
+    "conjugate", "reversed" or "equal-array pair".
     """
     field = config.field
     checks = []
@@ -706,7 +708,7 @@ def _isomorphism_stage(config: RunConfig, results):
                 )
             )
             if not ok:
-                disagreements.append((r, "conjugate"))
+                disagreements.append((r, "conjugate", checks[-1]))
         rev = d4.relative_context(r.context, d4.REV_PRIMARY)
         if tuple(rev.sys.thetas) != tuple(sys.thetas):
             verdict, payload = tested_verdict(r.context, rev)
@@ -719,7 +721,7 @@ def _isomorphism_stage(config: RunConfig, results):
                 )
             )
             if not ok:
-                disagreements.append((r, "reversed"))
+                disagreements.append((r, "reversed", checks[-1]))
 
     for (n, key), group in sorted(arrays.items()):
         if len(group) < 2:
@@ -736,7 +738,7 @@ def _isomorphism_stage(config: RunConfig, results):
                 )
             )
             if not ok:
-                disagreements.append((base, "equal-array pair"))
+                disagreements.append((base, "equal-array pair", checks[-1]))
     return checks, disagreements
 
 
@@ -761,15 +763,21 @@ def _write_artifacts(out_dir, config, results, counterexamples, iso_counterexamp
             path = os.path.join(out_dir, f"instance-{r.index:04d}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(dumps_document(r.doc))
-    bad = {r.index for r in counterexamples} | {r.index for r, _ in iso_counterexamples}
+    iso_failed = {}
+    for r, kind, check in iso_counterexamples:
+        iso_failed.setdefault(r.index, []).append((kind, check))
+    bad = {r.index for r in counterexamples} | set(iso_failed)
     for r in results:
         if r.index in bad:
             path = os.path.join(out_dir, f"counterexample-{r.index:04d}.json")
+            iso = iso_failed.get(r.index, [])
             blob = {
                 "format": FORMAT_REPORT,
                 "seed": r.seed,
                 "system": r.doc,
-                "checks": checks_to_json(field, [c for c in r.checks if c.status == FAIL]),
+                "checks": checks_to_json(field, [c for c in r.checks if c.status == FAIL])
+                + checks_to_json(field, [c for _, c in iso], "isomorphism/"),
+                "disagreements": list(dict.fromkeys(kind for kind, _ in iso)),
             }
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(dumps_document(blob))

@@ -72,9 +72,19 @@ def _times(field, n, space: Subspace, mats) -> Subspace:
 
 
 def corner_algebra(sys: TdSystem, t_alg: SubalgebraBasis, estar0: Matrix) -> SubalgebraBasis:
-    """The two-sided cut of the generated algebra by the first dual idempotent."""
+    """The two-sided cut of the generated algebra by the first dual idempotent.
+
+    When the generated algebra is all of Mat_n, the cut E*_0 Mat_n E*_0 is
+    spanned by the outer products u v^T of a basis u of E*_0's column space
+    and a basis v of its row space, with no matrix products.
+    """
     field, n = sys.field, sys.n
-    space = _span_of(field, n, [estar0 * x * estar0 for x in t_alg.basis])
+    if t_alg.dim == n * n:
+        cols, rows = mx.image(estar0).basis, mx.image(estar0.transpose()).basis
+        outer = [tuple(a * b for a in u for b in v) for u in cols for v in rows]
+        space = Subspace.from_vectors(field, n * n, outer)
+    else:
+        space = _span_of(field, n, [estar0 * x * estar0 for x in t_alg.basis])
     return SubalgebraBasis("corner", _subspace_to_mats(field, n, space), space.dim)
 
 

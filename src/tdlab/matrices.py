@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import product as _cartesian
+from operator import mul
 
-from .scalars import Field, FieldError
+from .scalars import Field, FieldError, FpElement, PrimeField
 
 
 class MatrixError(ValueError):
@@ -60,6 +61,15 @@ class Matrix:
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise MatrixError("shape mismatch in addition")
+        field = self.field
+        if isinstance(field, PrimeField):
+            return Matrix(
+                field,
+                [
+                    [FpElement(field, a.value + b.value) for a, b in zip(ra, rb)]
+                    for ra, rb in zip(self.data, other.data)
+                ],
+            )
         return Matrix(
             self.field,
             [
@@ -74,6 +84,9 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
+        field = self.field
+        if isinstance(field, PrimeField):
+            return Matrix(field, [[FpElement(field, -a.value) for a in row] for row in self.data])
         return Matrix(self.field, [[-a for a in row] for row in self.data])
 
     def __mul__(self, other):
@@ -81,6 +94,14 @@ class Matrix:
             self._check_same_field(other)
             if self.cols != other.rows:
                 raise MatrixError("shape mismatch in multiplication")
+            field = self.field
+            if isinstance(field, PrimeField):
+                p = field.p
+                rows = [_values(p, row) for row in self.data]
+                cols = [_values(p, col) for col in zip(*other.data)]
+                return Matrix(
+                    field, [[FpElement(field, sum(map(mul, row, col))) for col in cols] for row in rows]
+                )
             bt = tuple(zip(*other.data))
             return Matrix(
                 self.field,
@@ -95,6 +116,10 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, c) -> "Matrix":
+        field = self.field
+        if isinstance(field, PrimeField):
+            c = field._as_element(c).value
+            return Matrix(field, [[FpElement(field, c * a.value) for a in row] for row in self.data])
         return Matrix(self.field, [[c * a for a in row] for row in self.data])
 
     def transpose(self) -> "Matrix":
@@ -112,6 +137,11 @@ class Matrix:
         """Matrix times column vector (a tuple of scalars)."""
         if len(vec) != self.cols:
             raise MatrixError("vector length mismatch")
+        field = self.field
+        if isinstance(field, PrimeField):
+            p = field.p
+            vec = _values(p, vec)
+            return tuple(FpElement(field, sum(map(mul, _values(p, row), vec))) for row in self.data)
         return tuple(_dot(row, vec) for row in self.data)
 
     def is_zero(self) -> bool:
@@ -267,6 +297,10 @@ class Subspace:
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
             raise MatrixError("vector length does not match ambient dimension")
+        if isinstance(self.field, PrimeField):
+            p = self.field.p
+            rows = [_values(p, row) for row in self.basis]
+            return not any(_reduce_mod(p, self.pivots, rows, _values(p, vec)))
         return not any(_reduce(self.pivots, self.basis, vec))
 
     def __eq__(self, other):
@@ -380,13 +414,34 @@ def _reduce(pivots, rows, vec):
     return v
 
 
+def _values(p, vec):
+    """The residues in [0, p) of a vector of GF(p) elements."""
+    out = [a.value for a in vec if a.field.p == p]
+    if len(out) != len(vec):
+        raise FieldError(f"mixed fields: a vector entry is not in GF({p})")
+    return out
+
+
+def _reduce_mod(p, pivots, rows, v):
+    """_reduce on residues: rows and v are int lists, rows in [0, p) with
+    unit pivots.  Each step reads one entry mod p, so the others are
+    reduced once, at the end."""
+    for c, row in zip(pivots, rows):
+        f = v[c] % p
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return [a % p for a in v]
+
+
 class SpanBuilder:
     """Incrementally row-reduced span of vectors: the package's one row
     reduction, behind rref, det and every Subspace.
 
     Rows are kept in echelon form with unit pivots, sorted by pivot column;
     a new row is inserted at its place.  reduced_rows back-substitutes once
-    to the rref, so rows are never fully reduced on every add.
+    to the rref, so rows are never fully reduced on every add.  Over GF(p)
+    the rows are lists of residues in [0, p), wrapped as field elements only
+    by reduced_rows.
     """
 
     def __init__(self, field: Field, ambient: int):
@@ -399,17 +454,32 @@ class SpanBuilder:
     def add(self, vec):
         """Add vec to the span.  Returns the nonzero scalar its new row was
         divided by, or None if vec already lay in the span."""
+        if isinstance(self.field, PrimeField):
+            p = self.field.p
+            v = _reduce_mod(p, self.pivots, self.rows, _values(p, vec))
+            for c, a in enumerate(v):
+                if a:
+                    inv = pow(a, -1, p)
+                    self._insert(c, [x * inv % p for x in v])
+                    return FpElement(self.field, a)
+            return None
         v = _reduce(self.pivots, self.rows, vec)
         for c, a in enumerate(v):
             if a:
-                k = bisect_left(self.pivots, c)
-                self.inversions += len(self.pivots) - k
-                self.rows.insert(k, [x / a for x in v])
-                self.pivots.insert(k, c)
+                self._insert(c, [x / a for x in v])
                 return a
         return None
 
+    def _insert(self, c, row):
+        k = bisect_left(self.pivots, c)
+        self.inversions += len(self.pivots) - k
+        self.rows.insert(k, row)
+        self.pivots.insert(k, c)
+
     def contains(self, vec) -> bool:
+        if isinstance(self.field, PrimeField):
+            p = self.field.p
+            return not any(_reduce_mod(p, self.pivots, self.rows, _values(p, vec)))
         return not any(_reduce(self.pivots, self.rows, vec))
 
     @property
@@ -419,6 +489,12 @@ class SpanBuilder:
     def reduced_rows(self):
         """The rref basis of the span, by one back-substitution."""
         rows = list(self.rows)
+        if isinstance(self.field, PrimeField):
+            # bottom up, each row is cleared against the rref rows below it
+            p = self.field.p
+            for k in range(len(rows) - 2, -1, -1):
+                rows[k] = _reduce_mod(p, self.pivots[k + 1 :], rows[k + 1 :], rows[k])
+            return [[FpElement(self.field, a) for a in row] for row in rows]
         for k in range(len(rows) - 1, 0, -1):
             c, pivot_row = self.pivots[k], rows[k]
             for i in range(k):

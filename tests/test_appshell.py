@@ -20,6 +20,7 @@ from tdlab.appshell import (
     system_from_document,
 )
 from tdlab import d4orbit as d4
+from tdlab import formlab as fl
 from tdlab import splitparam as sp
 from tdlab.rng import MASK64, SplitMix64, trial_seed
 from tdlab.scalars import PrimeField, RationalField
@@ -193,6 +194,29 @@ def test_fuzz_writes_artifacts(tmp_path):
     assert len(instances) == doc["checks"][-1]["witness"]["accepted"]
     loaded, _ = load_system(str(tmp_path / instances[0]))
     assert loaded.field == cfg.field
+
+
+def test_isomorphism_disagreement_artifacts_name_the_failed_checks(tmp_path, monkeypatch):
+    cfg = RunConfig(seed=3, trials=3, d_max=2, field=PrimeField(10007))
+    monkeypatch.setattr(fl, "isomorphism_test", lambda a, b: ("not_isomorphic", {}))
+    doc = fuzz_run(cfg, out_dir=str(tmp_path))
+    assert doc["checks"][-1]["witness"]["identity_counterexamples"] == 0
+    failed = [c for c in doc["checks"] if c["id"].startswith("isomorphism/") and c["status"] == "fail"]
+    accepted = [c["id"][6:10] for c in doc["checks"] if c["id"].endswith("/generated") and c["witness"]["accepted"]]
+    assert accepted and failed
+    for index in accepted:
+        blob = json.loads((tmp_path / f"counterexample-{index}.json").read_text(encoding="utf-8"))
+        mine = [
+            c for c in failed
+            if c["id"].startswith((f"isomorphism/trial_{index}/", f"isomorphism/equal_array_pair/{index}_"))
+        ]
+        # every conjugate is declared not isomorphic; the reversed relative rightly is
+        assert [c["id"] for c in mine[:2]] == [f"isomorphism/trial_{index}/conjugate_{k}" for k in range(2)]
+        assert mine[0]["witness"] == {"verdict": "not_isomorphic", "detail": None}
+        assert blob["checks"] == mine
+        assert blob["disagreements"][0] == "conjugate"
+        assert set(blob["disagreements"]) <= {"conjugate", "equal-array pair"}
+    assert (tmp_path / "fuzz-report.json").read_text(encoding="utf-8") == dumps_document(doc)
 
 
 def test_exit_code_mapping():

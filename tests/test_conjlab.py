@@ -13,10 +13,11 @@ from tdlab.conjlab import (
     generate_subalgebras,
     pa_conditions,
 )
-from tdlab.matrices import Matrix, Subspace
+from tdlab.matrices import Matrix, Subspace, rank
 from tdlab.rng import SplitMix64
 from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import SystemContext, TdSystem
+from test_spin import GOLDEN_SYSTEMS, kraw
 
 QQ = RationalField()
 
@@ -63,6 +64,27 @@ def test_d0_everything_trivial():
     assert corner.dim == 1
     verdict, fchecks = field_check(f, corner, ctx.estar_fam[0], 1)
     assert verdict == "field"
+
+
+def _n16_pair():
+    a, astar, thetas = kraw.krawtchouk_pair((2, 2, 2, 2), (2, 3, 5, 7))
+    return system_from_document(kraw.system_document(a, astar, thetas, kraw.PRIME))[0]
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN_SYSTEMS), "n16"])
+def test_corner_outer_products_match_the_product_form(name):
+    sys = _n16_pair() if name == "n16" else GOLDEN_SYSTEMS[name]()
+    ctx = SystemContext(sys)
+    t_alg = generate_subalgebras(sys, ctx.closure)["T"]
+    assert t_alg.dim == sys.n**2  # the outer-product form applies
+    # every idempotent of both families (ranks 1 and 2) cuts the algebra; on
+    # the n=16 pair one of rank 1 and one of rank 4 keep the products cheap
+    cuts = [*ctx.estar_fam, *ctx.e_fam] if name != "n16" else [ctx.estar_fam[0], ctx.e_fam[1]]
+    for e in cuts:
+        products = conjlab._span_of(sys.field, sys.n, [e * x * e for x in t_alg.basis])
+        corner = corner_algebra(sys, t_alg, e)
+        assert corner.dim == products.dim == rank(e) ** 2
+        assert corner.basis == conjlab._subspace_to_mats(sys.field, sys.n, products)
 
 
 def test_x1_field_check(x1):

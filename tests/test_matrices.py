@@ -6,6 +6,7 @@ import pytest
 from tdlab.matrices import (
     Matrix,
     MatrixError,
+    SpanBuilder,
     Subspace,
     algebra_closure,
     assert_multiplication_closed,
@@ -20,7 +21,7 @@ from tdlab.matrices import (
     subspace_sum,
 )
 from tdlab.rng import SplitMix64
-from tdlab.scalars import FieldError, PrimeField, RationalField
+from tdlab.scalars import FieldError, FpElement, PrimeField, RationalField
 
 from oracles import intertwiner_matrices, intertwiner_space
 
@@ -57,6 +58,17 @@ def test_shape_and_field_mismatch():
         M([[1, 2]]) * M([[1, 2]])
     with pytest.raises(FieldError):
         M([[1]]) + M([[1]], PrimeField(7))
+    with pytest.raises(FieldError):
+        M([[1]], PrimeField(7)) * M([[1]], PrimeField(11))
+    with pytest.raises(FieldError):
+        M([[1]], PrimeField(7)) + M([[1]], PrimeField(11))
+    eleven = (PrimeField(11).from_int(3),)
+    with pytest.raises(FieldError):
+        M([[1]], PrimeField(7)).apply(eleven)
+    with pytest.raises(FieldError):
+        SpanBuilder(PrimeField(7), 1).add(eleven)
+    with pytest.raises(FieldError):
+        Subspace.full(PrimeField(7), 1).contains(eleven)
 
 
 def test_rref_example():
@@ -284,7 +296,9 @@ def _oracle_cases(field, seed):
             yield _random_matrix(field, rng, rows, cols)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(7), PrimeField(10007)], ids=["Q", "GF7", "GF10007"]
+)
 def test_elimination_matches_gauss_jordan(field):
     for m in _oracle_cases(field, 41):
         r, rk, pivots = _gauss_jordan(m)
@@ -325,8 +339,68 @@ def test_elimination_matches_gauss_jordan(field):
 
 
 def test_det_sign_follows_row_order():
-    rng = SplitMix64(43)
-    m = _random_matrix(QQ, rng, 4, 4)
-    for perm in permutations(range(4)):
-        permuted = Matrix(QQ, [m.data[i] for i in perm])
-        assert det(permuted) == _leibniz_det(permuted)
+    for field in (QQ, PrimeField(7)):
+        rng = SplitMix64(43)
+        m = _random_matrix(field, rng, 4, 4)
+        for perm in permutations(range(4)):
+            permuted = Matrix(field, [m.data[i] for i in perm])
+            assert det(permuted) == _leibniz_det(permuted)
+
+
+def _extreme_matrix(field, rng, rows, cols):
+    # entries 0, 1 and p-1, with one zero row and one zero column
+    zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+    choices = (0, 1, field.p - 1)
+    return Matrix(
+        field,
+        [
+            [field.from_int(0 if i == zero_row or j == zero_col else choices[rng.randrange(3)]) for j in range(cols)]
+            for i in range(rows)
+        ],
+    )
+
+
+def _schoolbook_product(a, b):
+    # independent oracle: one FpElement product and sum per term
+    return Matrix(
+        a.field,
+        [
+            [sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), a.field.zero) for j in range(b.cols)]
+            for i in range(a.rows)
+        ],
+    )
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_gfp_kernels_match_schoolbook_arithmetic(p):
+    # products, sums, scaling and apply against FpElement arithmetic, and
+    # span membership against a Gauss-Jordan rank count
+    field = PrimeField(p)
+    rng = SplitMix64(p)
+    outcomes = set()
+    for rows, inner, cols in ((1, 1, 1), (2, 3, 1), (3, 4, 2), (5, 5, 5), (6, 3, 7), (8, 8, 8)):
+        for _ in range(4):
+            a, b = _extreme_matrix(field, rng, rows, inner), _extreme_matrix(field, rng, inner, cols)
+            product = a * b
+            assert product == _schoolbook_product(a, b)
+            c, minus_one = _extreme_matrix(field, rng, rows, inner), field.from_int(p - 1)
+            assert a + c == Matrix(field, [[x + y for x, y in zip(r, s)] for r, s in zip(a.data, c.data)])
+            assert a - c == Matrix(field, [[x - y for x, y in zip(r, s)] for r, s in zip(a.data, c.data)])
+            assert a.scale(minus_one) == Matrix(field, [[minus_one * x for x in r] for r in a.data])
+            assert all(type(x) is FpElement and 0 <= x.value < p for row in product.data for x in row)
+            column = tuple(row[0] for row in b.data)
+            assert a.apply(column) == tuple(row[0] for row in _schoolbook_product(a, b).data)
+            # membership in the row space of b, against the rank of b with
+            # the vector appended; product rows always lie in it
+            span = SpanBuilder(field, cols)
+            for row in b.data:
+                span.add(row)
+            space = Subspace.from_vectors(field, cols, b.data)
+            base = _gauss_jordan(b)[1]
+            vectors = [*product.data, *_extreme_matrix(field, rng, 3, cols).data, *b.data]
+            vectors.append(tuple(field.from_int(rng.randrange(p)) for _ in range(cols)))
+            for v in vectors:
+                expected = _gauss_jordan(Matrix(field, [*b.data, v]))[1] == base
+                assert span.contains(v) == space.contains(v) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
