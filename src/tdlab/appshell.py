@@ -233,7 +233,7 @@ def gen_leonard_split(field: Field, thetas, thetas_star, phis) -> SystemContext:
         if list(zetas) != expected:
             raise InvariantViolation(
                 "split sequence differs from cumulative superdiagonal products",
-                {"zetas": [field.format(z) for z in zetas]},
+                {"zetas": zetas},
             )
     return ctx
 
@@ -335,7 +335,7 @@ def _sample_superdiagonal(field: Field, rng: SplitMix64, thetas, thetas_star):
     superdiagonal and the idempotent family of A, when it was derived.
     """
     d = len(thetas) - 1
-    if d == 1 or len(set(field.format(t) for t in thetas)) != d + 1:
+    if d == 1 or len(set(thetas)) != d + 1:
         return tuple(_random_nonzero(field, rng) for _ in range(d)), None
     n = d + 1
     zero = field.zero

@@ -102,8 +102,6 @@ def _parse_scalar_list(field, text: str):
 
 
 def cmd_gen(args) -> int:
-    if args.kind != "leonard":
-        raise app.InputError(f"unknown generator {args.kind!r}")
     field = parse_field_spec(args.field)
     thetas = _parse_scalar_list(field, args.theta)
     thetas_star = _parse_scalar_list(field, args.theta_star)

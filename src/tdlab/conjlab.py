@@ -302,7 +302,7 @@ def _rational_field_check(field, corner: SubalgebraBasis, estar0, checks):
     root = _rational_root(field, minpoly)
     if root is not None and deg > 1:
         checks.append(
-            Check("conj/corner_field", FAIL, {"reason": "minimal polynomial has a rational root", "root": field.format(root)})
+            Check("conj/corner_field", FAIL, {"reason": "minimal polynomial has a rational root", "root": root})
         )
         return "not_field", checks
     checks.append(
@@ -393,10 +393,9 @@ def pa_conditions(field, thetas, thetas_star, zetas):
     """
     checks = []
     d = len(thetas) - 1
-    fmt = field.format
     dup = None
     for label, seq in (("theta", thetas), ("theta_star", thetas_star)):
-        found = find_duplicate(field, seq)
+        found = find_duplicate(seq)
         if found:
             dup = {"sequence": label, "indices": found["indices"]}
             break
@@ -404,11 +403,11 @@ def pa_conditions(field, thetas, thetas_star, zetas):
 
     problems = []
     if zetas[0] != field.one:
-        problems.append({"clause": "zeta_0", "value": fmt(zetas[0])})
+        problems.append({"clause": "zeta_0", "value": zetas[0]})
     if zetas[d] == field.zero:
-        problems.append({"clause": "zeta_d", "value": "0"})
+        problems.append({"clause": "zeta_d", "value": zetas[d]})
     if not dup and weighted_zeta_sum(field, thetas, thetas_star, zetas) == field.zero:
-        problems.append({"clause": "weighted_sum", "value": "0"})
+        problems.append({"clause": "weighted_sum", "value": field.zero})
     checks.append(Check("conj/pa_normalization", FAIL if problems else PASS, problems or None))
 
     bad = None
@@ -417,7 +416,7 @@ def pa_conditions(field, thetas, thetas_star, zetas):
         first = ratios[0]
         for r in ratios[1:]:
             if r != first:
-                bad = {"first": fmt(first), "other": fmt(r)}
+                bad = {"first": first, "other": r}
                 break
     checks.append(Check("conj/pa_ratios", FAIL if bad else PASS, bad))
     return checks

@@ -2,10 +2,10 @@
 three-index Pochhammer bracket, and the relations tying the split
 sequences of the relatives together.
 
-Words act on the right: apply(apply(s, g), h) = apply(s, compose(g, h)).
-The canonical form of a word is rev_dual^a rev_primary^b swap^c, where
-rev_dual reverses the dual eigenvalue order, rev_primary reverses the
-primary one, and swap exchanges the two operators.
+Each element is kept as its canonical word rev_dual^a rev_primary^b swap^c,
+whose letters act on a system from left to right: rev_dual reverses the dual
+eigenvalue order, rev_primary reverses the primary one, and swap exchanges
+the two operators.
 """
 
 from __future__ import annotations
@@ -65,22 +65,6 @@ ALL_ELEMENTS = (
     D4Element(rev_primary=True, swap=True),
     D4Element(rev_dual=True, rev_primary=True, swap=True),
 )
-
-
-def d4_compose(g: D4Element, h: D4Element) -> D4Element:
-    """The word g followed by h, in canonical form.
-
-    Pushing a trailing swap past reversal letters exchanges the two
-    reversals (swap conjugates one reversal into the other), which is the
-    whole group law of this dihedral group.
-    """
-    if g.swap:
-        a = g.rev_dual ^ h.rev_primary
-        b = g.rev_primary ^ h.rev_dual
-    else:
-        a = g.rev_dual ^ h.rev_dual
-        b = g.rev_primary ^ h.rev_primary
-    return D4Element(a, b, g.swap ^ h.swap)
 
 
 def apply_relative(sys: TdSystem, g: D4Element) -> TdSystem:
@@ -150,7 +134,7 @@ def q_extract(sys: TdSystem) -> QData:
         if r != beta:
             raise InvariantViolation(
                 "eigenvalue ratios are not constant",
-                {"first": field.format(beta), "other": field.format(r), "position": k},
+                {"first": beta, "other": r, "position": k},
             )
     if beta == field.from_int(3):
         return QData("one", field.one, beta, "double root at 1")
@@ -282,8 +266,7 @@ def bracket_expansion_check(sys: TdSystem, qd: QData):
                 return Check(
                     "poly/eta_bracket_expansion",
                     FAIL,
-                    {"i": i, "lhs": [field.format(c) for c in lhs.coeffs],
-                     "rhs": [field.format(c) for c in rhs.coeffs]},
+                    {"i": i, "lhs": lhs.coeffs, "rhs": rhs.coeffs},
                 )
     except BracketUnavailable as reason:
         return Check("poly/eta_bracket_expansion", SKIP, {"reason": str(reason)})
@@ -342,11 +325,7 @@ def zeta_relations_check(sys: TdSystem, qd: QData, orbit: dict):
     bad = None
     for a, b in pairs:
         if orbit[a]["zetas"] != orbit[b]["zetas"]:
-            bad = {
-                "pair": [a, b],
-                "first": [field.format(z) for z in orbit[a]["zetas"]],
-                "second": [field.format(z) for z in orbit[b]["zetas"]],
-            }
+            bad = {"pair": [a, b], "first": orbit[a]["zetas"], "second": orbit[b]["zetas"]}
             break
     checks.append(Check("orbit/column_sequences_equal", FAIL if bad else PASS, bad))
 
@@ -395,18 +374,14 @@ def zeta_relations_check(sys: TdSystem, qd: QData, orbit: dict):
     bad = None
     for name in ("id", "swap", "rev_dual_rev_primary", "rev_dual_rev_primary_swap"):
         if orbit[name]["zetas"][d] != z[d]:
-            bad = {"relative": name, "last_term": field.format(orbit[name]["zetas"][d])}
+            bad = {"relative": name, "last_term": orbit[name]["zetas"][d]}
             break
     checks.append(Check("orbit/last_term_unchanged_group", FAIL if bad else PASS, bad))
 
     bad = None
     for name in ("rev_dual", "rev_primary", "rev_dual_swap", "rev_primary_swap"):
         if orbit[name]["zetas"][d] != weighted:
-            bad = {
-                "relative": name,
-                "last_term": field.format(orbit[name]["zetas"][d]),
-                "weighted_sum": field.format(weighted),
-            }
+            bad = {"relative": name, "last_term": orbit[name]["zetas"][d], "weighted_sum": weighted}
             break
     checks.append(Check("orbit/last_term_weighted_group", FAIL if bad else PASS, bad))
 
@@ -417,11 +392,7 @@ def zeta_relations_check(sys: TdSystem, qd: QData, orbit: dict):
         acc = acc + fam_t.eta_at(d - h, sys.thetas[0]) * (pre_s[d] / pre_s[h]) * z[h]
     bad = None
     if acc != weighted or z_rp[d] != acc:
-        bad = {
-            "relation_value": field.format(acc),
-            "weighted_sum": field.format(weighted),
-            "last_term": field.format(z_rp[d]),
-        }
+        bad = {"relation_value": acc, "weighted_sum": weighted, "last_term": z_rp[d]}
     checks.append(Check("orbit/last_term_cross_consistency", FAIL if bad else PASS, bad))
     return checks
 
@@ -434,6 +405,6 @@ def _relation_witness(field, d, qd, dens, weight_at, z_lhs, z_rhs):
         for h in range(i + 1):
             rhs = rhs + bracket(field, h, i - h, d - i, qd) * weight_at(i - h) * z_rhs[h] / dens[h]
         if lhs != rhs:
-            return {"i": i, "lhs": field.format(lhs), "rhs": field.format(rhs)}
+            return {"i": i, "lhs": lhs, "rhs": rhs}
     return None
 

@@ -26,15 +26,14 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data):
-        rows = tuple(tuple(row) for row in data)
+        rows = tuple(map(tuple, data))
         if not rows or not rows[0]:
             raise MatrixError("matrices must have positive dimensions")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
+        if len(set(map(len, rows))) != 1:
             raise MatrixError("ragged rows")
         self.field = field
         self.rows = len(rows)
-        self.cols = ncols
+        self.cols = len(rows[0])
         self.data = rows
 
     @classmethod
@@ -279,10 +278,6 @@ class Subspace:
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
         return cls(field, ambient, [], [])
-
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient).data, range(ambient))
 
     @property
     def dim(self) -> int:

@@ -32,14 +32,6 @@ class Poly:
         return cls(field, [field.one])
 
     @classmethod
-    def x(cls, field: Field) -> "Poly":
-        return cls(field, [field.zero, field.one])
-
-    @classmethod
-    def constant(cls, field: Field, c) -> "Poly":
-        return cls(field, [c])
-
-    @classmethod
     def from_roots(cls, field: Field, roots) -> "Poly":
         """The monic product of (x - r) over the given roots."""
         p = cls.one(field)
@@ -177,7 +169,7 @@ class TauEtaFamily:
 
     def __init__(self, field: Field, thetas):
         thetas = tuple(thetas)
-        if len(set_of(field, thetas)) != len(thetas):
+        if len(set(thetas)) != len(thetas):
             raise ValueError("eigenvalues must be mutually distinct")
         self.field = field
         self.thetas = thetas
@@ -209,14 +201,6 @@ class TauEtaFamily:
         for t in self.thetas[self.d - i + 1 :]:
             acc = acc * (x - t)
         return acc
-
-
-def set_of(field, values):
-    """Hashable view of scalars for distinctness checks."""
-    out = set()
-    for v in values:
-        out.add(field.format(v))
-    return out
 
 
 def eta_expansion_check(field: Field, thetas, thetas_star):

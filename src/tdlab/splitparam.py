@@ -218,7 +218,7 @@ def trace_zeta(ctx: SystemContext):
         "tr_EdEstard": (ed * esd).trace(),
     }
     zero = field.zero
-    bad = {k: field.format(v) for k, v in corner_traces.items() if v == zero}
+    bad = {k: v for k, v in corner_traces.items() if v == zero}
     checks.append(Check("split/trace_nonzero", FAIL if bad else PASS, bad or None))
     if bad:
         return {}, checks
@@ -253,11 +253,7 @@ def trace_zeta(ctx: SystemContext):
         "corner_trace_ratio_dual",
     ):
         if values[name] != zt:
-            mismatch = {
-                "formula": name,
-                "got": [field.format(v) for v in values[name]],
-                "expected": [field.format(v) for v in zt],
-            }
+            mismatch = {"formula": name, "got": values[name], "expected": zt}
             break
     checks.append(Check("split/trace_formulas", FAIL if mismatch else PASS, mismatch))
     return values, checks
@@ -339,12 +335,7 @@ def vanishing_check(ctx: SystemContext):
 def zeta_star_check(sys: TdSystem, zetas, zetas_star):
     """The split sequence equals that of the operator-swapped system."""
     ok = tuple(zetas) == tuple(zetas_star)
-    witness = None
-    if not ok:
-        witness = {
-            "zeta": [sys.field.format(z) for z in zetas],
-            "zeta_star": [sys.field.format(z) for z in zetas_star],
-        }
+    witness = None if ok else {"zeta": zetas, "zeta_star": zetas_star}
     return Check("split/zeta_star_equal", PASS if ok else FAIL, witness)
 
 
@@ -394,13 +385,7 @@ def zeta_d_closed_form(ctx: SystemContext):
         * (estar_fam[d] * e_fam[0]).trace()
     )
     ok = lhs == first and lhs == second
-    witness = None
-    if not ok:
-        witness = {
-            "zeta_d": field.format(lhs),
-            "primary_form": field.format(first),
-            "dual_form": field.format(second),
-        }
+    witness = None if ok else {"zeta_d": lhs, "primary_form": first, "dual_form": second}
     return Check("split/zeta_last_closed_form", PASS if ok else FAIL, witness)
 
 
@@ -426,7 +411,7 @@ def parameter_array(sys: TdSystem, zetas) -> ParameterArray:
     _ensure(zetas[0] == field.one, "zeta_0 is not 1")
     _ensure(zetas[d] != field.zero, "zeta_d vanishes")
     total = weighted_zeta_sum(field, sys.thetas, sys.thetas_star, zetas)
-    _ensure(total != field.zero, "weighted zeta sum vanishes", field.format(total))
+    _ensure(total != field.zero, "weighted zeta sum vanishes", total)
     return ParameterArray(tuple(sys.thetas), tuple(sys.thetas_star), tuple(zetas))
 
 

@@ -18,7 +18,6 @@ from itertools import combinations, product
 
 from . import matrices as mx
 from .matrices import Matrix, Subspace
-from .polys import set_of
 from .scalars import Field, FieldError, PrimeField
 
 PASS = "pass"
@@ -251,7 +250,7 @@ def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
     """
     field = m.field
     thetas = tuple(thetas)
-    if len(set_of(field, thetas)) != len(thetas):
+    if len(set(thetas)) != len(thetas):
         raise ValueError("repeated eigenvalues")
     n = m.rows
     ident = Matrix.identity(field, n)
@@ -402,12 +401,7 @@ def _norton(ctx: SystemContext, v0, u0):
     return {"line": "Estar_0", "spin_dim": span.dim, "dual_spin_dim": dual.dim}
 
 
-def check_irreducible(
-    ctx: SystemContext,
-    strategy: str = "auto",
-    assume_note: str | None = None,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-):
+def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: str | None = None):
     """Irreducibility of the pair, with an explicit verdict hierarchy.
 
     Returns (verdict, witness, strategy_used) where verdict is one of
@@ -459,9 +453,9 @@ def check_irreducible(
     if strategy == "exhaustive_gfp":
         if not isinstance(sys.field, PrimeField):
             raise ValueError("exhaustive_gfp strategy needs a prime field")
-        if sys.field.p**sys.n > exhaustive_limit:
+        if sys.field.p**sys.n > EXHAUSTIVE_LIMIT:
             raise ValueError(
-                f"exhaustive_gfp infeasible: {sys.field.p}^{sys.n} exceeds {exhaustive_limit}"
+                f"exhaustive_gfp infeasible: {sys.field.p}^{sys.n} exceeds {EXHAUSTIVE_LIMIT}"
             )
         for vec in _gfp_line_representatives(sys.field, sys.n):
             span, _, _ = _spin((sys.A, sys.Astar), vec)
@@ -555,7 +549,7 @@ def validate(
         return report
     report.add(Check("input/dimension", PASS))
 
-    dup = find_duplicate(sys.field, sys.thetas) or find_duplicate(sys.field, sys.thetas_star)
+    dup = find_duplicate(sys.thetas) or find_duplicate(sys.thetas_star)
     if dup:
         report.add(Check("eigenvalues/distinct", FAIL, dup))
         return report
@@ -611,11 +605,11 @@ def validate(
     return report
 
 
-def find_duplicate(field, values):
+def find_duplicate(values):
+    """The first repeated value and the indices of its two occurrences, or None."""
     seen = {}
     for i, v in enumerate(values):
-        key = field.format(v)
-        if key in seen:
-            return {"indices": [seen[key], i], "value": key}
-        seen[key] = i
+        if v in seen:
+            return {"indices": [seen[v], i], "value": v}
+        seen[v] = i
     return None

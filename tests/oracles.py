@@ -5,14 +5,14 @@ computes another way, or a fixture builder only tests need: the intertwiner
 space as the kernel of the n^2-unknown Sylvester system (the package spins
 one vector instead), Horner evaluation of a polynomial at a matrix (the
 package reads its operator tables), the standard orderings by full
-enumeration, and the golden d=1 instance.
+enumeration, the whole space as a subspace, and the golden d=1 instance.
 """
 
 from fractions import Fraction as F
 from itertools import permutations
 
 from tdlab.appshell import gen_leonard_split
-from tdlab.matrices import Matrix, MatrixError, kernel
+from tdlab.matrices import Matrix, MatrixError, Subspace, kernel
 from tdlab.scalars import FieldError, RationalField
 from tdlab.tdcore import _off_band_pair
 
@@ -52,6 +52,11 @@ def intertwiner_matrices(a, astar, b, bstar):
     space = intertwiner_space(a, astar, b, bstar)
     n = a.rows
     return [Matrix.from_vec(a.field, row, n, n) for row in space.basis]
+
+
+def full_subspace(field, ambient):
+    """The whole space K^ambient, with the unit vectors as its rref basis."""
+    return Subspace(field, ambient, Matrix.identity(field, ambient).data, range(ambient))
 
 
 def at_matrix(poly, m):

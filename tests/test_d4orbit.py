@@ -15,7 +15,6 @@ from tdlab.d4orbit import (
     bracket,
     bracket_expansion_check,
     compute_orbit,
-    d4_compose,
     q_extract,
     zeta_relations_check,
 )
@@ -26,6 +25,22 @@ from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import InvariantViolation, SystemContext, TdSystem
 
 QQ = RationalField()
+
+
+def d4_compose(g: D4Element, h: D4Element) -> D4Element:
+    """The word g followed by h, in canonical form.
+
+    Pushing a trailing swap past reversal letters exchanges the two
+    reversals (swap conjugates one reversal into the other), which is the
+    whole group law of this dihedral group.
+    """
+    if g.swap:
+        a = g.rev_dual ^ h.rev_primary
+        b = g.rev_primary ^ h.rev_dual
+    else:
+        a = g.rev_dual ^ h.rev_dual
+        b = g.rev_primary ^ h.rev_primary
+    return D4Element(a, b, g.swap ^ h.swap)
 
 
 def test_group_has_eight_elements():

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from tdlab import d4orbit as d4
+from tdlab.appshell import system_from_document
 from tdlab.formlab import (
+    BilinearForm,
     anti_automorphism,
     conjecture_crosscheck,
     dual_system,
@@ -12,9 +14,11 @@ from tdlab.formlab import (
 )
 from tdlab.matrices import Matrix, det, inverse
 from tdlab.formlab import form_checks
+from tdlab.rng import SplitMix64
 from tdlab.scalars import FieldError, PrimeField, RationalField
 from tdlab.splitparam import ParameterArray
 from tdlab.tdcore import SystemContext, TdSystem, validate
+from test_golden import KRAW_GF
 
 QQ = RationalField()
 
@@ -141,3 +145,52 @@ def test_conjecture_crosscheck():
     assert conjecture_crosscheck("not_isomorphic", a1, a3).status == "pass"
     assert conjecture_crosscheck("not_isomorphic", a1, a2).status == "fail"
     assert conjecture_crosscheck("isomorphic", a1, a3).status == "fail"
+
+
+def _form_checks_by_vectors(g, ctx):
+    """The witnesses of form_checks, by one bilinear value g(u, v) at a time."""
+
+    def value(u, v):
+        return sum((a * b for a, b in zip(g.apply(u), v)), g.field.zero)
+
+    families = (("primary", ctx.e_fam), ("dual", ctx.estar_fam))
+    orthogonal = next(
+        (
+            {"family": label, "i": i, "j": j}
+            for label, fam in families
+            for i, si in enumerate(fam.eigenspaces)
+            for j, sj in enumerate(fam.eigenspaces)
+            if i != j and any(value(u, v) for u in si.basis for v in sj.basis)
+        ),
+        None,
+    )
+    nondegenerate = next(
+        (
+            {"family": label, "i": i}
+            for label, fam in families
+            for i, s in enumerate(fam.eigenspaces)
+            if not det(Matrix(g.field, [[value(u, v) for v in s.basis] for u in s.basis]))
+        ),
+        None,
+    )
+    return orthogonal, nondegenerate
+
+
+@pytest.mark.parametrize("fixture", ["inst_d2", "inst_gf13_d2", "KRAW_GF"])
+def test_form_checks_witnesses_match_the_vector_scan(fixture, request):
+    # random 0/1 grams break orthogonality and nondegeneracy in varied places
+    if fixture == "KRAW_GF":
+        ctx = SystemContext(system_from_document(KRAW_GF)[0])
+    else:
+        ctx = request.getfixturevalue(fixture)[1]
+    field, n = ctx.sys.field, ctx.sys.n
+    rng = SplitMix64(17)
+    seen = set()
+    for _ in range(40):
+        g = Matrix(field, [[field.from_int(rng.randrange(2)) for _ in range(n)] for _ in range(n)])
+        checks = form_checks(BilinearForm(gram=g, solution_dim=1), ctx)
+        expected = _form_checks_by_vectors(g, ctx)
+        assert tuple(c.witness for c in checks) == expected
+        assert [c.status for c in checks] == ["pass" if w is None else "fail" for w in expected]
+        seen.update(repr(w) for w in expected)
+    assert "None" in seen and len(seen) > 3

@@ -23,7 +23,7 @@ from tdlab.matrices import (
 from tdlab.rng import SplitMix64
 from tdlab.scalars import FieldError, FpElement, PrimeField, RationalField
 
-from oracles import intertwiner_matrices, intertwiner_space
+from oracles import full_subspace, intertwiner_matrices, intertwiner_space
 
 QQ = RationalField()
 
@@ -68,7 +68,7 @@ def test_shape_and_field_mismatch():
     with pytest.raises(FieldError):
         SpanBuilder(PrimeField(7), 1).add(eleven)
     with pytest.raises(FieldError):
-        Subspace.full(PrimeField(7), 1).contains(eleven)
+        full_subspace(PrimeField(7), 1).contains(eleven)
 
 
 def test_rref_example():

@@ -154,9 +154,9 @@ def _char_poly_by_cofactors(m):
     # independent oracle: det(xI - m) by cofactor expansion along the first
     # row, with polynomial entries; factorial in the size
     field = m.field
-    x = Poly.x(field)
+    x = Poly(field, [field.zero, field.one])
     grid = [
-        [x - Poly.constant(field, a) if i == j else Poly.constant(field, -a) for j, a in enumerate(row)]
+        [x - Poly(field, [a]) if i == j else Poly(field, [-a]) for j, a in enumerate(row)]
         for i, row in enumerate(m.data)
     ]
     return _poly_det(field, grid)

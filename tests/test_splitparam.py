@@ -18,6 +18,8 @@ from tdlab.splitparam import (
 )
 from tdlab.tdcore import InvariantViolation, SystemContext, TdSystem
 
+from oracles import full_subspace
+
 
 def _pipeline(ctx):
     return split_decomposition(ctx), split_sequence(ctx)
@@ -123,7 +125,7 @@ def test_non_sharp_split_sequence_rejected(x1):
     decomp, _ = _pipeline(ctx)
     fake = SystemContext(sys)
     fake.decomposition = type(decomp)(
-        subspaces=(Subspace.full(sys.field, 2),) + decomp.subspaces[1:],
+        subspaces=(full_subspace(sys.field, 2),) + decomp.subspaces[1:],
         projections=decomp.projections,
     )
     with pytest.raises(InvariantViolation):

@@ -1,0 +1,70 @@
+"""Every public function and method in src/tdlab has a caller in src/tdlab.
+
+The scan is by name: a definition counts as used when its name appears as a
+Name, an Attribute or an imported name anywhere in the package's code.  What
+only tests need lives in tests/ (oracles.py or the one test file that uses
+it).  The allowlist names the few entry points kept for callers outside the
+package, each with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+import tdlab
+
+SRC = Path(tdlab.__file__).resolve().parent
+
+ALLOWED = {
+    "matrices.Matrix.from_ints": "perfbench/test_perfbench.py builds its traced matrices with it",
+    "formlab.conjecture_crosscheck": (
+        "the acceptance test's isomorphism criterion calls it; ROADMAP item 2 decides whether "
+        "the fuzz isomorphism stage takes it over or it is deleted"
+    ),
+}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, bare name) of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(node.name):
+            yield f"{module}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(item.name):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _scan():
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined.update(_definitions(path.stem, tree))
+        used.update(_references(tree))
+    return defined, used
+
+
+def test_every_public_definition_has_a_caller_in_src():
+    defined, used = _scan()
+    unused = sorted(q for q, name in defined.items() if name not in used and q not in ALLOWED)
+    assert unused == [], f"public definitions that nothing in src/tdlab calls: {unused}"
+
+
+def test_allowlist_entries_exist_and_need_the_exemption():
+    defined, used = _scan()
+    for qualified in ALLOWED:
+        assert qualified in defined, f"{qualified} is allowlisted but no longer defined"
+        assert defined[qualified] not in used, f"{qualified} now has a caller in src; drop it from ALLOWED"

@@ -152,7 +152,7 @@ def test_exhaustive_gfp_rejects_large_spaces():
     a = Matrix.from_ints(f, [[1, 0], [0, 0]])
     sys = TdSystem(f, 2, a, a, (f.one, f.zero), (f.one, f.zero))
     with pytest.raises(ValueError):
-        check_irreducible(SystemContext(sys), strategy="exhaustive_gfp", exhaustive_limit=100)
+        check_irreducible(SystemContext(sys), strategy="exhaustive_gfp")
 
 
 def test_assume_strategy_recorded():
