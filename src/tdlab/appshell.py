@@ -483,7 +483,7 @@ def relations_stage(ctx: SystemContext):
     orbit = _gate(checks, "orbit/relatives_validate", lambda: d4.compute_orbit(ctx))
     if orbit is None:
         return checks, None
-    checks.append(sp.zeta_star_check(sys, ctx.zetas, orbit["swap"]["zetas"]))
+    checks.append(sp.zeta_star_check(ctx.zetas, orbit["swap"]["zetas"]))
     checks.extend(d4.zeta_relations_check(sys, qd, orbit))
     return checks, {}
 

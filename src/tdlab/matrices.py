@@ -12,7 +12,9 @@ generate.
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import product as _cartesian
+from math import gcd, lcm
 from operator import mul
 
 from .scalars import Field, FieldError, FpElement, PrimeField
@@ -101,13 +103,10 @@ class Matrix:
                 return Matrix(
                     field, [[FpElement(field, sum(map(mul, row, col))) for col in cols] for row in rows]
                 )
-            bt = tuple(zip(*other.data))
+            rows = [_scaled(row) for row in self.data]
+            cols = [_scaled(col) for col in zip(*other.data)]
             return Matrix(
-                self.field,
-                [
-                    [_dot(row, col) for col in bt]
-                    for row in self.data
-                ],
+                field, [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in rows]
             )
         return self.scale(other)
 
@@ -141,7 +140,8 @@ class Matrix:
             p = field.p
             vec = _values(p, vec)
             return tuple(FpElement(field, sum(map(mul, _values(p, row), vec))) for row in self.data)
-        return tuple(_dot(row, vec) for row in self.data)
+        vec, dv = _scaled(vec)
+        return tuple(Fraction(sum(map(mul, r, vec)), dr * dv) for r, dr in map(_scaled, self.data))
 
     def is_zero(self) -> bool:
         zero = self.field.zero
@@ -178,19 +178,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _dot(u, v):
-    # zero-skip: the operators here are bidiagonal or low-rank, so sparse
-    # terms dominate and skipping them avoids most exact-arithmetic calls
-    acc = None
-    for a, b in zip(u, v):
-        if a and b:
-            acc = a * b if acc is None else acc + a * b
-    if acc is None:
-        for a in u:
-            return a - a  # zero of the right field
-    return acc
-
-
 def rref(m: Matrix):
     """Reduced row-echelon form.
 
@@ -211,8 +198,8 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix):
-    """Determinant: the product of the pivots that SpanBuilder.add divides
-    the rows by, negated once per pair of rows added out of pivot order."""
+    """Determinant: the product of the pivots that SpanBuilder.add returns,
+    negated once per pair of rows added out of pivot order."""
     if not m.is_square():
         raise MatrixError("determinant of a non-square matrix")
     span = SpanBuilder(m.field, m.cols)
@@ -296,7 +283,8 @@ class Subspace:
             p = self.field.p
             rows = [_values(p, row) for row in self.basis]
             return not any(_reduce_mod(p, self.pivots, rows, _values(p, vec)))
-        return not any(_reduce(self.pivots, self.basis, vec))
+        rows = [_scaled(row)[0] for row in self.basis]
+        return not any(_reduce_int(self.pivots, rows, _scaled(vec)[0])[0])
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -398,15 +386,33 @@ def image(m: Matrix) -> Subspace:
     return Subspace.from_vectors(m.field, m.rows, zip(*m.data))
 
 
-def _reduce(pivots, rows, vec):
-    """vec minus the combination of echelon rows (unit pivots, in pivot
-    order) that clears it at every pivot column."""
-    v = list(vec)
+def _scaled(vec):
+    """(numerators, d): a vector of rationals as integers over their least
+    common denominator d."""
+    dens = [a.denominator for a in vec if isinstance(a, (Fraction, int))]
+    if len(dens) != len(vec):
+        raise FieldError("mixed fields: a vector entry is not rational")
+    d = lcm(*dens)
+    if d == 1:
+        return [a.numerator for a in vec], 1
+    return [a.numerator * (d // b) for a, b in zip(vec, dens)], d
+
+
+def _reduce_int(pivots, rows, v):
+    """(w, s): the integer vector v cleared at every pivot column, by the
+    fraction-free steps v <- (r v - v[c] row) / gcd(r, v[c]) against echelon
+    rows whose pivot r = row[c] need not be 1.  Clearing the rational
+    vector v by the same rows with unit pivots gives w / s."""
+    s = 1
     for c, row in zip(pivots, rows):
         f = v[c]
         if f:
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
+            r = row[c]
+            g = gcd(r, f)
+            r, f = r // g, f // g
+            v = [r * a - f * b for a, b in zip(v, row)]
+            s *= r
+    return v, s
 
 
 def _values(p, vec):
@@ -418,9 +424,9 @@ def _values(p, vec):
 
 
 def _reduce_mod(p, pivots, rows, v):
-    """_reduce on residues: rows and v are int lists, rows in [0, p) with
-    unit pivots.  Each step reads one entry mod p, so the others are
-    reduced once, at the end."""
+    """v cleared at every pivot column, on residues: rows and v are int
+    lists, rows in [0, p) with unit pivots.  Each step reads one entry mod
+    p, so the others are reduced once, at the end."""
     for c, row in zip(pivots, rows):
         f = v[c] % p
         if f:
@@ -432,11 +438,12 @@ class SpanBuilder:
     """Incrementally row-reduced span of vectors: the package's one row
     reduction, behind rref, det and every Subspace.
 
-    Rows are kept in echelon form with unit pivots, sorted by pivot column;
-    a new row is inserted at its place.  reduced_rows back-substitutes once
-    to the rref, so rows are never fully reduced on every add.  Over GF(p)
-    the rows are lists of residues in [0, p), wrapped as field elements only
-    by reduced_rows.
+    Rows are kept in echelon form, sorted by pivot column; a new row is
+    inserted at its place.  reduced_rows back-substitutes once to the rref,
+    so rows are never fully reduced on every add.  Rows are int lists,
+    wrapped as field elements only by reduced_rows: over GF(p) residues in
+    [0, p) with unit pivots, over Q integer rows with gcd 1 whose pivot
+    entry is any nonzero integer.
     """
 
     def __init__(self, field: Field, ambient: int):
@@ -447,8 +454,10 @@ class SpanBuilder:
         self.inversions = 0  # pairs of rows added out of pivot order
 
     def add(self, vec):
-        """Add vec to the span.  Returns the nonzero scalar its new row was
-        divided by, or None if vec already lay in the span."""
+        """Add vec to the span.  Returns the pivot entry of vec once reduced
+        against the span's rows scaled to unit pivots (the scalar a
+        unit-pivot elimination divides the new row by), or None if vec
+        already lay in the span."""
         if isinstance(self.field, PrimeField):
             p = self.field.p
             v = _reduce_mod(p, self.pivots, self.rows, _values(p, vec))
@@ -458,11 +467,13 @@ class SpanBuilder:
                     self._insert(c, [x * inv % p for x in v])
                     return FpElement(self.field, a)
             return None
-        v = _reduce(self.pivots, self.rows, vec)
+        v, d = _scaled(vec)
+        v, s = _reduce_int(self.pivots, self.rows, v)
         for c, a in enumerate(v):
             if a:
-                self._insert(c, [x / a for x in v])
-                return a
+                g = gcd(*v)
+                self._insert(c, [x // g for x in v])
+                return Fraction(a, d * s)
         return None
 
     def _insert(self, c, row):
@@ -475,28 +486,24 @@ class SpanBuilder:
         if isinstance(self.field, PrimeField):
             p = self.field.p
             return not any(_reduce_mod(p, self.pivots, self.rows, _values(p, vec)))
-        return not any(_reduce(self.pivots, self.rows, vec))
+        return not any(_reduce_int(self.pivots, self.rows, _scaled(vec)[0])[0])
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def reduced_rows(self):
-        """The rref basis of the span, by one back-substitution."""
+        """The rref basis of the span, by one back-substitution: bottom up,
+        each row is cleared against the reduced rows below it."""
         rows = list(self.rows)
         if isinstance(self.field, PrimeField):
-            # bottom up, each row is cleared against the rref rows below it
             p = self.field.p
             for k in range(len(rows) - 2, -1, -1):
                 rows[k] = _reduce_mod(p, self.pivots[k + 1 :], rows[k + 1 :], rows[k])
             return [[FpElement(self.field, a) for a in row] for row in rows]
-        for k in range(len(rows) - 1, 0, -1):
-            c, pivot_row = self.pivots[k], rows[k]
-            for i in range(k):
-                f = rows[i][c]
-                if f:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], pivot_row)]
-        return rows
+        for k in range(len(rows) - 2, -1, -1):
+            rows[k] = _reduce_int(self.pivots[k + 1 :], rows[k + 1 :], rows[k])[0]
+        return [[Fraction(a, row[c]) for a in row] for row, c in zip(rows, self.pivots)]
 
     def subspace(self) -> Subspace:
         return Subspace(self.field, self.ambient, self.reduced_rows(), self.pivots)

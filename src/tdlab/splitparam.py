@@ -332,7 +332,7 @@ def vanishing_check(ctx: SystemContext):
     return checks
 
 
-def zeta_star_check(sys: TdSystem, zetas, zetas_star):
+def zeta_star_check(zetas, zetas_star):
     """The split sequence equals that of the operator-swapped system."""
     ok = tuple(zetas) == tuple(zetas_star)
     witness = None if ok else {"zeta": zetas, "zeta_star": zetas_star}

@@ -69,6 +69,13 @@ def test_shape_and_field_mismatch():
         SpanBuilder(PrimeField(7), 1).add(eleven)
     with pytest.raises(FieldError):
         full_subspace(PrimeField(7), 1).contains(eleven)
+    seven = (PrimeField(7).from_int(1), PrimeField(7).from_int(2))
+    with pytest.raises(FieldError):
+        M([[1, 2]]).apply(seven)
+    with pytest.raises(FieldError):
+        SpanBuilder(QQ, 2).add(seven)
+    with pytest.raises(FieldError):
+        full_subspace(QQ, 2).contains(seven)
 
 
 def test_rref_example():
@@ -296,46 +303,53 @@ def _oracle_cases(field, seed):
             yield _random_matrix(field, rng, rows, cols)
 
 
+def _assert_elimination_matches_gauss_jordan(m, oracle_m):
+    # rref, rank, kernel, solve, det and inverse of m against the oracles
+    # run on oracle_m, the same matrix with every entry a field value
+    field = m.field
+    r, rk, pivots = _gauss_jordan(oracle_m)
+    assert rref(m) == (r, rk, pivots)
+    assert rank(m) == rk
+    zero, one = field.zero, field.one
+    free = [c for c in range(m.cols) if c not in pivots]
+    oracle_kernel = []
+    for f in free:
+        v = [zero] * m.cols
+        v[f] = one
+        for k, c in enumerate(pivots):
+            v[c] = -r.data[k][f]
+        oracle_kernel.append(v)
+    if oracle_kernel:
+        kr, krk, _ = _gauss_jordan(Matrix(field, oracle_kernel))
+        assert kernel(m).basis == kr.data[:krk]
+    else:
+        assert kernel(m).is_zero()
+    rhs = tuple(field.from_int(k + 1) for k in range(m.rows))
+    aug_r, _, aug_pivots = _gauss_jordan(Matrix(field, [list(row) + [b] for row, b in zip(oracle_m.data, rhs)]))
+    if m.cols in aug_pivots:
+        assert solve(m, rhs) is None
+    else:
+        x = [zero] * m.cols
+        for k, c in enumerate(aug_pivots):
+            x[c] = aug_r.data[k][m.cols]
+        assert solve(m, rhs) == tuple(x)
+    if m.is_square():
+        assert det(m) == _leibniz_det(oracle_m)
+        if rk < m.rows:
+            with pytest.raises(MatrixError):
+                inverse(m)
+        else:
+            ident = Matrix.identity(field, m.rows)
+            aug = _gauss_jordan(Matrix(field, [list(a) + list(b) for a, b in zip(oracle_m.data, ident.data)]))[0]
+            assert inverse(m) == Matrix(field, [row[m.cols :] for row in aug.data])
+
+
 @pytest.mark.parametrize(
     "field", [QQ, PrimeField(7), PrimeField(10007)], ids=["Q", "GF7", "GF10007"]
 )
 def test_elimination_matches_gauss_jordan(field):
     for m in _oracle_cases(field, 41):
-        r, rk, pivots = _gauss_jordan(m)
-        assert rref(m) == (r, rk, pivots)
-        assert rank(m) == rk
-        zero, one = field.zero, field.one
-        free = [c for c in range(m.cols) if c not in pivots]
-        oracle_kernel = []
-        for f in free:
-            v = [zero] * m.cols
-            v[f] = one
-            for k, c in enumerate(pivots):
-                v[c] = -r.data[k][f]
-            oracle_kernel.append(v)
-        if oracle_kernel:
-            kr, krk, _ = _gauss_jordan(Matrix(field, oracle_kernel))
-            assert kernel(m).basis == kr.data[:krk]
-        else:
-            assert kernel(m).is_zero()
-        rhs = tuple(field.from_int(k + 1) for k in range(m.rows))
-        aug_r, _, aug_pivots = _gauss_jordan(Matrix(field, [list(row) + [b] for row, b in zip(m.data, rhs)]))
-        if m.cols in aug_pivots:
-            assert solve(m, rhs) is None
-        else:
-            x = [zero] * m.cols
-            for k, c in enumerate(aug_pivots):
-                x[c] = aug_r.data[k][m.cols]
-            assert solve(m, rhs) == tuple(x)
-        if m.is_square():
-            assert det(m) == _leibniz_det(m)
-            if rk < m.rows:
-                with pytest.raises(MatrixError):
-                    inverse(m)
-            else:
-                ident = Matrix.identity(field, m.rows)
-                aug = _gauss_jordan(Matrix(field, [list(a) + list(b) for a, b in zip(m.data, ident.data)]))[0]
-                assert inverse(m) == Matrix(field, [row[m.cols :] for row in aug.data])
+        _assert_elimination_matches_gauss_jordan(m, m)
 
 
 def test_det_sign_follows_row_order():
@@ -361,7 +375,7 @@ def _extreme_matrix(field, rng, rows, cols):
 
 
 def _schoolbook_product(a, b):
-    # independent oracle: one FpElement product and sum per term
+    # independent oracle: one field product and sum per term
     return Matrix(
         a.field,
         [
@@ -404,3 +418,57 @@ def test_gfp_kernels_match_schoolbook_arithmetic(p):
                 assert span.contains(v) == space.contains(v) == expected
                 outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def _rational_matrix(rng, rows, cols, zero_lines):
+    # entries p/q with |p| up to 10^6 and q up to 10^3, a quarter of them
+    # plain ints; with zero_lines, one zero row and one zero column
+    zero_row, zero_col = (rng.randrange(rows), rng.randrange(cols)) if zero_lines else (-1, -1)
+
+    def entry(i, j):
+        if i == zero_row or j == zero_col:
+            return 0 if rng.randrange(2) else F(0)
+        num = rng.randint(-(10**6), 10**6)
+        return num if rng.randrange(4) == 0 else F(num, rng.randint(1, 1000))
+
+    return Matrix(QQ, [[entry(i, j) for j in range(cols)] for i in range(rows)])
+
+
+def _as_fractions(m):
+    return Matrix(QQ, [[F(a) for a in row] for row in m.data])
+
+
+def test_q_kernels_match_fraction_arithmetic():
+    # the integer kernels against Fraction arithmetic, on entries with real
+    # denominators: products and apply against the schoolbook product, the
+    # elimination against Gauss-Jordan and Leibniz, membership against a
+    # Gauss-Jordan rank count
+    rng = SplitMix64(97)
+    ranks, outcomes = set(), set()
+    for rows, cols in ((4, 4), (5, 5), (3, 6), (6, 3), (2, 7), (7, 2)):
+        cases = [_rational_matrix(rng, rows, cols, False), _rational_matrix(rng, rows, cols, True)]
+        for k in range(1, min(rows, cols)):
+            left, right = _rational_matrix(rng, rows, k, False), _rational_matrix(rng, k, cols, False)
+            cases.append(_schoolbook_product(_as_fractions(left), _as_fractions(right)))
+        for m in cases:
+            exact = _as_fractions(m)
+            _assert_elimination_matches_gauss_jordan(m, exact)
+            rk = _gauss_jordan(exact)[1]
+            ranks.add(rk == min(rows, cols))
+            other = _rational_matrix(rng, cols, 3, rng.randrange(2) == 0)
+            product = m * other
+            assert product == _schoolbook_product(exact, _as_fractions(other))
+            assert all(type(x) is F for row in product.data for x in row)
+            column = tuple(row[1] for row in other.data)
+            assert m.apply(column) == tuple(row[1] for row in product.data)
+            span = SpanBuilder(QQ, cols)
+            for row in m.data:
+                span.add(row)
+            space = Subspace.from_vectors(QQ, cols, m.data)
+            combos = _rational_matrix(rng, 2, rows, False) * m
+            vectors = [*combos.data, *_rational_matrix(rng, 2, cols, True).data, (F(0),) * cols]
+            for v in vectors:
+                expected = _gauss_jordan(Matrix(QQ, [*exact.data, [F(a) for a in v]]))[1] == rk
+                assert span.contains(v) == space.contains(v) == expected
+                outcomes.add(expected)
+    assert ranks == outcomes == {True, False}

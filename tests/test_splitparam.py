@@ -132,11 +132,10 @@ def test_non_sharp_split_sequence_rejected(x1):
         split_sequence(fake)
 
 
-def test_zeta_star_check_flags_mismatch(x1):
-    sys, _ = x1
-    good = zeta_star_check(sys, (F(1), F(1)), (F(1), F(1)))
+def test_zeta_star_check_flags_mismatch():
+    good = zeta_star_check((F(1), F(1)), (F(1), F(1)))
     assert good.status == "pass"
-    bad = zeta_star_check(sys, (F(1), F(1)), (F(1), F(2)))
+    bad = zeta_star_check((F(1), F(1)), (F(1), F(2)))
     assert bad.status == "fail"
 
 
