@@ -178,6 +178,10 @@ def load_system(path: str):
             doc = json.load(fh)
     except FileNotFoundError as err:
         raise InputError(f"no such file: {path}") from err
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path} is not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise InputError(f"invalid JSON in {path}: {err}") from err
     return system_from_document(doc)
@@ -651,7 +655,10 @@ def fuzz_run(config: RunConfig, out_dir: str | None = None):
         "checks": checks_json,
     }
     if out_dir is not None:
-        _write_artifacts(out_dir, config, results, counterexamples, iso_counterexamples, doc)
+        try:
+            _write_artifacts(out_dir, config, results, counterexamples, iso_counterexamples, doc)
+        except OSError as err:
+            raise InputError(f"cannot write to {out_dir}: {err.strerror or err}") from err
     return doc
 
 

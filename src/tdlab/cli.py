@@ -109,8 +109,11 @@ def cmd_gen(args) -> int:
     ctx = app.gen_leonard_split(field, thetas, thetas_star, phis)
     doc = app.document_from_system(ctx.sys)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(app.dumps_document(doc))
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(app.dumps_document(doc))
+        except OSError as err:
+            raise app.InputError(f"cannot write {args.output}: {err.strerror or err}") from err
     extra = {"system": doc} if not args.output else {}
     return _emit(_report_doc(field, ctx.report.checks, extra))
 

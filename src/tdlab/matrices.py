@@ -302,62 +302,32 @@ class Subspace:
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
 
 
-def _check_ambient(s: Subspace, t: Subspace):
+def sum_and_meet(s: Subspace, t: Subspace):
+    """(S + T, S ∩ T).
+
+    The sum is the span of the union of the bases; the meet is read off the
+    kernel of the stacked bases.  The two are separate eliminations, so the
+    modular law dim S + dim T = dim(S+T) + dim(S∩T), asserted on every call,
+    cross-checks one against the other.
+    """
     if s.ambient != t.ambient or s.field != t.field:
         raise MatrixError("subspace operands live in different ambient spaces")
-
-
-def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
-    _check_ambient(s, t)
-    out = Subspace.from_vectors(s.field, s.ambient, list(s.basis) + list(t.basis))
-    _assert_modular_law(s, t, total=out)
-    return out
-
-
-def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
-    _check_ambient(s, t)
-    out = _intersect_raw(s, t)
-    _assert_modular_law(s, t, meet=out)
-    return out
-
-
-def _intersect_raw(s: Subspace, t: Subspace) -> Subspace:
+    field, ambient = s.field, s.ambient
+    total = Subspace.from_vectors(field, ambient, s.basis + t.basis)
     if s.is_zero() or t.is_zero():
-        return Subspace.zero(s.field, s.ambient)
-    # x in S∩T  <=>  x = a·S = b·T; solve the stacked system for (a, b).
-    cols = []
-    for row in s.basis:
-        cols.append(list(row))
-    for row in t.basis:
-        cols.append([-a for a in row])
-    stacked = Matrix(s.field, cols).transpose()  # ambient x (dimS+dimT)
-    ker = kernel_vectors(stacked)
-    vecs = []
-    for coeffs in ker:
-        a = coeffs[: s.dim]
-        vec = _combine(s.field, s.ambient, s.basis, a)
-        vecs.append(vec)
-    return Subspace.from_vectors(s.field, s.ambient, vecs)
-
-
-def _combine(field, ambient, basis, coeffs):
-    acc = [field.zero] * ambient
-    for c, row in zip(coeffs, basis):
-        if c != field.zero:
-            acc = [x + c * y for x, y in zip(acc, row)]
-    return tuple(acc)
-
-
-def _assert_modular_law(s: Subspace, t: Subspace, total=None, meet=None):
-    # dim S + dim T = dim(S+T) + dim(S∩T), asserted on every call.
-    if total is None:
-        total = Subspace.from_vectors(s.field, s.ambient, list(s.basis) + list(t.basis))
-    if meet is None:
-        meet = _intersect_raw(s, t)
+        meet = Subspace.zero(field, ambient)
+    else:
+        # x in S∩T  <=>  x = a·S = b·T; solve the stacked system for (a, b).
+        stacked = Matrix(field, s.basis + (-Matrix(field, t.basis)).data).transpose()
+        combine = Matrix(field, s.basis).transpose()  # a -> a·S
+        meet = Subspace.from_vectors(
+            field, ambient, [combine.apply(k[: s.dim]) for k in kernel_vectors(stacked)]
+        )
     if s.dim + t.dim != total.dim + meet.dim:
         raise MatrixError(
             f"modular dimension law violated: {s.dim}+{t.dim} != {total.dim}+{meet.dim}"
         )
+    return total, meet
 
 
 def kernel_vectors(m: Matrix):

@@ -191,12 +191,6 @@ class RationalField:
     def descriptor(self) -> dict:
         return {"kind": "rational"}
 
-    def inv(self, a):
-        a = Fraction(a)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -244,12 +238,6 @@ class PrimeField:
 
     def descriptor(self) -> dict:
         return {"kind": "prime", "modulus": self.p}
-
-    def inv(self, a):
-        a = self._as_element(a)
-        if not a:
-            raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
-        return a ** (-1)
 
     def _as_element(self, x) -> FpElement:
         if isinstance(x, FpElement):

@@ -27,6 +27,7 @@ from .tdcore import (
     SystemContext,
     TdSystem,
     _linear_products,
+    projections,
 )
 
 
@@ -52,6 +53,10 @@ def _ensure(cond: bool, message: str, witness=None):
         raise InvariantViolation(message, witness)
 
 
+def _sum(s: Subspace, t: Subspace) -> Subspace:
+    return mx.sum_and_meet(s, t)[0]
+
+
 def split_decomposition(ctx: SystemContext) -> SplitDecomposition:
     """Build the split summands and their projections, asserting everything.
 
@@ -62,15 +67,14 @@ def split_decomposition(ctx: SystemContext) -> SplitDecomposition:
     """
     sys, e_fam = ctx.sys, ctx.e_fam
     field, n, d = sys.field, sys.n, sys.d
-    lower = list(accumulate(ctx.estar_fam.eigenspaces, mx.subspace_sum))
-    upper = list(accumulate(reversed(e_fam.eigenspaces), mx.subspace_sum))[::-1]
-    subspaces = [mx.subspace_intersect(lower[i], upper[i]) for i in range(d + 1)]
+    lower = list(accumulate(ctx.estar_fam.eigenspaces, _sum))
+    upper = list(accumulate(reversed(e_fam.eigenspaces), _sum))[::-1]
+    subspaces = [mx.sum_and_meet(lower[i], upper[i])[1] for i in range(d + 1)]
 
     running = Subspace.zero(field, n)
     for i in range(d + 1):
-        overlap = mx.subspace_intersect(running, subspaces[i])
+        running, overlap = mx.sum_and_meet(running, subspaces[i])
         _ensure(overlap.is_zero(), f"split summand {i} meets the earlier sum", overlap)
-        running = mx.subspace_sum(running, subspaces[i])
         _ensure(
             running == lower[i],
             f"partial sum of split summands differs from dual eigenspace sum at {i}",
@@ -79,7 +83,7 @@ def split_decomposition(ctx: SystemContext) -> SplitDecomposition:
 
     tail = Subspace.zero(field, n)
     for i in range(d, -1, -1):
-        tail = mx.subspace_sum(tail, subspaces[i])
+        tail = _sum(tail, subspaces[i])
         _ensure(
             tail == upper[i],
             f"tail sum of split summands differs from primary eigenspace sum at {i}",
@@ -106,43 +110,9 @@ def split_decomposition(ctx: SystemContext) -> SplitDecomposition:
             f"split summand {i} has dimension {subspaces[i].dim}, expected {e_fam.ranks[i]}",
         )
 
-    projections = _projections(field, n, subspaces)
-    return SplitDecomposition(subspaces=tuple(subspaces), projections=tuple(projections))
-
-
-def _projections(field, n, subspaces):
-    """Projections onto each summand along the direct sum.
-
-    One inversion of the concatenated-basis matrix serves all of them.
-    """
-    cols = []
-    blocks = []
-    at = 0
-    for s in subspaces:
-        cols.extend(list(s.basis))
-        blocks.append((at, at + s.dim))
-        at += s.dim
-    change = Matrix(field, cols).transpose()  # columns are the concatenated bases
-    change_inv = mx.inverse(change)
-    projections = []
-    ident = Matrix.identity(field, n)
-    total = Matrix.zeros(field, n, n)
-    for (lo, hi), s in zip(blocks, subspaces):
-        block_cols = Matrix(field, [change.data[r][lo:hi] for r in range(n)])
-        block_rows = Matrix(field, change_inv.data[lo:hi])
-        f = block_cols * block_rows
-        _ensure(f * f == f, "split projection is not idempotent")
-        _ensure(mx.image(f) == s, "split projection image differs from its summand")
-        for v in s.basis:
-            _ensure(f.apply(v) == tuple(v), "split projection does not fix its summand")
-        projections.append(f)
-        total = total + f
-    _ensure(total == ident, "split projections do not sum to the identity")
-    for i, fi in enumerate(projections):
-        for j, fj in enumerate(projections):
-            if i != j:
-                _ensure((fi * fj).is_zero(), "split projections are not orthogonal")
-    return projections
+    return SplitDecomposition(
+        subspaces=tuple(subspaces), projections=tuple(projections(field, n, subspaces))
+    )
 
 
 def split_sequence(ctx: SystemContext):

@@ -53,9 +53,6 @@ class Check:
     status: str
     witness: object = None
 
-    def ok(self) -> bool:
-        return self.status == PASS
-
 
 @dataclass
 class VerificationReport:
@@ -240,13 +237,52 @@ def _alternating(sigma: list, tau: list) -> list:
     return [tau[0]] + [s * t for s, t in zip(sigma[1:], tau[1:])]
 
 
+def projections(field: Field, n: int, subspaces) -> list:
+    """The projections of K^n onto each summand of a direct sum, along the
+    others; a zero summand projects to the zero matrix.
+
+    One inversion of the matrix whose columns are the concatenated bases
+    serves all of them.  Asserted: each projection is idempotent, has its
+    summand as image and fixes it; they sum to the identity and are
+    pairwise orthogonal.
+    """
+    change = Matrix(field, [v for s in subspaces for v in s.basis]).transpose()
+    change_inv = mx.inverse(change)
+    out = []
+    total = Matrix.zeros(field, n, n)
+    lo = 0
+    for i, s in enumerate(subspaces):
+        hi = lo + s.dim
+        if lo == hi:
+            f = Matrix.zeros(field, n, n)
+        else:
+            block = Matrix(field, [row[lo:hi] for row in change.data])
+            f = block * Matrix(field, change_inv.data[lo:hi])
+        lo = hi
+        if f * f != f:
+            raise InvariantViolation(f"projection {i} is not idempotent")
+        if mx.image(f) != s:
+            raise InvariantViolation(f"projection {i} has an image other than its summand")
+        if any(f.apply(v) != v for v in s.basis):
+            raise InvariantViolation(f"projection {i} does not fix its summand")
+        out.append(f)
+        total = total + f
+    if total != Matrix.identity(field, n):
+        raise InvariantViolation("projections do not sum to the identity")
+    for (i, fi), (j, fj) in product(enumerate(out), repeat=2):
+        if i != j and not (fi * fj).is_zero():
+            raise InvariantViolation(f"projections {i} and {j} are not orthogonal")
+    return out
+
+
 def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
-    """The Lagrange-product idempotent family of a diagonalizable operator.
+    """The primitive idempotents of a diagonalizable operator, in the order of
+    thetas: the projections along its eigenspace decomposition.
 
     Raises NotDiagonalizableError when the eigenvalue list does not exhaust
-    the space, and ValueError on a repeated eigenvalue.  All family
-    invariants (partition of identity, orthogonality, eigen-relation,
-    eigenspace match) are asserted before returning.
+    the space, and ValueError on a repeated eigenvalue.  Asserted before
+    returning, besides what projections asserts: the eigen-relation, the
+    operator as the eigenvalue-weighted sum, and each rank.
     """
     field = m.field
     thetas = tuple(thetas)
@@ -261,49 +297,22 @@ def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
             "eigenvalue list does not exhaust the space",
             defect={"kernel_dims": [s.dim for s in spaces], "n": n},
         )
-    mats = []
-    for i, ti in enumerate(thetas):
-        others = thetas[:i] + thetas[i + 1 :]
-        scale = field.one
-        for tj in others:
-            scale = scale / (ti - tj)
-        mats.append(_linear_products(m, others)[-1].scale(scale))
-    fam = IdempotentFamily(
+    mats = projections(field, n, spaces)
+    recon = Matrix.zeros(field, n, n)
+    for t, e, space in zip(thetas, mats, spaces):
+        if not (m * e - e.scale(t)).is_zero():
+            raise InvariantViolation("idempotent fails the eigen-relation")
+        if mx.rank(e) != space.dim:
+            raise InvariantViolation("idempotent rank differs from eigenspace dimension")
+        recon = recon + e.scale(t)
+    if recon != m:
+        raise InvariantViolation("operator is not the eigenvalue-weighted idempotent sum")
+    return IdempotentFamily(
         mats=tuple(mats),
         eigenvalues=thetas,
         eigenspaces=tuple(spaces),
         ranks=tuple(s.dim for s in spaces),
     )
-    _assert_family_invariants(m, fam)
-    return fam
-
-
-def _assert_family_invariants(m: Matrix, fam: IdempotentFamily):
-    field = m.field
-    n = m.rows
-    ident = Matrix.identity(field, n)
-    total = Matrix.zeros(field, n, n)
-    recon = Matrix.zeros(field, n, n)
-    for t, e in zip(fam.eigenvalues, fam.mats):
-        total = total + e
-        recon = recon + e.scale(t)
-        if not (m * e - e.scale(t)).is_zero():
-            raise InvariantViolation("idempotent fails the eigen-relation")
-    if total != ident:
-        raise InvariantViolation("idempotents do not sum to the identity")
-    if recon != m:
-        raise InvariantViolation("operator is not the eigenvalue-weighted idempotent sum")
-    for i, ei in enumerate(fam.mats):
-        for j, ej in enumerate(fam.mats):
-            prod = ei * ej
-            expected = ei if i == j else Matrix.zeros(field, n, n)
-            if prod != expected:
-                raise InvariantViolation(f"idempotent product E_{i}E_{j} wrong")
-    for e, space, rk in zip(fam.mats, fam.eigenspaces, fam.ranks):
-        if mx.rank(e) != rk:
-            raise InvariantViolation("idempotent rank differs from eigenspace dimension")
-        if mx.image(e) != space:
-            raise InvariantViolation("idempotent image differs from the eigenspace")
 
 
 def check_tridiagonal(sys: TdSystem, e_fam: IdempotentFamily, estar_fam: IdempotentFamily):

@@ -3,9 +3,11 @@
 Each one is the direct, slow construction of something the package now
 computes another way, or a fixture builder only tests need: the intertwiner
 space as the kernel of the n^2-unknown Sylvester system (the package spins
-one vector instead), Horner evaluation of a polynomial at a matrix (the
-package reads its operator tables), the standard orderings by full
-enumeration, the whole space as a subspace, and the golden d=1 instance.
+one vector instead), the primitive idempotents as Lagrange products (the
+package projects along the eigenspace decomposition), Horner evaluation of a
+polynomial at a matrix (the package reads its operator tables), the standard
+orderings by full enumeration, the whole space as a subspace, and the golden
+d=1 instance.
 """
 
 from fractions import Fraction as F
@@ -52,6 +54,24 @@ def intertwiner_matrices(a, astar, b, bstar):
     space = intertwiner_space(a, astar, b, bstar)
     n = a.rows
     return [Matrix.from_vec(a.field, row, n, n) for row in space.basis]
+
+
+def lagrange_idempotents(m, thetas):
+    """E_i = prod over j != i of (m - theta_j I) / (theta_i - theta_j).
+
+    On an operator diagonalizable with eigenvalues among thetas these are
+    its primitive idempotents: the Lagrange basis polynomials evaluated at m.
+    """
+    field = m.field
+    ident = Matrix.identity(field, m.rows)
+    out = []
+    for i, ti in enumerate(thetas):
+        e = ident
+        for j, tj in enumerate(thetas):
+            if j != i:
+                e = e * (m - ident.scale(tj)).scale(field.one / (ti - tj))
+        out.append(e)
+    return out
 
 
 def full_subspace(field, ambient):

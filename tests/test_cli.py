@@ -168,6 +168,25 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert run(["verify", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{dir}"],
+        ["verify", "{dir}/latin1.json"],
+        ["gen", "leonard", "--theta=1,0", "--theta-star=1,0", "--phi=1", "-o", "{dir}/no/such/x.json"],
+        ["fuzz", "--trials", "1", "--seed", "1", "--d-max", "1", "--field", "p=10007", "-o", "{dir}/latin1.json"],
+    ],
+    ids=["directory", "not-utf8", "gen-output-dir-missing", "fuzz-output-is-a-file"],
+)
+def test_unusable_files_exit_two(argv, tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes('{"format": "tdlab/1", "note": "\xe9"}'.encode("latin-1"))
+    assert run([a.format(dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_bad_field_spec_exits_two(tmp_path):
     assert run(["gen", "leonard", "--theta=1,0", "--theta-star=1,0", "--phi=1", "--field=p=6"]) == 2
 

@@ -1,0 +1,102 @@
+"""The primitive idempotents against the Lagrange products they replace.
+
+`primitive_idempotents` reads each E_i off the eigenspace decomposition with
+`tdcore.projections`; tests/oracles.py builds the same family as Lagrange
+products in the operator.  The inputs are every golden document, the
+candidates of `fuzz --trials 25 --seed 7` over both fields, the benchmark's
+Krawtchouk pairs over both fields, and A = I with an eigenvalue that has no
+eigenvector.
+"""
+
+import json
+
+import pytest
+
+from tdlab import matrices as mx
+from tdlab.appshell import RunConfig, _random_candidate, system_from_document
+from tdlab.cli import run
+from tdlab.matrices import Matrix, MatrixError, Subspace
+from tdlab.rng import SplitMix64, trial_seed
+from tdlab.scalars import PrimeField, RationalField
+from tdlab.tdcore import InvariantViolation, primitive_idempotents, projections
+
+from oracles import lagrange_idempotents
+from test_spin import GOLDEN_SYSTEMS, kraw
+
+QQ = RationalField()
+GF = PrimeField(10007)
+
+IDENTITY = {
+    "format": "tdlab/1",
+    "field": {"kind": "rational"},
+    "dimension": 2,
+    "A": [["1", "0"], ["0", "1"]],
+    "Astar": [["1", "0"], ["0", "1"]],
+    "theta": ["1", "2"],
+    "theta_star": ["1", "2"],
+}
+
+
+def assert_matches_lagrange(sys):
+    for m, thetas in ((sys.A, sys.thetas), (sys.Astar, sys.thetas_star)):
+        fam = primitive_idempotents(m, thetas)
+        assert list(fam.mats) == lagrange_idempotents(m, thetas)
+        assert list(fam.ranks) == [mx.rank(e) for e in fam.mats]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SYSTEMS))
+def test_idempotents_match_lagrange_on_golden_documents(name):
+    assert_matches_lagrange(GOLDEN_SYSTEMS[name]())
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF"])
+def test_idempotents_match_lagrange_on_the_fuzz_candidates(field):
+    # every candidate, accepted or not: each operator is bidiagonal with
+    # distinct eigenvalues on its diagonal, so it is diagonalizable
+    config = RunConfig(seed=7, trials=25, field=field)
+    for index in range(config.trials):
+        rng = SplitMix64(trial_seed(config.seed, index))
+        assert_matches_lagrange(_random_candidate(config, rng, rng.randint(1, config.d_max)).sys)
+
+
+@pytest.mark.parametrize("prime", [None, kraw.PRIME], ids=["Q", "GF"])
+@pytest.mark.parametrize("shape", sorted(kraw.SHAPES))
+def test_idempotents_match_lagrange_on_krawtchouk_pairs(shape, prime):
+    params = (2, 3, 5)[: len(kraw.SHAPES[shape])]
+    sys, _ = system_from_document(kraw.krawtchouk_document(shape, params, prime))
+    assert_matches_lagrange(sys)
+    assert primitive_idempotents(sys.A, sys.thetas).ranks == shape
+
+
+def test_an_eigenvalue_without_eigenvectors_gets_the_zero_idempotent(tmp_path, capsys):
+    sys, _ = system_from_document(IDENTITY)
+    assert_matches_lagrange(sys)
+    fam = primitive_idempotents(sys.A, sys.thetas)
+    assert fam.mats == (Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 2))
+    assert fam.ranks == (2, 0)
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(IDENTITY), encoding="utf-8")
+    assert run(["verify", "--json", str(path)]) == 3  # no strategy decides this reducible pair
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("A", "Astar"):
+        assert checks[f"idempotents/{name}"] == {
+            "id": f"idempotents/{name}", "status": "pass", "witness": {"ranks": [2, 0]}
+        }
+
+
+def test_projections_assert_the_sum_to_the_identity(monkeypatch):
+    # a wrong inverse whose blocks still give idempotents that fix their lines
+    lines = [Subspace.from_vectors(QQ, 2, [row]) for row in Matrix.identity(QQ, 2).data]
+    units = [Matrix.from_ints(QQ, [[1, 0], [0, 0]]), Matrix.from_ints(QQ, [[0, 0], [0, 1]])]
+    assert projections(QQ, 2, lines) == units
+    monkeypatch.setattr(mx, "inverse", lambda m: Matrix.from_ints(QQ, [[1, 0], [1, 1]]))
+    with pytest.raises(InvariantViolation, match="do not sum to the identity"):
+        projections(QQ, 2, lines)
+
+
+def test_projections_need_a_direct_sum():
+    line = Subspace.from_vectors(QQ, 2, [(QQ.one, QQ.one)])
+    with pytest.raises(MatrixError):
+        projections(QQ, 2, [line, line])
+    with pytest.raises(MatrixError):
+        projections(QQ, 2, [line, Subspace.zero(QQ, 2)])

@@ -17,8 +17,7 @@ from tdlab.matrices import (
     rank,
     rref,
     solve,
-    subspace_intersect,
-    subspace_sum,
+    sum_and_meet,
 )
 from tdlab.rng import SplitMix64
 from tdlab.scalars import FieldError, FpElement, PrimeField, RationalField
@@ -121,11 +120,25 @@ def test_kernel_dimension_theorem():
 def test_subspace_ops():
     e0 = Subspace.from_vectors(QQ, 2, [(F(1), F(0))])
     e1 = Subspace.from_vectors(QQ, 2, [(F(0), F(1))])
-    assert subspace_sum(e0, e1).is_full()
-    assert subspace_intersect(e0, e1).is_zero()
-    assert subspace_intersect(e0, e0) == e0
+    assert sum_and_meet(e0, e1)[0].is_full()
+    assert sum_and_meet(e0, e1)[1].is_zero()
+    assert sum_and_meet(e0, e0)[1] == e0
     with pytest.raises(MatrixError):
-        subspace_sum(e0, Subspace.from_vectors(QQ, 3, [(F(1), F(0), F(0))]))
+        sum_and_meet(e0, Subspace.from_vectors(QQ, 3, [(F(1), F(0), F(0))]))
+    # the ambient check comes before the shortcut for a zero operand
+    with pytest.raises(MatrixError):
+        sum_and_meet(e0, Subspace.zero(QQ, 3))
+    with pytest.raises(MatrixError):
+        sum_and_meet(Subspace.zero(QQ, 2), Subspace.zero(PrimeField(13), 2))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(13)])
+def test_sum_and_meet_with_a_zero_operand(field):
+    zero = Subspace.zero(field, 3)
+    s = Subspace.from_vectors(field, 3, [(field.one, field.one, field.zero)])
+    for a, b in ((zero, s), (s, zero)):
+        assert sum_and_meet(a, b) == (s, zero)
+    assert sum_and_meet(zero, zero) == (zero, zero)
 
 
 def test_modular_law_on_random_subspaces():
@@ -133,8 +146,7 @@ def test_modular_law_on_random_subspaces():
     for _ in range(20):
         s = Subspace.from_vectors(QQ, 5, [_random_matrix(QQ, rng, 1, 5).data[0] for _ in range(2)])
         t = Subspace.from_vectors(QQ, 5, [_random_matrix(QQ, rng, 1, 5).data[0] for _ in range(3)])
-        total = subspace_sum(s, t)
-        meet = subspace_intersect(s, t)
+        total, meet = sum_and_meet(s, t)
         assert s.dim + t.dim == total.dim + meet.dim
         for outer, inner in ((total, s), (total, t), (s, meet), (t, meet)):
             assert all(outer.contains(row) for row in inner.basis)

@@ -1,7 +1,9 @@
 """Every public function and method in src/tdlab has a caller in src/tdlab.
 
-The scan is by name: a definition counts as used when its name appears as a
-Name, an Attribute or an imported name anywhere in the package's code.  What
+The scan is by name: a function counts as used when its name appears as a
+Name, an Attribute or an imported name anywhere in the package's code, and a
+method only when its name appears as an Attribute, so a local variable of the
+same name does not hide an unused method.  What
 only tests need lives in tests/ (oracles.py or the one test file that uses
 it).  The allowlist names the few entry points kept for callers outside the
 package, each with its reason.
@@ -28,24 +30,28 @@ def _public(name: str) -> bool:
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, bare name) of each module-level function and method."""
+    """(qualified name, (kind, bare name)) of each module-level function and
+    method; kind is "function" or "method"."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(node.name):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", ("function", node.name)
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(item.name):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield f"{module}.{node.name}.{item.name}", ("method", item.name)
 
 
 def _references(tree: ast.Module):
+    """(kind, name) pairs: every reference can reach a function, only an
+    Attribute can reach a method."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield "function", node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield "function", node.attr
+            yield "method", node.attr
         elif isinstance(node, ast.alias):
-            yield node.name
+            yield "function", node.name
 
 
 def _scan():
