@@ -9,7 +9,9 @@ report bytes.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
@@ -516,12 +518,12 @@ def orbit_stage(ctx: SystemContext):
 
 
 def form_stage(ctx: SystemContext):
-    form, checks = fl.invariant_form(ctx)
-    if form is None:
+    gram, checks = fl.invariant_form(ctx)
+    if gram is None:
         return checks, {}
-    checks.extend(fl.form_checks(form, ctx))
-    checks.extend(fl.anti_automorphism(form, ctx)[1])
-    return checks, {"gram": form.gram}
+    checks.extend(fl.form_checks(gram, ctx))
+    checks.extend(fl.anti_automorphism(gram, ctx)[1])
+    return checks, {"gram": gram}
 
 
 def dual_stage(ctx: SystemContext):
@@ -609,8 +611,12 @@ def fuzz_run(config: RunConfig, out_dir: str | None = None):
     Accepted instances all go through the complete identity suite plus the
     isomorphism cross-checks; any identity failure or verdict/array
     disagreement is serialized as a counterexample artifact (into out_dir
-    when given) and fails the run.
+    when given) and fails the run.  out_dir is created before the first
+    trial, so an unusable path fails before any work is done.
     """
+    if out_dir is not None:
+        with _writing_to(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
     results = _run_all_trials(config)
     field = config.field
     checks_json = []
@@ -655,11 +661,18 @@ def fuzz_run(config: RunConfig, out_dir: str | None = None):
         "checks": checks_json,
     }
     if out_dir is not None:
-        try:
+        with _writing_to(out_dir):
             _write_artifacts(out_dir, config, results, counterexamples, iso_counterexamples, doc)
-        except OSError as err:
-            raise InputError(f"cannot write to {out_dir}: {err.strerror or err}") from err
     return doc
+
+
+@contextmanager
+def _writing_to(out_dir: str):
+    """Map an OSError while writing into out_dir to an InputError."""
+    try:
+        yield
+    except OSError as err:
+        raise InputError(f"cannot write to {out_dir}: {err.strerror or err}") from err
 
 
 def _run_all_trials(config: RunConfig):
@@ -676,28 +689,20 @@ def _isomorphism_stage(config: RunConfig, results):
     Every accepted instance is tested against two seeded conjugated copies
     (expected isomorphic) and its order-reversed relative (expected not
     isomorphic when the reversed sequence differs); instances sharing a
-    parameter array must be pairwise isomorphic.  Returns the checks and
-    one (trial, kind, failed check) per disagreement, kind being
-    "conjugate", "reversed" or "equal-array pair".
+    parameter array must be pairwise isomorphic.  Each case is (trial, kind,
+    check id, other context, expected verdict), in report order; a verdict
+    raising InvariantViolation is "error".  Returns the checks and one
+    (trial, kind, failed check) per disagreement, kind being "conjugate",
+    "reversed" or "equal-array pair".
     """
     field = config.field
-    checks = []
-    disagreements = []
     accepted = [r for r in results if r.accepted and not r.failed_identity]
+    cases = []
     arrays = {}
     for r in accepted:
         sys = r.context.sys
         key = tuple(field.format(z) for z in (*sys.thetas, *sys.thetas_star, *r.context.zetas))
         arrays.setdefault((sys.n, key), []).append(r)
-
-    def tested_verdict(a, b):
-        try:
-            return fl.isomorphism_test(a, b)
-        except InvariantViolation as err:
-            return "error", {"error": str(err)}
-
-    for r in accepted:
-        sys = r.context.sys
         rng = SplitMix64(trial_seed(r.seed, 0xC0))
         for k in range(2):
             p = _random_invertible(field, rng, sys.n)
@@ -705,47 +710,32 @@ def _isomorphism_stage(config: RunConfig, results):
             conj = TdSystem(
                 field, sys.n, p * sys.A * p_inv, p * sys.Astar * p_inv, sys.thetas, sys.thetas_star
             )
-            verdict, payload = tested_verdict(r.context, SystemContext(conj))
-            ok = verdict == "isomorphic"
-            checks.append(
-                Check(
-                    f"trial_{r.index:04d}/conjugate_{k}",
-                    PASS if ok else FAIL,
-                    None if ok else {"verdict": verdict, "detail": payload.get("reason") or payload.get("error")},
-                )
+            cases.append(
+                (r, "conjugate", f"trial_{r.index:04d}/conjugate_{k}", SystemContext(conj), "isomorphic")
             )
-            if not ok:
-                disagreements.append((r, "conjugate", checks[-1]))
         rev = d4.relative_context(r.context, d4.REV_PRIMARY)
         if tuple(rev.sys.thetas) != tuple(sys.thetas):
-            verdict, payload = tested_verdict(r.context, rev)
-            ok = verdict == "not_isomorphic"
-            checks.append(
-                Check(
-                    f"trial_{r.index:04d}/reversed_relative",
-                    PASS if ok else FAIL,
-                    None if ok else {"verdict": verdict},
-                )
-            )
-            if not ok:
-                disagreements.append((r, "reversed", checks[-1]))
+            cases.append((r, "reversed", f"trial_{r.index:04d}/reversed_relative", rev, "not_isomorphic"))
+    for _, (base, *others) in sorted(arrays.items()):
+        for other in others:
+            check_id = f"equal_array_pair/{base.index:04d}_{other.index:04d}"
+            cases.append((base, "equal-array pair", check_id, other.context, "isomorphic"))
 
-    for (n, key), group in sorted(arrays.items()):
-        if len(group) < 2:
+    checks = []
+    disagreements = []
+    for r, kind, check_id, other, expected in cases:
+        try:
+            verdict, payload = fl.isomorphism_test(r.context, other)
+        except InvariantViolation as err:
+            verdict, payload = "error", {"error": str(err)}
+        if verdict == expected:
+            checks.append(Check(check_id, PASS))
             continue
-        base = group[0]
-        for other in group[1:]:
-            verdict, _ = tested_verdict(base.context, other.context)
-            ok = verdict == "isomorphic"
-            checks.append(
-                Check(
-                    f"equal_array_pair/{base.index:04d}_{other.index:04d}",
-                    PASS if ok else FAIL,
-                    None if ok else {"verdict": verdict},
-                )
-            )
-            if not ok:
-                disagreements.append((base, "equal-array pair", checks[-1]))
+        witness = {"verdict": verdict}
+        if kind == "conjugate":
+            witness["detail"] = payload.get("reason") or payload.get("error")
+        checks.append(Check(check_id, FAIL, witness))
+        disagreements.append((r, kind, checks[-1]))
     return checks, disagreements
 
 
@@ -761,9 +751,6 @@ def _random_invertible(field: Field, rng: SplitMix64, n: int) -> Matrix:
 
 
 def _write_artifacts(out_dir, config, results, counterexamples, iso_counterexamples, report_doc):
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
     field = config.field
     for r in results:
         if r.accepted:

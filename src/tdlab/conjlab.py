@@ -25,7 +25,6 @@ from .tdcore import (
 
 @dataclass
 class SubalgebraBasis:
-    label: str  # D | Dstar | T | corner
     basis: list  # rref-canonical vectorized matrix basis
     dim: int
 
@@ -57,12 +56,12 @@ def generate_subalgebras(sys: TdSystem, closure):
             raise InvariantViolation(
                 f"powers of {label} are dependent below degree d+1", {"dim": space.dim}
             )
-        out[label] = SubalgebraBasis(label, _subspace_to_mats(field, n, space), space.dim)
+        out[label] = SubalgebraBasis(_subspace_to_mats(field, n, space), space.dim)
     if len(closure) < n * n:
         # the full matrix algebra is closed by definition; only proper
         # subalgebras need the quadratic membership check
         mx.assert_multiplication_closed(closure)
-    out["T"] = SubalgebraBasis("T", closure, len(closure))
+    out["T"] = SubalgebraBasis(closure, len(closure))
     return out
 
 
@@ -85,7 +84,7 @@ def corner_algebra(sys: TdSystem, t_alg: SubalgebraBasis, estar0: Matrix) -> Sub
         space = Subspace.from_vectors(field, n * n, outer)
     else:
         space = _span_of(field, n, [estar0 * x * estar0 for x in t_alg.basis])
-    return SubalgebraBasis("corner", _subspace_to_mats(field, n, space), space.dim)
+    return SubalgebraBasis(_subspace_to_mats(field, n, space), space.dim)
 
 
 def corner_algebra_checks(

@@ -36,12 +36,6 @@ SAMPLE_SEED = 0x5EED
 
 
 @dataclass
-class BilinearForm:
-    gram: Matrix
-    solution_dim: int
-
-
-@dataclass
 class AntiMap:
     conjugator: Matrix  # realizes X -> R^{-1} X^t R
     conjugator_inv: Matrix
@@ -79,7 +73,7 @@ def spin_intertwiner(ctx: SystemContext, b: Matrix, bstar: Matrix, w0):
 def invariant_form(ctx: SystemContext):
     """Solve for the compatible Gram matrices and vet the solution space.
 
-    Returns (form_or_none, checks).  On sharp validated systems the space
+    Returns (gram_or_none, checks).  On sharp validated systems the space
     must be a line; anything else is reported as a counterexample candidate
     rather than silently accepted.  When E*_0 V does not spin to V the
     solution space is undecided and form/solution_dim fails with the spin
@@ -112,7 +106,7 @@ def invariant_form(ctx: SystemContext):
     )
     if not sym or not nondeg:
         return None, checks
-    return BilinearForm(gram=g, solution_dim=dim), checks
+    return g, checks
 
 
 def _normalize_first_nonzero(m: Matrix) -> Matrix:
@@ -124,7 +118,7 @@ def _normalize_first_nonzero(m: Matrix) -> Matrix:
     raise InvariantViolation("zero matrix in an intertwiner basis")
 
 
-def form_checks(form: BilinearForm, ctx: SystemContext):
+def form_checks(g: Matrix, ctx: SystemContext):
     """Orthogonality of distinct eigenspaces and nondegenerate restrictions.
 
     With B_i stacking the basis rows of eigenspace i, the form pairs
@@ -132,7 +126,6 @@ def form_checks(form: BilinearForm, ctx: SystemContext):
     and be nonsingular for i = j.  Each check reports its first failing
     family and index, scanning i, then j.
     """
-    g = form.gram
     orthogonal = nondegenerate = None
     for label, fam in (("primary", ctx.e_fam), ("dual", ctx.estar_fam)):
         stacks = [Matrix(g.field, space.basis) for space in fam.eigenspaces]
@@ -150,14 +143,14 @@ def form_checks(form: BilinearForm, ctx: SystemContext):
     ]
 
 
-def anti_automorphism(form: BilinearForm, ctx: SystemContext):
+def anti_automorphism(g: Matrix, ctx: SystemContext):
     """The transpose-conjugation map attached to the form, plus its checks.
 
     The deterministic sample for the involution/trace/anti-multiplicativity
     spot checks contains both operators, every idempotent, and seeded
     products of them.
     """
-    sys, g = ctx.sys, form.gram
+    sys = ctx.sys
     dagger = AntiMap(conjugator=g, conjugator_inv=mx.inverse(g))
     checks = []
     fixed = dagger.apply(sys.A) == sys.A and dagger.apply(sys.Astar) == sys.Astar
@@ -293,22 +286,3 @@ def isomorphism_test(ctx1: SystemContext, ctx2: SystemContext):
         if gamma * f1 != f2 * gamma:
             raise InvariantViolation("intertwiner fails an idempotent relation")
     return "isomorphic", {"gamma": gamma, "intertwiner_dim": len(basis)}
-
-
-def conjecture_crosscheck(verdict: str, array1, array2):
-    """Agreement between the isomorphism verdict and array equality.
-
-    A disagreement in either direction is the empirical counterexample the
-    whole harness exists to hunt for; callers serialize it.
-    """
-    same_array = (
-        tuple(array1.thetas) == tuple(array2.thetas)
-        and tuple(array1.thetas_star) == tuple(array2.thetas_star)
-        and tuple(array1.zetas) == tuple(array2.zetas)
-    )
-    agree = (verdict == "isomorphic") == same_array
-    return Check(
-        "iso/array_agreement",
-        PASS if agree else FAIL,
-        None if agree else {"verdict": verdict, "same_array": same_array},
-    )

@@ -26,7 +26,6 @@ from .tdcore import (
     InvariantViolation,
     SystemContext,
     TdSystem,
-    _linear_products,
     projections,
 )
 
@@ -55,6 +54,14 @@ def _ensure(cond: bool, message: str, witness=None):
 
 def _sum(s: Subspace, t: Subspace) -> Subspace:
     return mx.sum_and_meet(s, t)[0]
+
+
+def _shifted(m: Matrix, thetas, v) -> tuple:
+    """(m - theta I) applied to v once per theta in `thetas`, as m v - theta v:
+    the shifted matrices are never built."""
+    for theta in thetas:
+        v = tuple(a - theta * b for a, b in zip(m.apply(v), v))
+    return v
 
 
 def split_decomposition(ctx: SystemContext) -> SplitDecomposition:
@@ -89,17 +96,14 @@ def split_decomposition(ctx: SystemContext) -> SplitDecomposition:
             f"tail sum of split summands differs from primary eigenspace sum at {i}",
         )
 
-    ident = Matrix.identity(field, n)
     for i in range(d + 1):
-        raised = [(sys.A - ident.scale(sys.thetas[i])).apply(v) for v in subspaces[i].basis]
+        raised = [_shifted(sys.A, sys.thetas[i : i + 1], v) for v in subspaces[i].basis]
         target_up = subspaces[i + 1] if i + 1 <= d else Subspace.zero(field, n)
         _ensure(
             all(target_up.contains(v) for v in raised),
             f"(A - theta_{i}) does not raise split summand {i}",
         )
-        lowered = [
-            (sys.Astar - ident.scale(sys.thetas_star[i])).apply(v) for v in subspaces[i].basis
-        ]
+        lowered = [_shifted(sys.Astar, sys.thetas_star[i : i + 1], v) for v in subspaces[i].basis]
         target_down = subspaces[i - 1] if i - 1 >= 0 else Subspace.zero(field, n)
         _ensure(
             all(target_down.contains(v) for v in lowered),
@@ -385,34 +389,25 @@ def parameter_array(sys: TdSystem, zetas) -> ParameterArray:
     return ParameterArray(tuple(sys.thetas), tuple(sys.thetas_star), tuple(zetas))
 
 
-def _invariant_operator(sys: TdSystem, i: int) -> Matrix:
-    """The middle alternating product that preserves split summand i:
-    (A* - theta*_{i+1})...(A* - theta*_{d-i}) (A - theta_i)...(A - theta_{d-i-1})."""
-    d = sys.d
-    lowering = _linear_products(sys.Astar, sys.thetas_star[i + 1 : d - i + 1])[-1]
-    if 2 * i == d:
-        return lowering  # both products are empty
-    return lowering * _linear_products(sys.A, sys.thetas[i : d - i])[-1]
-
-
 def problems_report(ctx: SystemContext):
     """Instance data for the open questions: restriction spectra, the
     cross-trace table, and the split projections.
 
-    For each i up to d/2, the alternating middle product restricted to split
-    summand i is expressed in the stored basis, its invertibility asserted,
-    and its characteristic polynomial reported (coefficients only; no
-    factoring).
+    For each i up to d/2, the alternating middle product
+    (A* - theta*_{i+1})...(A* - theta*_{d-i}) (A - theta_i)...(A - theta_{d-i-1}),
+    which preserves split summand i, is restricted to it and expressed in the
+    stored basis, its invertibility asserted, and its characteristic
+    polynomial reported (coefficients only; no factoring).
     """
     sys, decomp, e_fam, estar_fam = ctx.sys, ctx.decomposition, ctx.e_fam, ctx.estar_fam
     field, d = sys.field, sys.d
     restrictions = []
     for i in range(d // 2 + 1):
-        op = _invariant_operator(sys, i)
         s = decomp.subspaces[i]
         cols = []
         for v in s.basis:
-            w = op.apply(v)
+            raised = _shifted(sys.A, sys.thetas[i : d - i], v)
+            w = _shifted(sys.Astar, sys.thetas_star[i + 1 : d - i + 1], raised)
             _ensure(s.contains(w), f"alternating product leaves split summand {i}")
             cols.append([w[c] for c in s.pivots])  # coordinates in the rref basis
         restriction = Matrix(field, cols).transpose()

@@ -57,10 +57,8 @@ class Check:
 @dataclass
 class VerificationReport:
     checks: list = dc_field(default_factory=list)
-    reducibility_witness: Subspace | None = None
     shape: tuple | None = None
     sharp: bool | None = None
-    irreducibility_strategy: str | None = None
 
     def add(self, check: Check):
         self.checks.append(check)
@@ -585,9 +583,7 @@ def validate(
         strategy=options.irreducibility,
         assume_note=options.assume_note,
     )
-    report.irreducibility_strategy = used
     if verdict == "reducible":
-        report.reducibility_witness = witness
         report.add(
             Check("irreducible", FAIL, {"strategy": used, "invariant_subspace": witness})
         )

@@ -6,8 +6,9 @@ space as the kernel of the n^2-unknown Sylvester system (the package spins
 one vector instead), the primitive idempotents as Lagrange products (the
 package projects along the eigenspace decomposition), Horner evaluation of a
 polynomial at a matrix (the package reads its operator tables), the standard
-orderings by full enumeration, the whole space as a subspace, and the golden
-d=1 instance.
+orderings by full enumeration, the whole space as a subspace, the golden d=1
+instance, and the agreement of an isomorphism verdict with parameter-array
+equality (the fuzz isomorphism stage encodes it as its expected verdicts).
 """
 
 from fractions import Fraction as F
@@ -16,7 +17,7 @@ from itertools import permutations
 from tdlab.appshell import gen_leonard_split
 from tdlab.matrices import Matrix, MatrixError, Subspace, kernel
 from tdlab.scalars import FieldError, RationalField
-from tdlab.tdcore import _off_band_pair
+from tdlab.tdcore import FAIL, PASS, Check, _off_band_pair
 
 
 def intertwiner_space(a, astar, b, bstar):
@@ -109,3 +110,22 @@ def enumerate_standard_orderings(sys, e_fam, estar_fam):
 def builtin_x1():
     """The golden d=1 instance over the rationals, in its context."""
     return gen_leonard_split(RationalField(), (F(1), F(0)), (F(1), F(0)), (F(1),))
+
+
+def conjecture_crosscheck(verdict: str, array1, array2):
+    """Agreement between the isomorphism verdict and array equality.
+
+    A disagreement in either direction is the empirical counterexample the
+    fuzz harness hunts for.
+    """
+    same_array = (
+        tuple(array1.thetas) == tuple(array2.thetas)
+        and tuple(array1.thetas_star) == tuple(array2.thetas_star)
+        and tuple(array1.zetas) == tuple(array2.zetas)
+    )
+    agree = (verdict == "isomorphic") == same_array
+    return Check(
+        "iso/array_agreement",
+        PASS if agree else FAIL,
+        None if agree else {"verdict": verdict, "same_array": same_array},
+    )

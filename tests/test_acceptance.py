@@ -20,7 +20,7 @@ from tdlab.matrices import Matrix, det, inverse
 from tdlab.rng import SplitMix64, trial_seed
 from tdlab.scalars import PrimeField, RationalField
 
-from oracles import builtin_x1, enumerate_standard_orderings
+from oracles import builtin_x1, conjecture_crosscheck, enumerate_standard_orderings
 
 QQ = RationalField()
 GFBIG = PrimeField(10007)
@@ -117,12 +117,13 @@ def test_criterion_1_golden_instance():
     for c in d4.zeta_relations_check(sys, d4.q_extract(sys), orbit):
         assert c.status == "pass", c
 
-    form, fchecks = fl.invariant_form(ctx)
+    gram, fchecks = fl.invariant_form(ctx)
     assert all(c.status == "pass" for c in fchecks)
-    assert form.solution_dim == 1
-    assert form.gram == Matrix.from_ints(QQ, [[1, 1], [1, -1]])
-    assert det(form.gram) == F(-2)
-    dagger, achecks = fl.anti_automorphism(form, ctx)
+    solution = next(c for c in fchecks if c.id == "form/solution_dim").witness
+    assert solution["solution_dim"] == 1
+    assert gram == Matrix.from_ints(QQ, [[1, 1], [1, -1]])
+    assert det(gram) == F(-2)
+    dagger, achecks = fl.anti_automorphism(gram, ctx)
     assert all(c.status == "pass" for c in achecks)
     assert dagger.apply(sys.A) == sys.A and dagger.apply(sys.Astar) == sys.Astar
 
@@ -261,7 +262,7 @@ def test_criterion_5_isomorphism_suite():
             conj_array = sp.ParameterArray(
                 conj.thetas, conj.thetas_star, sp.split_sequence(conj_ctx)
             )
-            if fl.conjecture_crosscheck(verdict, array, conj_array).status != "pass":
+            if conjecture_crosscheck(verdict, array, conj_array).status != "pass":
                 disagreements += 1
 
         rev = d4.apply_relative(sys, d4.REV_PRIMARY)
@@ -270,7 +271,7 @@ def test_criterion_5_isomorphism_suite():
             assert verdict == "not_isomorphic"
             rev_orbit_zetas = d4.compute_orbit(ctx)["rev_primary"]["zetas"]
             rev_array = sp.ParameterArray(rev.thetas, rev.thetas_star, rev_orbit_zetas)
-            if fl.conjecture_crosscheck(verdict, array, rev_array).status != "pass":
+            if conjecture_crosscheck(verdict, array, rev_array).status != "pass":
                 disagreements += 1
 
     assert disagreements == 0
@@ -296,7 +297,7 @@ def test_criterion_6_negative_instances():
     sys = td.TdSystem(QQ, 2, diag, diag, (F(1), F(0)), (F(1), F(0)))
     report = td.validate(sys)
     assert report.overall == "fail"
-    w = report.reducibility_witness
+    w = next(c for c in report.checks if c.id == "irreducible").witness["invariant_subspace"]
     assert w is not None and 0 < w.dim < 2
     for m in (sys.A, sys.Astar):
         for v in w.basis:
@@ -307,7 +308,7 @@ def test_criterion_6_negative_instances():
     ctx2 = gen_leonard_split(QQ, (F(1), F(0)), (F(1), F(0)), (F(0),))
     sys2, report2 = ctx2.sys, ctx2.report
     assert report2.overall == "fail"
-    w2 = report2.reducibility_witness
+    w2 = next(c for c in report2.checks if c.id == "irreducible").witness["invariant_subspace"]
     assert w2 is not None and w2.contains((F(0), F(1)))
     for m in (sys2.A, sys2.Astar):
         for v in w2.basis:

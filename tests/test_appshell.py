@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from tdlab.appshell import (
     FORMAT_SYSTEM,
     InputError,
     RunConfig,
+    _isomorphism_stage,
     conjectures_stage,
     document_from_system,
     dumps_document,
@@ -273,3 +275,60 @@ def test_failed_gate_stops_the_suite(x1, monkeypatch, module, name, gate):
     assert [c.id for c in checks] == full[: full.index(gate) + 1]
     assert checks[-1].status == "fail"
     assert checks[-1].witness == {"error": "injected failure"}
+
+
+def _equal_array_pair():
+    """One accepted trial and a copy of it under another index: two accepted
+    results sharing one parameter array."""
+    cfg = RunConfig(seed=1, trials=2, d_max=1, field=PrimeField(10007))
+    first = run_trial(cfg, 0)
+    assert first.accepted and not first.failed_identity
+    return cfg, [first, dataclasses.replace(first, index=1)]
+
+
+def test_isomorphism_stage_runs_every_case_kind():
+    cfg, results = _equal_array_pair()
+    checks, disagreements = _isomorphism_stage(cfg, results)
+    per_trial = ["conjugate_0", "conjugate_1", "reversed_relative"]
+    assert [c.id for c in checks] == [
+        *(f"trial_0000/{k}" for k in per_trial),
+        *(f"trial_0001/{k}" for k in per_trial),
+        "equal_array_pair/0000_0001",
+    ]
+    assert all(c.status == "pass" and c.witness is None for c in checks)
+    assert disagreements == []
+
+
+def test_isomorphism_stage_flags_an_equal_array_pair_judged_not_isomorphic(monkeypatch):
+    cfg, results = _equal_array_pair()
+    monkeypatch.setattr(fl, "isomorphism_test", lambda a, b: ("not_isomorphic", {}))
+    checks, disagreements = _isomorphism_stage(cfg, results)
+    pair = checks[-1]
+    assert pair.id == "equal_array_pair/0000_0001"
+    assert pair.status == "fail" and pair.witness == {"verdict": "not_isomorphic"}
+    assert [(r.index, kind, c.id) for r, kind, c in disagreements] == [
+        (0, "conjugate", "trial_0000/conjugate_0"),
+        (0, "conjugate", "trial_0000/conjugate_1"),
+        (1, "conjugate", "trial_0001/conjugate_0"),
+        (1, "conjugate", "trial_0001/conjugate_1"),
+        (0, "equal-array pair", "equal_array_pair/0000_0001"),
+    ]
+
+
+def test_isomorphism_stage_maps_an_invariant_violation_to_the_error_verdict(monkeypatch):
+    cfg, results = _equal_array_pair()
+
+    def boom(a, b):
+        raise InvariantViolation("boom")
+
+    monkeypatch.setattr(fl, "isomorphism_test", boom)
+    checks, disagreements = _isomorphism_stage(cfg, results)
+    assert all(c.status == "fail" for c in checks)
+    for c in checks:
+        if "/conjugate_" in c.id:
+            assert c.witness == {"verdict": "error", "detail": "boom"}
+        else:
+            assert c.witness == {"verdict": "error"}
+    assert [kind for _, kind, _ in disagreements] == [
+        "conjugate", "conjugate", "reversed", "conjugate", "conjugate", "reversed", "equal-array pair",
+    ]

@@ -187,6 +187,21 @@ def test_unusable_files_exit_two(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("target", ["file", "file/sub"], ids=["existing-file", "under-a-file"])
+def test_fuzz_unusable_output_fails_before_any_trial(target, tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the output directory was checked")
+
+    monkeypatch.setattr(app, "run_trial", no_trial)
+    argv = ["fuzz", "--trials", "2", "--seed", "1", "--field", "p=10007", "-o", str(tmp_path / target)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write to ") and captured.err.count("\n") == 1
+
+
 def test_bad_field_spec_exits_two(tmp_path):
     assert run(["gen", "leonard", "--theta=1,0", "--theta-star=1,0", "--phi=1", "--field=p=6"]) == 2
 

@@ -215,7 +215,7 @@ def test_chain_work_is_bounded_in_depth(monkeypatch):
 
 def _artificial_corner(field, second):
     ident = Matrix.identity(field, 2)
-    return SubalgebraBasis("corner", [ident, second], 2)
+    return SubalgebraBasis([ident, second], 2)
 
 
 def test_field_check_exhaustive_finds_zero_divisor():
@@ -258,7 +258,7 @@ def test_field_check_noncommutative_rejected():
     f = PrimeField(3)
     a = Matrix.from_ints(f, [[0, 1], [0, 0]])
     b = Matrix.from_ints(f, [[0, 0], [1, 0]])
-    corner = SubalgebraBasis("corner", [Matrix.identity(f, 2), a, b, a * b], 4)
+    corner = SubalgebraBasis([Matrix.identity(f, 2), a, b, a * b], 4)
     verdict, _ = field_check(f, corner, Matrix.identity(f, 2), 4)
     assert verdict == "not_field"
 

@@ -5,9 +5,7 @@ import pytest
 from tdlab import d4orbit as d4
 from tdlab.appshell import system_from_document
 from tdlab.formlab import (
-    BilinearForm,
     anti_automorphism,
-    conjecture_crosscheck,
     dual_system,
     invariant_form,
     isomorphism_test,
@@ -18,6 +16,7 @@ from tdlab.rng import SplitMix64
 from tdlab.scalars import FieldError, PrimeField, RationalField
 from tdlab.splitparam import ParameterArray
 from tdlab.tdcore import SystemContext, TdSystem, validate
+from oracles import conjecture_crosscheck
 from test_golden import KRAW_GF
 
 QQ = RationalField()
@@ -25,29 +24,30 @@ QQ = RationalField()
 
 def test_x1_gram_matrix(x1):
     _, ctx = x1
-    form, checks = invariant_form(ctx)
+    gram, checks = invariant_form(ctx)
     assert all(c.status == "pass" for c in checks)
-    assert form.solution_dim == 1
-    assert form.gram == Matrix.from_ints(QQ, [[1, 1], [1, -1]])
-    assert det(form.gram) == F(-2)
+    solution = next(c for c in checks if c.id == "form/solution_dim").witness
+    assert solution["solution_dim"] == 1
+    assert gram == Matrix.from_ints(QQ, [[1, 1], [1, -1]])
+    assert det(gram) == F(-2)
 
 
 def test_x1_form_orthogonality_numbers(x1):
     # G maps (0,1) to (1,-1); the first eigenspace basis (1,1) pairs to zero
     _, ctx = x1
-    form, _ = invariant_form(ctx)
-    gu = form.gram.apply((F(0), F(1)))
+    gram, _ = invariant_form(ctx)
+    gu = gram.apply((F(0), F(1)))
     assert gu == (F(1), F(-1))
     assert sum(a * b for a, b in zip((F(1), F(1)), gu)) == F(0)
-    checks = form_checks(form, ctx)
+    checks = form_checks(gram, ctx)
     assert all(c.status == "pass" for c in checks)
 
 
 def test_x1_restriction_value(x1):
     _, ctx = x1
-    form, _ = invariant_form(ctx)
+    gram, _ = invariant_form(ctx)
     v = (F(1), F(1))  # spans the first primary eigenspace
-    assert sum(a * b for a, b in zip(v, form.gram.apply(v))) == F(2)
+    assert sum(a * b for a, b in zip(v, gram.apply(v))) == F(2)
 
 
 def test_d0_gram_is_scalar():
@@ -55,15 +55,15 @@ def test_d0_gram_is_scalar():
     a = Matrix(f, [[f.from_int(5)]])
     astar = Matrix(f, [[f.from_int(7)]])
     sys = TdSystem(f, 1, a, astar, (f.from_int(5),), (f.from_int(7),))
-    form, checks = invariant_form(SystemContext(sys))
+    gram, checks = invariant_form(SystemContext(sys))
     assert all(c.status == "pass" for c in checks)
-    assert form.gram == Matrix.identity(f, 1)
+    assert gram == Matrix.identity(f, 1)
 
 
 def test_x1_anti_automorphism(x1):
     sys, ctx = x1
-    form, _ = invariant_form(ctx)
-    dagger, checks = anti_automorphism(form, ctx)
+    gram, _ = invariant_form(ctx)
+    dagger, checks = anti_automorphism(gram, ctx)
     assert all(c.status == "pass" for c in checks)
     assert dagger.apply(sys.A) == sys.A
     assert dagger.apply(sys.Astar) == sys.Astar
@@ -188,7 +188,7 @@ def test_form_checks_witnesses_match_the_vector_scan(fixture, request):
     seen = set()
     for _ in range(40):
         g = Matrix(field, [[field.from_int(rng.randrange(2)) for _ in range(n)] for _ in range(n)])
-        checks = form_checks(BilinearForm(gram=g, solution_dim=1), ctx)
+        checks = form_checks(g, ctx)
         expected = _form_checks_by_vectors(g, ctx)
         assert tuple(c.witness for c in checks) == expected
         assert [c.status for c in checks] == ["pass" if w is None else "fail" for w in expected]

@@ -84,11 +84,11 @@ def assert_spin_matches_oracles(sys, conjugate_seed=1):
     assert ctx.absolutely_irreducible
     assert ctx.closure == burnside.closure  # the solved closure, rref-canonical
 
-    form, checks = fl.invariant_form(ctx)
+    gram, checks = fl.invariant_form(ctx)
     solved = intertwiner_matrices(sys.A, sys.Astar, sys.A.transpose(), sys.Astar.transpose())
     assert len(solved) == 1
     assert checks[0].witness == {"solution_dim": 1}
-    assert form.gram == solved[0]
+    assert gram == solved[0]
 
     p = _invertible(sys.field, SplitMix64(conjugate_seed), n)
     p_inv = mx.inverse(p)
@@ -142,9 +142,9 @@ def test_spin_matches_oracles_on_the_n16_pair():
         "detail": {"line": "Estar_0", "spin_dim": n, "dual_spin_dim": n},
     }
     assert ctx.closure == burnside.closure
-    form, _ = fl.invariant_form(ctx)
+    gram, _ = fl.invariant_form(ctx)
     solved = intertwiner_matrices(sys.A, sys.Astar, sys.A.transpose(), sys.Astar.transpose())
-    assert [form.gram] == solved
+    assert [gram] == solved
 
 
 def _fuzz_corpus(field):
@@ -165,7 +165,7 @@ def test_spin_matches_oracles_on_the_fuzz_corpus(field):
     assert len(corpus) >= 10
     for index, ctx in corpus:
         # fuzz validates with eigen_subset, which also earns the shortcut
-        assert ctx.report.irreducibility_strategy == "eigen_subset"
+        assert next(c for c in ctx.report.checks if c.id == "irreducible").witness["strategy"] == "eigen_subset"
         assert ctx.absolutely_irreducible
         assert ctx.closure == assert_spin_matches_oracles(ctx.sys, conjugate_seed=index)
 

@@ -1,12 +1,14 @@
-"""Every public function and method in src/tdlab has a caller in src/tdlab.
+"""Every public function and method in src/tdlab has a caller in src/tdlab,
+and every dataclass field is read there.
 
 The scan is by name: a function counts as used when its name appears as a
 Name, an Attribute or an imported name anywhere in the package's code, and a
 method only when its name appears as an Attribute, so a local variable of the
-same name does not hide an unused method.  What
-only tests need lives in tests/ (oracles.py or the one test file that uses
-it).  The allowlist names the few entry points kept for callers outside the
-package, each with its reason.
+same name does not hide an unused method.  A field counts as read only when
+its name appears as an Attribute in Load context, so a field that is only
+assigned is flagged.  What only tests need lives in tests/ (oracles.py or the
+one test file that uses it).  The allowlist names the few entry points kept
+for callers outside the package, each with its reason.
 """
 
 import ast
@@ -18,10 +20,6 @@ SRC = Path(tdlab.__file__).resolve().parent
 
 ALLOWED = {
     "matrices.Matrix.from_ints": "perfbench/test_perfbench.py builds its traced matrices with it",
-    "formlab.conjecture_crosscheck": (
-        "the acceptance test's isomorphism criterion calls it; ROADMAP item 2 decides whether "
-        "the fuzz isomorphism stage takes it over or it is deleted"
-    ),
 }
 
 
@@ -54,11 +52,41 @@ def _references(tree: ast.Module):
             yield "function", node.name
 
 
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def _fields(module: str, tree: ast.Module):
+    """(qualified name, bare name) of each field of a module-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{module}.{node.name}.{item.target.id}", item.target.id
+
+
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _field_scan():
+    fields, read = {}, set()
+    for module, tree in _trees():
+        fields.update(_fields(module, tree))
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    return fields, read
+
+
 def _scan():
     defined, used = {}, set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        defined.update(_definitions(path.stem, tree))
+    for module, tree in _trees():
+        defined.update(_definitions(module, tree))
         used.update(_references(tree))
     return defined, used
 
@@ -74,3 +102,9 @@ def test_allowlist_entries_exist_and_need_the_exemption():
     for qualified in ALLOWED:
         assert qualified in defined, f"{qualified} is allowlisted but no longer defined"
         assert defined[qualified] not in used, f"{qualified} now has a caller in src; drop it from ALLOWED"
+
+
+def test_every_dataclass_field_is_read_in_src():
+    fields, read = _field_scan()
+    unread = sorted(q for q, name in fields.items() if name not in read)
+    assert unread == [], f"dataclass fields that nothing in src/tdlab reads: {unread}"

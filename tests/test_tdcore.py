@@ -66,7 +66,7 @@ def test_reducible_diagonal_pair_rejected():
     sys = _diag_pair()
     report = validate(sys)
     assert report.overall == "fail"
-    w = report.reducibility_witness
+    w = next(c for c in report.checks if c.id == "irreducible").witness["invariant_subspace"]
     assert w is not None and 0 < w.dim < 2
     # re-verify the witness by hand: both operators stabilize it
     for m in (sys.A, sys.Astar):
@@ -79,7 +79,7 @@ def test_phi_zero_candidate_rejected():
 
     report = gen_leonard_split(QQ, (F(1), F(0)), (F(1), F(0)), (F(0),)).report
     assert report.overall == "fail"
-    w = report.reducibility_witness
+    w = next(c for c in report.checks if c.id == "irreducible").witness["invariant_subspace"]
     assert w is not None
     assert w.contains((F(0), F(1)))
 
@@ -158,8 +158,8 @@ def test_exhaustive_gfp_rejects_large_spaces():
 def test_assume_strategy_recorded():
     sys = _diag_pair()
     report = validate(sys, ValidateOptions(irreducibility="assume", assume_note="trusted input"))
-    assert report.irreducibility_strategy == "assume"
     irr = next(c for c in report.checks if c.id == "irreducible")
+    assert irr.witness["strategy"] == "assume"
     assert irr.status == "pass"
     assert "trusted input" in str(irr.witness)
 

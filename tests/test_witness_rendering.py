@@ -197,7 +197,7 @@ def test_parameter_array_conditions():
 def test_corner_field_rational_root():
     m = Matrix(QQ, [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(3)]])
     ident = Matrix.identity(QQ, 3)
-    corner = SubalgebraBasis("corner", [ident, m, m * m], 3)
+    corner = SubalgebraBasis([ident, m, m * m], 3)
     assert _rendered(QQ, field_check(QQ, corner, ident, 3)[1]) == [
         {"id": "conj/corner_dim_matches_rank", "status": "pass", "witness": {"corner_dim": 3, "rank": 3}},
         {"id": "conj/corner_field", "status": "fail",
