@@ -677,9 +677,11 @@ def _writing_to(out_dir: str):
 
 def _run_all_trials(config: RunConfig):
     trial = partial(run_trial, config)
-    if config.jobs == 1:
+    # a pool starts all its workers at once: no more than trials or CPUs
+    workers = min(config.jobs, config.trials, os.cpu_count() or 1)
+    if workers == 1:
         return [trial(i) for i in range(config.trials)]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(trial, range(config.trials)))
 
 

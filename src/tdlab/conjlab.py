@@ -217,7 +217,7 @@ def field_check(field, corner: SubalgebraBasis, estar0: Matrix, estar0_rank: int
         return "field", checks
 
     if isinstance(field, PrimeField) and field.p**dim <= EXHAUSTIVE_LIMIT:
-        witness = _exhaustive_zero_divisor(field, mats, estar0)
+        witness = _exhaustive_zero_divisor(field, mats)
         if witness is not None:
             checks.append(Check("conj/corner_field", FAIL, {"zero_divisor_coeffs": witness}))
             return "not_field", checks
@@ -248,7 +248,7 @@ def _structure_constants(field, mats):
     ]
 
 
-def _exhaustive_zero_divisor(field: PrimeField, mats, estar0):
+def _exhaustive_zero_divisor(field: PrimeField, mats):
     """Coefficient vector of a nonzero non-invertible element, or None.
 
     Works on precomputed structure constants so the scan touches only
@@ -273,8 +273,8 @@ def _exhaustive_zero_divisor(field: PrimeField, mats, estar0):
 
 
 def _rational_field_check(field, corner: SubalgebraBasis, estar0, checks):
-    gen = _corner_generator(field, corner, estar0)
-    minpoly = _minimal_polynomial(field, corner, estar0, gen)
+    gen = _corner_generator(corner, estar0)
+    minpoly = _minimal_polynomial(field, estar0, gen)
     deg = minpoly.degree
     if deg == 2 and corner.dim == 2:
         # decidable: irreducible over Q iff no rational root
@@ -314,7 +314,7 @@ def _rational_field_check(field, corner: SubalgebraBasis, estar0, checks):
     return "inconclusive", checks
 
 
-def _corner_generator(field, corner: SubalgebraBasis, estar0):
+def _corner_generator(corner: SubalgebraBasis, estar0):
     # conventionally estar0 * A * estar0; recover it from the span when the
     # caller supplies only the basis by picking the first non-identity element
     for m in corner.basis:
@@ -323,7 +323,7 @@ def _corner_generator(field, corner: SubalgebraBasis, estar0):
     return estar0
 
 
-def _minimal_polynomial(field, corner: SubalgebraBasis, estar0, gen) -> Poly:
+def _minimal_polynomial(field, estar0, gen) -> Poly:
     """Minimal polynomial of a corner element, with estar0 as the unit."""
     n = gen.rows
     span = mx.SpanBuilder(field, n * n)

@@ -23,7 +23,7 @@ from .tdcore import (
     InvariantViolation,
     SystemContext,
     TdSystem,
-    ValidateOptions,
+    compute_shape,
 )
 
 
@@ -79,18 +79,12 @@ def apply_relative(sys: TdSystem, g: D4Element) -> TdSystem:
     return TdSystem(sys.field, sys.n, sys.A, sys.Astar, thetas, thetas_star, sys.q_hint)
 
 
-# the relatives share the operator pair as a set, so invariant subspaces coincide
-INHERITED = ValidateOptions(
-    irreducibility="assume",
-    assume_note="inherited: same operator pair as the validated base system",
-)
-
-
 def relative_context(ctx: SystemContext, g: D4Element) -> SystemContext:
-    """The context of a relative, seeded with the base system's families.
+    """The context of a relative, seeded with the base system's families and report.
 
     Reversing an eigenvalue order reverses that family, and the swap
-    exchanges the two families; nothing else about them changes.
+    exchanges the two families; nothing else about them changes, so the
+    relative's validation would repeat the base's with its indices permuted.
     """
     e_fam, estar_fam = ctx.e_fam, ctx.estar_fam
     if g.rev_primary:
@@ -99,7 +93,9 @@ def relative_context(ctx: SystemContext, g: D4Element) -> SystemContext:
         estar_fam = estar_fam.reversed()
     if g.swap:
         e_fam, estar_fam = estar_fam, e_fam
-    return SystemContext(apply_relative(ctx.sys, g), INHERITED, (e_fam, estar_fam))
+    rel = SystemContext(apply_relative(ctx.sys, g), ctx.options, (e_fam, estar_fam))
+    rel.report = ctx.report
+    return rel
 
 
 @dataclass(frozen=True)
@@ -274,29 +270,24 @@ def bracket_expansion_check(sys: TdSystem, qd: QData):
 
 
 def compute_orbit(ctx: SystemContext):
-    """Validate all eight relatives of a validated system and compute their split data.
+    """The split data of all eight relatives of a validated sharp system.
 
-    The identity relative is the base context itself.  The others take
-    their families from it (see relative_context) and inherit its
-    irreducibility; everything order-dependent (tridiagonality, shape,
-    sharpness, the split decomposition and sequence) is re-run for each.
-    Returns {name: dict} in the fixed element order.
+    The identity relative is the base context itself.  The others take its
+    families and report (see relative_context); each builds its own split
+    decomposition, split sequence and parameter array, and reads its shape
+    from its own families.  Returns {name: dict} in the fixed element order.
     """
+    if not ctx.report.passed():
+        raise InvariantViolation("relative id failed validation", {"relative": "id"})
+    if not ctx.report.sharp:
+        raise InvariantViolation("relative id is not sharp", {"relative": "id"})
     orbit = {}
     for g in ALL_ELEMENTS:
         rel = ctx if g == IDENTITY else relative_context(ctx, g)
-        report = rel.report
-        if not report.passed():
-            raise InvariantViolation(
-                f"relative {g.name} failed validation", {"relative": g.name}
-            )
-        if not report.sharp:
-            raise InvariantViolation(f"relative {g.name} is not sharp", {"relative": g.name})
         orbit[g.name] = {
-            "context": rel,
             "zetas": rel.zetas,
             "array": sp.parameter_array(rel.sys, rel.zetas),
-            "shape": report.shape,
+            "shape": compute_shape(rel.e_fam, rel.estar_fam)[0],
         }
     return orbit
 

@@ -6,9 +6,9 @@ problems_report) raise InvariantViolation when something that must hold on a
 validated system does not; checker functions (vanishing_check,
 bijection_check, trace_zeta, zeta_d_closed_form) return Check verdicts so a
 harness can aggregate them.  All of these but parameter_array take the
-system's SystemContext and read the idempotent families and the operator
-tables tau_i(A), tau*_i(A*) and the alternating products from it, so each
-polynomial in A and A* is built once per system.
+system's SystemContext and read its idempotent families; trace_zeta and
+vanishing_check also read its tables tau_i(A), tau*_i(A*) and alternating
+products, built once per system.  The builders apply factors to vectors.
 """
 
 from __future__ import annotations
@@ -122,18 +122,18 @@ def split_decomposition(ctx: SystemContext) -> SplitDecomposition:
 def split_sequence(ctx: SystemContext):
     """The scalars by which the alternating products act on U_0.
 
-    Defined only for sharp systems (U_0 is a line); the image of the
-    spanning vector must be parallel to it, and that parallelism is
-    asserted with a witness on failure.
+    Defined only for sharp systems (U_0 is a line).  Each product's factors
+    are applied in turn to the spanning vector v; the image must be parallel
+    to v, and that parallelism is asserted with a witness on failure.
     """
     u0 = ctx.decomposition.subspaces[0]
     if u0.dim != 1:
         raise InvariantViolation("split sequence requested for a non-sharp system", u0)
     v = u0.basis[0]
     zetas = []
-    field = ctx.sys.field
-    for i, op in enumerate(ctx.alternating):
-        w = op.apply(v)
+    sys, field = ctx.sys, ctx.sys.field
+    for i in range(sys.d + 1):
+        w = _shifted(sys.Astar, sys.thetas_star[1 : i + 1], _shifted(sys.A, sys.thetas[:i], v))
         zeta = _parallel_ratio(field, w, v)
         if zeta is None:
             raise InvariantViolation(

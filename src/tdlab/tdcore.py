@@ -108,7 +108,6 @@ class IdempotentFamily:
     """Primitive idempotents of one operator, in the candidate order."""
 
     mats: tuple
-    eigenvalues: tuple
     eigenspaces: tuple  # Subspace per eigenvalue
     ranks: tuple
 
@@ -123,15 +122,13 @@ class IdempotentFamily:
 
     def reversed(self) -> "IdempotentFamily":
         """The same idempotents for the reversed eigenvalue order."""
-        return IdempotentFamily(
-            self.mats[::-1], self.eigenvalues[::-1], self.eigenspaces[::-1], self.ranks[::-1]
-        )
+        return IdempotentFamily(self.mats[::-1], self.eigenspaces[::-1], self.ranks[::-1])
 
     def transposed(self) -> "IdempotentFamily":
         """The family of the transposed operator: E_i^t, whose image is its eigenspace."""
         mats = tuple(e.transpose() for e in self.mats)
         spaces = tuple(mx.image(e) for e in mats)
-        return IdempotentFamily(mats, self.eigenvalues, spaces, self.ranks)
+        return IdempotentFamily(mats, spaces, self.ranks)
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ class SystemContext:
     decomposition, the split sequence, and the operator polynomials the
     split identities read.  A context for a relative or the dual of a system
     starts from families permuted or transposed from that system's, so it
-    never rebuilds them.
+    never rebuilds them; a relative also takes that system's report.
     """
 
     def __init__(self, sys: TdSystem, options: ValidateOptions | None = None, families=None):
@@ -307,7 +304,6 @@ def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
         raise InvariantViolation("operator is not the eigenvalue-weighted idempotent sum")
     return IdempotentFamily(
         mats=tuple(mats),
-        eigenvalues=thetas,
         eigenspaces=tuple(spaces),
         ranks=tuple(s.dim for s in spaces),
     )

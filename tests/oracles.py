@@ -98,11 +98,14 @@ def enumerate_standard_orderings(sys, e_fam, estar_fam):
     if sys.d > 4:
         raise ValueError("standard-ordering enumeration is limited to d <= 4")
     out = {}
-    for name, fam, middle in (("A", e_fam, sys.Astar), ("Astar", estar_fam, sys.A)):
+    for name, fam, thetas, middle in (
+        ("A", e_fam, sys.thetas, sys.Astar),
+        ("Astar", estar_fam, sys.thetas_star, sys.A),
+    ):
         good = []
         for perm in permutations(range(len(fam))):
             if _off_band_pair([fam[k] for k in perm], middle) is None:
-                good.append(tuple(fam.eigenvalues[k] for k in perm))
+                good.append(tuple(thetas[k] for k in perm))
         out[name] = good
     return out
 

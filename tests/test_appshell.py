@@ -21,6 +21,7 @@ from tdlab.appshell import (
     run_trial,
     system_from_document,
 )
+from tdlab import appshell
 from tdlab import d4orbit as d4
 from tdlab import formlab as fl
 from tdlab import splitparam as sp
@@ -253,6 +254,36 @@ def test_fuzz_jobs_do_not_change_bytes():
     d1["config"].pop("jobs")
     d2["config"].pop("jobs")
     assert dumps_document(d1) == dumps_document(d2)
+
+
+@pytest.mark.parametrize(
+    "cpus, requested", [(64, [3]), (2, [2]), (1, [])], ids=["cpus64", "cpus2", "cpus1"]
+)
+def test_fuzz_jobs_start_at_most_one_worker_per_trial_and_cpu(monkeypatch, cpus, requested):
+    # the pool starts every worker at once; this fake starts none
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(appshell, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(appshell.os, "cpu_count", lambda: cpus)
+    config = RunConfig(seed=7, trials=3, d_max=2, field=PrimeField(10007), jobs=10**6)
+    doc = fuzz_run(config)
+    assert pools == requested
+    assert doc["config"]["jobs"] == 10**6
+    serial = fuzz_run(dataclasses.replace(config, jobs=1))
+    assert doc["checks"] == serial["checks"]
 
 
 def _raise_invariant(*args, **kwargs):

@@ -1,6 +1,7 @@
 """The per-system derivation context: each derived object is built once,
-and the families a relative or the dual takes from its base system equal
-the ones a fresh derivation would build."""
+the families a relative or the dual takes from its base system equal the
+ones a fresh derivation would build, and a relative's report, which it takes
+from its base system, is the one a fresh validation would give."""
 
 import json
 
@@ -16,6 +17,7 @@ from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import SystemContext
 
 from test_golden import KRAW_GF, KRAW_Q
+from test_spin import GOLDEN_SYSTEMS, _fuzz_corpus
 
 
 def _count_calls(monkeypatch, module, name, counted=lambda *args, **kwargs: True):
@@ -60,6 +62,25 @@ def test_orbit_request_derives_two_families(doc, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
+def test_orbit_request_validates_once_and_builds_no_operator_table(doc, tmp_path, monkeypatch, capsys):
+    # the relatives take the base's report, and their split sequences apply
+    # the factors to a vector
+    validations = _count_calls(monkeypatch, td, "validate")
+    tables = _count_calls(monkeypatch, td, "_linear_products")
+    assert run(["orbit", _write(tmp_path, doc)]) == 0
+    assert len(validations) == 1
+    assert len(tables) == 0
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "GF"])
+def test_fuzz_trial_validates_the_candidate_and_the_dual(field, monkeypatch):
+    validations = _count_calls(monkeypatch, td, "validate")
+    doc = fuzz_run(RunConfig(seed=7, trials=1, d_max=3, field=field))
+    assert doc["checks"][0]["witness"]["accepted"]
+    assert len(validations) == 2
+
+
+@pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
 def test_conjectures_request_builds_one_generated_algebra(doc, tmp_path, monkeypatch, capsys):
     def of_the_pair(gens, unit=None):
         return len(gens) == 2 and unit is None
@@ -81,7 +102,32 @@ def test_relative_and_dual_families_equal_fresh_ones(doc):
         fresh = SystemContext(rel.sys)
         assert rel.e_fam == fresh.e_fam
         assert rel.estar_fam == fresh.estar_fam
-        assert rel.report.passed() and rel.report.shape == (1, 2, 1)
+        assert fresh.report.passed() and fresh.report.shape == (1, 2, 1)
+
+
+def _assert_relatives_and_dual_validate_from_scratch(ctx):
+    """Fresh families and `auto` irreducibility: each relative and the dual
+    passes validation with the base's shape."""
+    assert ctx.report.passed()
+    derived = [d4.relative_context(ctx, g) for g in d4.ALL_ELEMENTS]
+    derived.append(fl.dual_system(ctx)[0])
+    for rel in derived:
+        fresh = SystemContext(rel.sys)
+        assert fresh.report.passed(), (rel.sys, fresh.report.checks)
+        assert fresh.report.shape == ctx.report.shape
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SYSTEMS))
+def test_relatives_and_dual_validate_from_scratch_on_golden_systems(name):
+    _assert_relatives_and_dual_validate_from_scratch(SystemContext(GOLDEN_SYSTEMS[name]()))
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "GF"])
+def test_relatives_and_dual_validate_from_scratch_on_the_fuzz_corpus(field):
+    corpus = _fuzz_corpus(field)
+    assert len(corpus) >= 10
+    for _, ctx in corpus:
+        _assert_relatives_and_dual_validate_from_scratch(ctx)
 
 
 def test_context_derives_each_object_once(x1, monkeypatch):

@@ -1,7 +1,8 @@
 """The operator-polynomial tables of a SystemContext: tau_i(A), tau*_i(A*)
 and the alternating products, checked against Horner evaluation and the
 explicit factor-by-factor products on several systems and all their
-relatives."""
+relatives.  The alternating tables are in turn the oracle for the split
+sequence, which applies the same factors to a vector."""
 
 import pytest
 
@@ -61,6 +62,14 @@ def test_alternating_products_equal_explicit_products(base):
             lowering = [(a, th[k]) for k in range(1, i + 1)]
             raising = [(b, ths[k]) for k in range(i - 1, -1, -1)]
             assert ctx.alternating_star[i] == _factor_product(field, n, lowering + raising)
+
+
+def test_split_sequence_is_how_the_alternating_tables_act_on_the_split_line(base):
+    for ctx in _relatives(base):
+        v = ctx.decomposition.subspaces[0].basis[0]
+        assert len(ctx.zetas) == len(ctx.alternating)
+        for op, zeta in zip(ctx.alternating, ctx.zetas):
+            assert op.apply(v) == tuple(zeta * x for x in v)
 
 
 def test_linear_products_never_multiply_by_the_identity(monkeypatch, x1):

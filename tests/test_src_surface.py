@@ -1,14 +1,18 @@
 """Every public function and method in src/tdlab has a caller in src/tdlab,
-and every dataclass field is read there.
+every dataclass field is read there, and every function reads each of its
+parameters.
 
 The scan is by name: a function counts as used when its name appears as a
 Name, an Attribute or an imported name anywhere in the package's code, and a
 method only when its name appears as an Attribute, so a local variable of the
 same name does not hide an unused method.  A field counts as read only when
-its name appears as an Attribute in Load context, so a field that is only
-assigned is flagged.  What only tests need lives in tests/ (oracles.py or the
-one test file that uses it).  The allowlist names the few entry points kept
-for callers outside the package, each with its reason.
+its name appears as an Attribute in Load context outside the arguments of a
+call to its own class, so a field that is only assigned, or only copied into
+a new instance, is flagged.  A parameter other than self and cls counts as
+read when its name appears as a Name in its function's body.  What only
+tests need lives in tests/ (oracles.py or the one test file that uses it).
+The allowlist names the few entry points kept for callers outside the
+package, each with its reason.
 """
 
 import ast
@@ -58,12 +62,39 @@ def _is_dataclass(decorator) -> bool:
 
 
 def _fields(module: str, tree: ast.Module):
-    """(qualified name, bare name) of each field of a module-level dataclass."""
+    """(qualified name, (class name, bare name)) of each field of a
+    module-level dataclass."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield f"{module}.{node.name}.{item.target.id}", item.target.id
+                    yield f"{module}.{node.name}.{item.target.id}", (node.name, item.target.id)
+
+
+def _reads(node, calls=frozenset()):
+    """(attribute name, calls) for each Attribute in Load context under node;
+    calls names the called classes or functions whose arguments hold it."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, calls
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        for child in (*node.args, *node.keywords):
+            yield from _reads(child, calls | {node.func.id})
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, calls)
+
+
+def _unread_parameters(module: str, tree: ast.Module):
+    """(function, parameter) for each parameter, other than self and cls,
+    whose name its function's body never uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+            named = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            for param in params:
+                if param and param.arg not in named and param.arg not in ("self", "cls"):
+                    yield f"{module}.{node.name}", param.arg
 
 
 def _trees():
@@ -72,15 +103,11 @@ def _trees():
 
 
 def _field_scan():
-    fields, read = {}, set()
+    fields, reads = {}, []
     for module, tree in _trees():
         fields.update(_fields(module, tree))
-        read.update(
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        )
-    return fields, read
+        reads.extend(_reads(tree))
+    return fields, reads
 
 
 def _scan():
@@ -105,6 +132,15 @@ def test_allowlist_entries_exist_and_need_the_exemption():
 
 
 def test_every_dataclass_field_is_read_in_src():
-    fields, read = _field_scan()
-    unread = sorted(q for q, name in fields.items() if name not in read)
+    fields, reads = _field_scan()
+    unread = sorted(
+        q
+        for q, (owner, name) in fields.items()
+        if not any(attr == name and owner not in calls for attr, calls in reads)
+    )
     assert unread == [], f"dataclass fields that nothing in src/tdlab reads: {unread}"
+
+
+def test_every_parameter_is_read_by_its_function():
+    unread = sorted(p for module, tree in _trees() for p in _unread_parameters(module, tree))
+    assert unread == [], f"parameters that their function never reads: {unread}"
