@@ -345,24 +345,21 @@ def _sample_superdiagonal(field: Field, rng: SplitMix64, thetas, thetas_star):
         return tuple(_random_nonzero(field, rng) for _ in range(d)), None
     n = d + 1
     zero = field.zero
-    # with a zero superdiagonal, A* is the diagonal part the units are added to
+    # with a zero superdiagonal, A* is the diagonal part the units U_k at
+    # (k-1, k) are added to
     unit_free = _bidiagonal_system(field, thetas, thetas_star, (zero,) * d)
     e_fam = td.primitive_idempotents(unit_free.A, thetas)
     diag = unit_free.Astar
-    units = []
-    for k in range(1, n):
-        u = [[zero] * n for _ in range(n)]
-        u[k - 1][k] = field.one
-        units.append(Matrix(field, u))
     rows, rhs = [], []
     for i in range(n):
         for j in range(n):
             if abs(i - j) > 1:
                 base = e_fam[i] * diag * e_fam[j]
-                cols = [e_fam[i] * u * e_fam[j] for u in units]
+                # E_i U_k E_j is column k-1 of E_i times row k of E_j
+                ei, ej = e_fam[i].data, e_fam[j].data
                 for r in range(n):
                     for c in range(n):
-                        rows.append([m.data[r][c] for m in cols])
+                        rows.append([ei[r][k - 1] * ej[k][c] for k in range(1, n)])
                         rhs.append(-base.data[r][c])
     system = Matrix(field, rows)
     particular = mx.solve(system, tuple(rhs))

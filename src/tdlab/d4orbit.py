@@ -80,12 +80,8 @@ def apply_relative(sys: TdSystem, g: D4Element) -> TdSystem:
 
 
 def relative_context(ctx: SystemContext, g: D4Element) -> SystemContext:
-    """The context of a relative, seeded with the base system's families and report.
-
-    Reversing an eigenvalue order reverses that family, and the swap
-    exchanges the two families; nothing else about them changes, so the
-    relative's validation would repeat the base's with its indices permuted.
-    """
+    """The context of a relative (see SystemContext.seeded): reversing an
+    eigenvalue order reverses that family, and the swap exchanges the two."""
     e_fam, estar_fam = ctx.e_fam, ctx.estar_fam
     if g.rev_primary:
         e_fam = e_fam.reversed()
@@ -93,9 +89,7 @@ def relative_context(ctx: SystemContext, g: D4Element) -> SystemContext:
         estar_fam = estar_fam.reversed()
     if g.swap:
         e_fam, estar_fam = estar_fam, e_fam
-    rel = SystemContext(apply_relative(ctx.sys, g), ctx.options, (e_fam, estar_fam))
-    rel.report = ctx.report
-    return rel
+    return ctx.seeded(apply_relative(ctx.sys, g), e_fam, estar_fam)
 
 
 @dataclass(frozen=True)

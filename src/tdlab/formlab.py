@@ -25,7 +25,6 @@ from .tdcore import (
     InvariantViolation,
     SystemContext,
     TdSystem,
-    ValidateOptions,
     _first_dual_line,
     _spin,
 )
@@ -185,24 +184,19 @@ def anti_automorphism(g: Matrix, ctx: SystemContext):
     return dagger, checks
 
 
-TRANSPOSED = ValidateOptions(
-    irreducibility="assume",
-    assume_note="inherited: transposition preserves invariant-subspace structure",
-)
-
-
 def dual_system(ctx: SystemContext):
-    """The transpose-realized dual of a validated system, revalidated and compared.
+    """The transpose-realized dual of a validated system, compared with it.
 
     In coordinates the canonical pairing's anti-isomorphism is plain
     transposition, so the dual is (A^t, A*^t) with the same eigenvalue
-    sequences, and its idempotents are the transposes of the base
-    system's.  Returns (dual context, checks): validation, shape and
+    sequences; its context is seeded with the transposed families and the
+    base's report (SystemContext.seeded), and builds its own split
+    sequence.  Returns (dual context, checks): validation, shape and
     sharpness agreement with the base system, and (both being sharp)
     equality of split sequences.
     """
     sys, base = ctx.sys, ctx.report
-    dual = SystemContext(
+    dual = ctx.seeded(
         TdSystem(
             sys.field,
             sys.n,
@@ -212,8 +206,8 @@ def dual_system(ctx: SystemContext):
             sys.thetas_star,
             sys.q_hint,
         ),
-        TRANSPOSED,
-        (ctx.e_fam.transposed(), ctx.estar_fam.transposed()),
+        ctx.e_fam.transposed(),
+        ctx.estar_fam.transposed(),
     )
     report = dual.report
     ok = report.passed()

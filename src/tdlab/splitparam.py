@@ -30,12 +30,6 @@ from .tdcore import (
 )
 
 
-@dataclass
-class SplitDecomposition:
-    subspaces: tuple  # U_0..U_d
-    projections: tuple  # F_0..F_d onto U_i along the direct sum
-
-
 @dataclass(frozen=True)
 class ParameterArray:
     thetas: tuple
@@ -64,8 +58,8 @@ def _shifted(m: Matrix, thetas, v) -> tuple:
     return v
 
 
-def split_decomposition(ctx: SystemContext) -> SplitDecomposition:
-    """Build the split summands and their projections, asserting everything.
+def split_decomposition(ctx: SystemContext) -> tuple:
+    """The split summands U_0..U_d, asserting everything about them.
 
     U_i is the intersection of the first i+1 dual eigenspaces' sum with the
     last d-i+1 primary eigenspaces' sum.  Asserted here: the direct sum, the
@@ -114,9 +108,7 @@ def split_decomposition(ctx: SystemContext) -> SplitDecomposition:
             f"split summand {i} has dimension {subspaces[i].dim}, expected {e_fam.ranks[i]}",
         )
 
-    return SplitDecomposition(
-        subspaces=tuple(subspaces), projections=tuple(projections(field, n, subspaces))
-    )
+    return tuple(subspaces)
 
 
 def split_sequence(ctx: SystemContext):
@@ -126,7 +118,7 @@ def split_sequence(ctx: SystemContext):
     are applied in turn to the spanning vector v; the image must be parallel
     to v, and that parallelism is asserted with a witness on failure.
     """
-    u0 = ctx.decomposition.subspaces[0]
+    u0 = ctx.decomposition[0]
     if u0.dim != 1:
         raise InvariantViolation("split sequence requested for a non-sharp system", u0)
     v = u0.basis[0]
@@ -397,13 +389,15 @@ def problems_report(ctx: SystemContext):
     (A* - theta*_{i+1})...(A* - theta*_{d-i}) (A - theta_i)...(A - theta_{d-i-1}),
     which preserves split summand i, is restricted to it and expressed in the
     stored basis, its invertibility asserted, and its characteristic
-    polynomial reported (coefficients only; no factoring).
+    polynomial reported (coefficients only; no factoring).  The split
+    projections F_i onto each summand along the others are built only here,
+    with everything `projections` asserts about them.
     """
-    sys, decomp, e_fam, estar_fam = ctx.sys, ctx.decomposition, ctx.e_fam, ctx.estar_fam
+    sys, summands, e_fam, estar_fam = ctx.sys, ctx.decomposition, ctx.e_fam, ctx.estar_fam
     field, d = sys.field, sys.d
     restrictions = []
     for i in range(d // 2 + 1):
-        s = decomp.subspaces[i]
+        s = summands[i]
         cols = []
         for v in s.basis:
             raised = _shifted(sys.A, sys.thetas[i : d - i], v)
@@ -431,5 +425,5 @@ def problems_report(ctx: SystemContext):
     return {
         "restrictions": restrictions,
         "cross_traces": table,
-        "projections": list(decomp.projections),
+        "projections": projections(field, sys.n, summands),
     }

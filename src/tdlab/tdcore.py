@@ -142,19 +142,27 @@ class SystemContext:
 
     Derived on first use: the two idempotent families, the validation
     report, the basis of the algebra generated by A and A*, the split
-    decomposition, the split sequence, and the operator polynomials the
-    split identities read.  A context for a relative or the dual of a system
-    starts from families permuted or transposed from that system's, so it
-    never rebuilds them; a relative also takes that system's report.
+    summands, the split sequence, and the operator polynomials the split
+    identities read.  A context for a relative or the dual of a system is
+    seeded from that system's (see seeded).
     """
 
-    def __init__(self, sys: TdSystem, options: ValidateOptions | None = None, families=None):
+    def __init__(self, sys: TdSystem, options: ValidateOptions | None = None):
         self.sys = sys
         self.options = options or ValidateOptions()
         # set by check_irreducible: only scalars commute with A and A*
         self.absolutely_irreducible = False
-        if families is not None:
-            self.e_fam, self.estar_fam = families
+
+    def seeded(self, sys: TdSystem, e_fam, estar_fam) -> "SystemContext":
+        """The context of a relative or the dual of this validated system:
+        `sys` with families permuted or transposed from this system's, and
+        this system's report.  Validation cannot fail on it once this system
+        has passed: reversal and swap permute the products E_i M E_j, the
+        dual's E_i^t M^t E_j^t is (E_j M E_i)^t, and invariant subspaces
+        correspond (through annihilators, for the dual)."""
+        other = SystemContext(sys, self.options)
+        other.e_fam, other.estar_fam, other.report = e_fam, estar_fam, self.report
+        return other
 
     @cached_property
     def e_fam(self) -> IdempotentFamily:
@@ -183,7 +191,8 @@ class SystemContext:
         return validate(self.sys, self.options, self)
 
     @cached_property
-    def decomposition(self):
+    def decomposition(self) -> tuple:
+        """The split summands U_0..U_d."""
         from .splitparam import split_decomposition
 
         return split_decomposition(self)

@@ -1,7 +1,8 @@
 """The per-system derivation context: each derived object is built once,
 the families a relative or the dual takes from its base system equal the
-ones a fresh derivation would build, and a relative's report, which it takes
-from its base system, is the one a fresh validation would give."""
+ones a fresh derivation would build, and the report of a relative or the
+dual, which it takes from its base system, is the one a fresh validation
+would give."""
 
 import json
 
@@ -10,6 +11,7 @@ import pytest
 from tdlab import d4orbit as d4
 from tdlab import formlab as fl
 from tdlab import matrices as mx
+from tdlab import splitparam as sp
 from tdlab import tdcore as td
 from tdlab.appshell import RunConfig, fuzz_run, system_from_document
 from tdlab.cli import run
@@ -72,12 +74,32 @@ def test_orbit_request_validates_once_and_builds_no_operator_table(doc, tmp_path
     assert len(tables) == 0
 
 
+@pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
+def test_orbit_request_builds_no_split_projections(doc, tmp_path, monkeypatch, capsys):
+    # only the two idempotent families call projections; the split
+    # projections are read by problems_report alone
+    idempotent = _count_calls(monkeypatch, td, "projections")
+    split = _count_calls(monkeypatch, sp, "projections")
+    assert run(["orbit", _write(tmp_path, doc)]) == 0
+    assert len(idempotent) == 2
+    assert len(split) == 0
+
+
 @pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "GF"])
-def test_fuzz_trial_validates_the_candidate_and_the_dual(field, monkeypatch):
+def test_fuzz_trial_validates_only_the_candidate(field, monkeypatch):
+    # the relatives and the dual take the candidate's report
     validations = _count_calls(monkeypatch, td, "validate")
     doc = fuzz_run(RunConfig(seed=7, trials=1, d_max=3, field=field))
     assert doc["checks"][0]["witness"]["accepted"]
-    assert len(validations) == 2
+    assert len(validations) == 1
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "GF"])
+def test_fuzz_trial_builds_split_projections_once(field, monkeypatch):
+    split = _count_calls(monkeypatch, sp, "projections")
+    doc = fuzz_run(RunConfig(seed=7, trials=1, d_max=3, field=field))
+    assert doc["checks"][0]["witness"]["accepted"]
+    assert len(split) == 1
 
 
 @pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])

@@ -66,7 +66,7 @@ def test_alternating_products_equal_explicit_products(base):
 
 def test_split_sequence_is_how_the_alternating_tables_act_on_the_split_line(base):
     for ctx in _relatives(base):
-        v = ctx.decomposition.subspaces[0].basis[0]
+        v = ctx.decomposition[0].basis[0]
         assert len(ctx.zetas) == len(ctx.alternating)
         for op, zeta in zip(ctx.alternating, ctx.zetas):
             assert op.apply(v) == tuple(zeta * x for x in v)

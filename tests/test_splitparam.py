@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from tdlab import matrices as mx
+from tdlab.appshell import problems_stage
 from tdlab.matrices import Matrix, Subspace
 from tdlab.scalars import PrimeField
 from tdlab.splitparam import (
@@ -16,7 +18,7 @@ from tdlab.splitparam import (
     zeta_d_closed_form,
     zeta_star_check,
 )
-from tdlab.tdcore import InvariantViolation, SystemContext, TdSystem
+from tdlab.tdcore import FAIL, Check, InvariantViolation, SystemContext, TdSystem
 
 from oracles import full_subspace
 
@@ -28,10 +30,11 @@ def _pipeline(ctx):
 def test_x1_split_summands(x1):
     sys, ctx = x1
     decomp, zetas = _pipeline(ctx)
-    assert decomp.subspaces[0] == Subspace.from_vectors(sys.field, 2, [(F(1), F(0))])
-    assert decomp.subspaces[1] == Subspace.from_vectors(sys.field, 2, [(F(0), F(1))])
-    assert decomp.projections[0] == Matrix.from_ints(sys.field, [[1, 0], [0, 0]])
-    assert decomp.projections[1] == Matrix.from_ints(sys.field, [[0, 0], [0, 1]])
+    assert decomp[0] == Subspace.from_vectors(sys.field, 2, [(F(1), F(0))])
+    assert decomp[1] == Subspace.from_vectors(sys.field, 2, [(F(0), F(1))])
+    projections = problems_report(ctx)["projections"]
+    assert projections[0] == Matrix.from_ints(sys.field, [[1, 0], [0, 0]])
+    assert projections[1] == Matrix.from_ints(sys.field, [[0, 0], [0, 1]])
     assert zetas == (F(1), F(1))
 
 
@@ -42,7 +45,7 @@ def test_x1_raising_containment(x1):
     shifted = sys.A - Matrix.identity(sys.field, 2)
     img = shifted.apply((F(1), F(0)))
     assert img == (F(0), F(1))
-    assert decomp.subspaces[1].contains(img)
+    assert decomp[1].contains(img)
 
 
 def test_d0_split_trivial():
@@ -50,9 +53,10 @@ def test_d0_split_trivial():
     a = Matrix(f, [[f.from_int(5)]])
     astar = Matrix(f, [[f.from_int(7)]])
     sys = TdSystem(f, 1, a, astar, (f.from_int(5),), (f.from_int(7),))
-    decomp, zetas = _pipeline(SystemContext(sys))
-    assert decomp.subspaces[0].is_full()
-    assert decomp.projections[0] == Matrix.identity(f, 1)
+    ctx = SystemContext(sys)
+    decomp, zetas = _pipeline(ctx)
+    assert decomp[0].is_full()
+    assert problems_report(ctx)["projections"][0] == Matrix.identity(f, 1)
     assert zetas == (f.one,)
     assert parameter_array(sys, zetas).zetas == (f.one,)
 
@@ -120,14 +124,26 @@ def test_x1_problem_restriction(x1):
     assert rest["char_poly"] == (F(-1), F(1))  # x - 1
 
 
+def test_split_projections_gate_the_problems_stage(x1, monkeypatch):
+    # a wrong inverse whose blocks still give idempotents that fix their
+    # summands (see test_idempotents); the families and the summands are
+    # built before it is patched in, so only the split projections see it
+    sys, ctx = x1
+    assert ctx.report.passed()
+    assert ctx.decomposition[0] == Subspace.from_vectors(sys.field, 2, [(F(1), F(0))])
+    monkeypatch.setattr(mx, "inverse", lambda m: Matrix.from_ints(sys.field, [[1, 0], [1, 1]]))
+    checks, payload = problems_stage(ctx)
+    assert payload is None
+    assert checks == [
+        Check("split/problems_invertible", FAIL, {"error": "projections do not sum to the identity"})
+    ]
+
+
 def test_non_sharp_split_sequence_rejected(x1):
     sys, ctx = x1
     decomp, _ = _pipeline(ctx)
     fake = SystemContext(sys)
-    fake.decomposition = type(decomp)(
-        subspaces=(full_subspace(sys.field, 2),) + decomp.subspaces[1:],
-        projections=decomp.projections,
-    )
+    fake.decomposition = (full_subspace(sys.field, 2),) + decomp[1:]
     with pytest.raises(InvariantViolation):
         split_sequence(fake)
 
@@ -144,7 +160,7 @@ def test_full_split_stage_on_frozen_instances(fixture, request):
     sys, ctx = request.getfixturevalue(fixture)
     decomp, zetas = _pipeline(ctx)
     assert zetas[0] == sys.field.one
-    for i, s in enumerate(decomp.subspaces):
+    for i, s in enumerate(decomp):
         assert s.dim == ctx.report.shape[i]
     _, checks = trace_zeta(ctx)
     checks += vanishing_check(ctx)
