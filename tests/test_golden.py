@@ -11,11 +11,18 @@ that the witness is the only change."""
 
 import hashlib
 import json
+import sys as _sys
+from pathlib import Path
 
 import pytest
 
-from tdlab.appshell import dumps_document
+from tdlab.appshell import checks_to_json, dumps_document, run_identity_suite, system_from_document
 from tdlab.cli import run
+from tdlab.tdcore import SystemContext
+
+# the n=16 pair comes from the benchmark's own generator, which is not a package
+_sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import kraw  # noqa: E402
 
 X1 = {
     "format": "tdlab/1",
@@ -199,6 +206,22 @@ GOLDEN_FUZZ = {
     "rational": (0, "cb046861a1156e9a023e6f2d74a5e31af3cde8ee2877c3ac3bcd4ba9bcb97cc3"),
 }
 
+# The checks of the whole identity suite (`run_identity_suite`) on sharp pairs
+# with an eigenspace of dimension > 1: the (1,2,1) pair over both fields and
+# the n=16 pair of shape (1,4,6,4,1) over GF(10007).  The CLI subcommands
+# never run the split stage and the fuzz digests see only Leonard systems, so
+# this is the digest that pins the split identities on such pairs.
+GOLDEN_SUITE = {
+    "kraw121_gf": "dbec55372d09ea4a2db2601c549891efc284643cbd5251e03332041eb740685a",
+    "kraw121_q": "dbec55372d09ea4a2db2601c549891efc284643cbd5251e03332041eb740685a",
+    "kraw16_gf": "47dadb30b0392a7310f4002224dee0b739345682a1fd94e7011ae032f8c7b96c",
+}
+
+
+def _kraw16_document():
+    a, astar, thetas = kraw.krawtchouk_pair((2, 2, 2, 2), (2, 3, 5, 7))
+    return kraw.system_document(a, astar, thetas, kraw.PRIME)
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -255,3 +278,13 @@ def test_leonard_d6_report_digest(leonard_d6, sub, capsys):
 def test_fuzz_digest(field, capsys):
     argv = ["fuzz", "--trials", "3", "--seed", "7", "--field", field]
     assert _digest(argv, capsys) == GOLDEN_FUZZ[field]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUITE))
+def test_identity_suite_digest(name):
+    doc = _kraw16_document() if name == "kraw16_gf" else DOCUMENTS[name]
+    sys, _ = system_from_document(doc)
+    ctx = SystemContext(sys)
+    assert ctx.report.passed() and ctx.report.sharp
+    checks = checks_to_json(sys.field, run_identity_suite(ctx))
+    assert _sha256(dumps_document({"checks": checks})) == GOLDEN_SUITE[name]
