@@ -6,15 +6,16 @@ problems_report) raise InvariantViolation when something that must hold on a
 validated system does not; checker functions (vanishing_check,
 bijection_check, trace_zeta, zeta_d_closed_form) return Check verdicts so a
 harness can aggregate them.  All of these but parameter_array take the
-system's SystemContext and read its idempotent families; trace_zeta and
-vanishing_check also read its tables tau_i(A), tau*_i(A*) and alternating
-products, built once per system.  The builders apply factors to vectors.
+system's SystemContext and read its idempotent families.  Products of
+factors (M - theta I) are applied to vectors, never built as matrices, and
+the split identities read the rank-one corner idempotents of a sharp system
+as scalars (see _Corner).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 
 from . import matrices as mx
 from .matrices import Matrix, Subspace
@@ -26,6 +27,7 @@ from .tdcore import (
     InvariantViolation,
     SystemContext,
     TdSystem,
+    _line_factors,
     projections,
 )
 
@@ -56,6 +58,12 @@ def _shifted(m: Matrix, thetas, v) -> tuple:
     for theta in thetas:
         v = tuple(a - theta * b for a, b in zip(m.apply(v), v))
     return v
+
+
+def _shifts(m: Matrix, thetas, v) -> list:
+    """v and its images under the prefix products of (m - theta I) over
+    `thetas`, one factor more in each entry."""
+    return list(accumulate(thetas, lambda w, theta: _shifted(m, (theta,), w), initial=v))
 
 
 def split_decomposition(ctx: SystemContext) -> tuple:
@@ -164,65 +172,94 @@ def _prefix_products(field, values, x0):
     return out
 
 
+def _dot(field, u, v):
+    return sum((a * b for a, b in zip(u, v)), field.zero)
+
+
+def _trace_with(m: Matrix, line):
+    """tr(m E) for a rank-one E = x y^t with line = (x, y): it is y^t m x."""
+    x, y = line
+    return _dot(m.field, y, m.apply(x))
+
+
+class _Corner:
+    """The products E_0 tau'_i(B) tau_j(A) E'_0, i, j = 0..d, of a sharp
+    system, as scalars.  E_0 = x y^t is the first idempotent of A and
+    E'_0 = v u^t that of B (see _line_factors); tau_j and tau'_i are the
+    prefix products over the eigenvalues of A and of B.  Then
+
+        E_0 tau'_i tau_j E'_0 = x p[i][j] u^t,   p[i][j] = rows[i] . cols[j],
+        E_0 tau'_i E_0 = x left[i] y^t,          E'_0 tau_j E'_0 = v right[j] u^t,
+        E_0 E'_0 = x link u^t,
+
+    with rows[i] = tau'_i(B)^t y and cols[j] = tau_j(A) v, so no n x n
+    product is formed.  Each operator comes as (matrix, eigenvalues,
+    idempotent family); (A, A*) gives the primary corner, (A*, A) the dual.
+    """
+
+    def __init__(self, own, other):
+        (a, thetas, fam), (self.b, self.thetas_b, fam_b) = own, other
+        field = a.field
+        x, y = _line_factors(fam, 0)
+        self.v, u = _line_factors(fam_b, 0)
+        rows = _shifts(self.b.transpose(), self.thetas_b[:-1], y)
+        self.cols = _shifts(a, thetas[:-1], self.v)
+        self.p = [[_dot(field, r, c) for c in self.cols] for r in rows]
+        self.left = [_dot(field, r, x) for r in rows]
+        self.right = [_dot(field, u, c) for c in self.cols]
+        self.link = _dot(field, y, self.v)
+
+
+def _corners(ctx: SystemContext):
+    """The primary and the dual _Corner of a sharp system."""
+    sys = ctx.sys
+    ops = ((sys.A, sys.thetas, ctx.e_fam), (sys.Astar, sys.thetas_star, ctx.estar_fam))
+    return _Corner(*ops), _Corner(*ops[::-1])
+
+
+def _verdict(check_id: str, failures) -> Check:
+    """Passes when `failures` yields nothing, else fails with its first witness."""
+    bad = next(failures, None)
+    return Check(check_id, FAIL if bad else PASS, bad)
+
+
 def trace_zeta(ctx: SystemContext):
     """The four trace formulas for the split sequence, checked exactly.
 
     Returns (values, checks): values maps each formula id to its list, and
     the checks assert the pairwise-nonzero traces plus the 4-way agreement
-    with the alternating-product sequence.
+    with the alternating-product sequence.  The traces are read through the
+    rank-one corner idempotents (see _Corner): tr(tau_i E*_0) is right[i] of
+    the primary corner, and in tr(E_0 tau*_i tau_i E*_0) / tr(E_0 E*_0) =
+    (p[i][i] u.x) / (link u.x) the factor u.x cancels.
     """
     sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
     field, d = sys.field, sys.d
-    e0, ed = e_fam[0], e_fam[d]
-    es0, esd = estar_fam[0], estar_fam[d]
-    checks = []
-
+    es0, esd = _line_factors(estar_fam, 0), _line_factors(estar_fam, d)
     corner_traces = {
-        "tr_E0Estar0": (e0 * es0).trace(),
-        "tr_E0Estard": (e0 * esd).trace(),
-        "tr_EdEstar0": (ed * es0).trace(),
-        "tr_EdEstard": (ed * esd).trace(),
+        "tr_E0Estar0": _trace_with(e_fam[0], es0),
+        "tr_E0Estard": _trace_with(e_fam[0], esd),
+        "tr_EdEstar0": _trace_with(e_fam[d], es0),
+        "tr_EdEstard": _trace_with(e_fam[d], esd),
     }
-    zero = field.zero
-    bad = {k: v for k, v in corner_traces.items() if v == zero}
-    checks.append(Check("split/trace_nonzero", FAIL if bad else PASS, bad or None))
+    bad = {k: v for k, v in corner_traces.items() if v == field.zero}
+    checks = [Check("split/trace_nonzero", FAIL if bad else PASS, bad or None)]
     if bad:
         return {}, checks
 
     pre_t = _prefix_products(field, list(sys.thetas), sys.thetas[0])
     pre_s = _prefix_products(field, list(sys.thetas_star), sys.thetas_star[0])
-    tr_e0es0 = corner_traces["tr_E0Estar0"]
-    tr_es0e0 = (es0 * e0).trace()
-    tau, tau_star = ctx.tau, ctx.tau_star
-
-    by_dual_prefix = [pre_s[i] * (tau[i] * es0).trace() for i in range(d + 1)]
-    by_primary_prefix = [pre_t[i] * (tau_star[i] * e0).trace() for i in range(d + 1)]
-    by_corner_ratio = [
-        (e0 * tau_star[i] * tau[i] * es0).trace() / tr_e0es0 for i in range(d + 1)
-    ]
-    by_corner_ratio_dual = [
-        (es0 * tau[i] * tau_star[i] * e0).trace() / tr_es0e0 for i in range(d + 1)
-    ]
-    values = {
-        "dual_prefix_times_trace": by_dual_prefix,
-        "primary_prefix_times_trace": by_primary_prefix,
-        "corner_trace_ratio": by_corner_ratio,
-        "corner_trace_ratio_dual": by_corner_ratio_dual,
-        "corner_traces": corner_traces,
+    primary, dual = _corners(ctx)
+    formulas = {
+        "dual_prefix_times_trace": [pre_s[i] * primary.right[i] for i in range(d + 1)],
+        "primary_prefix_times_trace": [pre_t[i] * dual.right[i] for i in range(d + 1)],
+        "corner_trace_ratio": [primary.p[i][i] / primary.link for i in range(d + 1)],
+        "corner_trace_ratio_dual": [dual.p[i][i] / dual.link for i in range(d + 1)],
     }
     zt = list(ctx.zetas)
-    mismatch = None
-    for name in (
-        "dual_prefix_times_trace",
-        "primary_prefix_times_trace",
-        "corner_trace_ratio",
-        "corner_trace_ratio_dual",
-    ):
-        if values[name] != zt:
-            mismatch = {"formula": name, "got": values[name], "expected": zt}
-            break
-    checks.append(Check("split/trace_formulas", FAIL if mismatch else PASS, mismatch))
-    return values, checks
+    mismatches = ({"formula": k, "got": v, "expected": zt} for k, v in formulas.items() if v != zt)
+    checks.append(_verdict("split/trace_formulas", mismatches))
+    return {**formulas, "corner_traces": corner_traces}, checks
 
 
 def vanishing_check(ctx: SystemContext):
@@ -230,72 +267,51 @@ def vanishing_check(ctx: SystemContext):
 
     Checks, for all index pairs: the off-diagonal corner products vanish;
     the four prefix-product reductions; the diagonal corner products equal
-    zeta_i times the corner idempotent product; the operator identity on
-    the first dual eigenspace; and the equality of the split sequence with
-    its swapped twin.
+    zeta_i times the corner idempotent product; and the alternating
+    products act on the first eigenspace of each family as zeta_i.  Both
+    sides of each identity are multiples of one nonzero rank-one matrix
+    (see _Corner), so their scalars are compared.
     """
     sys, zetas = ctx.sys, ctx.zetas
     field, d = sys.field, sys.d
-    e0 = ctx.e_fam[0]
-    es0 = ctx.estar_fam[0]
-    taus_a, taus_b = ctx.tau, ctx.tau_star
-    checks = []
-
-    bad = None
-    for i in range(d + 1):
-        for j in range(d + 1):
-            if i == j:
-                continue
-            if not (e0 * taus_b[i] * taus_a[j] * es0).is_zero():
-                bad = {"side": "primary-corner", "i": i, "j": j}
-                break
-            if not (es0 * taus_a[i] * taus_b[j] * e0).is_zero():
-                bad = {"side": "dual-corner", "i": i, "j": j}
-                break
-        if bad:
-            break
-    checks.append(Check("split/offdiag_products_vanish", FAIL if bad else PASS, bad))
-
     pre_t = _prefix_products(field, list(sys.thetas), sys.thetas[0])
     pre_s = _prefix_products(field, list(sys.thetas_star), sys.thetas_star[0])
-    bad = None
-    for i in range(d + 1):
-        lhs1 = e0 * taus_b[i] * taus_a[i] * es0
-        if lhs1 != (e0 * taus_b[i] * e0 * es0).scale(pre_t[i]):
-            bad = {"identity": "primary via primary-prefix", "i": i}
-            break
-        if lhs1 != (e0 * es0 * taus_a[i] * es0).scale(pre_s[i]):
-            bad = {"identity": "primary via dual-prefix", "i": i}
-            break
-        lhs2 = es0 * taus_a[i] * taus_b[i] * e0
-        if lhs2 != (es0 * taus_a[i] * es0 * e0).scale(pre_s[i]):
-            bad = {"identity": "dual via dual-prefix", "i": i}
-            break
-        if lhs2 != (es0 * e0 * taus_b[i] * e0).scale(pre_t[i]):
-            bad = {"identity": "dual via primary-prefix", "i": i}
-            break
-    checks.append(Check("split/prefix_product_reductions", FAIL if bad else PASS, bad))
-
-    bad = None
-    for i in range(d + 1):
-        if (e0 * taus_b[i] * taus_a[i] * es0) != (e0 * es0).scale(zetas[i]):
-            bad = {"identity": "primary corner scaling", "i": i}
-            break
-        if (es0 * taus_a[i] * taus_b[i] * e0) != (es0 * e0).scale(zetas[i]):
-            bad = {"identity": "dual corner scaling", "i": i}
-            break
-    checks.append(Check("split/diag_products_scale", FAIL if bad else PASS, bad))
-
-    bad = None
-    for i in range(d + 1):
-        if ctx.alternating[i] * es0 != es0.scale(zetas[i]):
-            bad = {"identity": "alternating product on first dual eigenspace", "i": i}
-            break
-        if ctx.alternating_star[i] * e0 != e0.scale(zetas[i]):
-            bad = {"identity": "alternating product on first primary eigenspace", "i": i}
-            break
-    checks.append(Check("split/raising_identities", FAIL if bad else PASS, bad))
-    return checks
+    primary, dual = _corners(ctx)
+    # (side, its corner, the prefixes over its own and the other eigenvalues, other side)
+    sides = (("primary", primary, pre_t, pre_s, "dual"), ("dual", dual, pre_s, pre_t, "primary"))
+    offdiag = (
+        {"side": f"{side}-corner", "i": i, "j": j}
+        for i, j in product(range(d + 1), repeat=2)
+        if i != j
+        for side, c, *_ in sides
+        if c.p[i][j] != field.zero
+    )
+    prefix = (
+        {"identity": f"{side} via {name}-prefix", "i": i}
+        for i in range(d + 1)
+        for side, c, own, other, other_side in sides
+        for name, rhs in ((side, own[i] * c.left[i]), (other_side, other[i] * c.right[i]))
+        if c.p[i][i] != rhs * c.link
+    )
+    scaling = (
+        {"identity": f"{side} corner scaling", "i": i}
+        for i in range(d + 1)
+        for side, c, *_ in sides
+        if c.p[i][i] != zetas[i] * c.link
+    )
+    # (B - theta'_1)...(B - theta'_i) tau_i(A) E'_0 = zeta_i E'_0, read on v
+    raising = (
+        {"identity": f"alternating product on first {other_side} eigenspace", "i": i}
+        for i in range(d + 1)
+        for _, c, _, _, other_side in sides
+        if _shifted(c.b, c.thetas_b[1 : i + 1], c.cols[i]) != tuple(zetas[i] * a for a in c.v)
+    )
+    return [
+        _verdict("split/offdiag_products_vanish", offdiag),
+        _verdict("split/prefix_product_reductions", prefix),
+        _verdict("split/diag_products_scale", scaling),
+        _verdict("split/raising_identities", raising),
+    ]
 
 
 def zeta_star_check(zetas, zetas_star):
@@ -343,12 +359,12 @@ def zeta_d_closed_form(ctx: SystemContext):
     first = (
         fam_s.eta_at(d, sys.thetas_star[0])
         * fam_t.tau_at(d, sys.thetas[d])
-        * (e_fam[d] * estar_fam[0]).trace()
+        * _trace_with(e_fam[d], _line_factors(estar_fam, 0))
     )
     second = (
         fam_t.eta_at(d, sys.thetas[0])
         * fam_s.tau_at(d, sys.thetas_star[d])
-        * (estar_fam[d] * e_fam[0]).trace()
+        * _trace_with(estar_fam[d], _line_factors(e_fam, 0))
     )
     ok = lhs == first and lhs == second
     witness = None if ok else {"zeta_d": lhs, "primary_form": first, "dual_form": second}
@@ -393,7 +409,7 @@ def problems_report(ctx: SystemContext):
     projections F_i onto each summand along the others are built only here,
     with everything `projections` asserts about them.
     """
-    sys, summands, e_fam, estar_fam = ctx.sys, ctx.decomposition, ctx.e_fam, ctx.estar_fam
+    sys, summands = ctx.sys, ctx.decomposition
     field, d = sys.field, sys.d
     restrictions = []
     for i in range(d // 2 + 1):
@@ -416,14 +432,22 @@ def problems_report(ctx: SystemContext):
                 "char_poly": char_poly(restriction).coeffs,
             }
         )
-    table = {
-        "tr_Ei_Estar0": [(e_fam[i] * estar_fam[0]).trace() for i in range(d + 1)],
-        "tr_Ei_Estard": [(e_fam[i] * estar_fam[d]).trace() for i in range(d + 1)],
-        "tr_Estari_E0": [(estar_fam[i] * e_fam[0]).trace() for i in range(d + 1)],
-        "tr_Estari_Ed": [(estar_fam[i] * e_fam[d]).trace() for i in range(d + 1)],
-    }
     return {
         "restrictions": restrictions,
-        "cross_traces": table,
+        "cross_traces": _cross_traces(ctx),
         "projections": projections(field, sys.n, summands),
+    }
+
+
+def _cross_traces(ctx: SystemContext) -> dict:
+    """tr(E_i E*_0), tr(E_i E*_d), tr(E*_i E_0) and tr(E*_i E_d) for i = 0..d,
+    each read through the rank-one factor (see _trace_with)."""
+    e_fam, estar_fam, d = ctx.e_fam, ctx.estar_fam, ctx.sys.d
+    e0, ed = _line_factors(e_fam, 0), _line_factors(e_fam, d)
+    es0, esd = _line_factors(estar_fam, 0), _line_factors(estar_fam, d)
+    return {
+        "tr_Ei_Estar0": [_trace_with(e, es0) for e in e_fam],
+        "tr_Ei_Estard": [_trace_with(e, esd) for e in e_fam],
+        "tr_Estari_E0": [_trace_with(e, e0) for e in estar_fam],
+        "tr_Estari_Ed": [_trace_with(e, ed) for e in estar_fam],
     }

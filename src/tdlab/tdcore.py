@@ -142,9 +142,8 @@ class SystemContext:
 
     Derived on first use: the two idempotent families, the validation
     report, the basis of the algebra generated by A and A*, the split
-    summands, the split sequence, and the operator polynomials the split
-    identities read.  A context for a relative or the dual of a system is
-    seeded from that system's (see seeded).
+    summands and the split sequence.  A context for a relative or the dual
+    of a system is seeded from that system's (see seeded).
     """
 
     def __init__(self, sys: TdSystem, options: ValidateOptions | None = None):
@@ -202,43 +201,6 @@ class SystemContext:
         from .splitparam import split_sequence
 
         return split_sequence(self)
-
-    @cached_property
-    def tau(self) -> list:
-        """tau_i(A) = (A - theta_0)...(A - theta_{i-1}) for i = 0..d."""
-        return _linear_products(self.sys.A, self.sys.thetas[:-1])
-
-    @cached_property
-    def tau_star(self) -> list:
-        """tau*_i(A*) = (A* - theta*_0)...(A* - theta*_{i-1}) for i = 0..d."""
-        return _linear_products(self.sys.Astar, self.sys.thetas_star[:-1])
-
-    @cached_property
-    def alternating(self) -> list:
-        """(A* - theta*_1)...(A* - theta*_i) tau_i(A) for i = 0..d; on U_0 it is zeta_i."""
-        return _alternating(_linear_products(self.sys.Astar, self.sys.thetas_star[1:]), self.tau)
-
-    @cached_property
-    def alternating_star(self) -> list:
-        """(A - theta_1)...(A - theta_i) tau*_i(A*) for i = 0..d."""
-        return _alternating(_linear_products(self.sys.A, self.sys.thetas[1:]), self.tau_star)
-
-
-def _linear_products(m: Matrix, values) -> list:
-    """The prefix products of (m - v I) over `values`: entry i is the product
-    of the first i factors, entry 0 the identity.  The identity is never a
-    factor of a multiplication."""
-    ident = Matrix.identity(m.field, m.rows)
-    out = [ident]
-    for v in values:
-        factor = m - ident.scale(v)
-        out.append(factor if len(out) == 1 else out[-1] * factor)
-    return out
-
-
-def _alternating(sigma: list, tau: list) -> list:
-    """sigma_i tau_i for i = 0..d, where both tables start at the identity."""
-    return [tau[0]] + [s * t for s, t in zip(sigma[1:], tau[1:])]
 
 
 def projections(field: Field, n: int, subspaces) -> list:
@@ -383,14 +345,17 @@ def _spin(ops, vec, replay=None):
     return span, kept, images
 
 
-def _first_dual_line(ctx: SystemContext):
-    """(v0, u0) on a sharp system: v0 spans the line E*_0 V, and u0, a
-    nonzero row of E*_0, spans the theta*_0-eigenspace of A*^t."""
-    fam = ctx.estar_fam
-    if fam.ranks[0] != 1:
-        raise ValueError("E*_0 is not a line")
-    u0 = next(row for row in fam[0].data if any(row))
-    return fam.eigenspaces[0].basis[0], u0
+def _line_factors(fam: IdempotentFamily, i: int):
+    """(x, y) with E_i = x y^t, asserted exactly, for a rank-one E_i of `fam`
+    (else ValueError): x is the rref vector spanning E_i V and y the first
+    nonzero row of E_i, at x's pivot.  y spans the eigenspace of the transpose."""
+    if fam.ranks[i] != 1:
+        raise ValueError(f"idempotent {i} is not of rank one")
+    x = fam.eigenspaces[i].basis[0]
+    y = next(row for row in fam[i].data if any(row))
+    if any(row != tuple(a * b for b in y) for a, row in zip(x, fam[i].data)):
+        raise InvariantViolation(f"idempotent {i} is not the outer product of its line factors")
+    return x, y
 
 
 def _norton(ctx: SystemContext, v0, u0):
@@ -442,7 +407,7 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
     if strategy == "assume":
         return "irreducible", {"note": assume_note or "assumed by caller"}, "assume"
     if strategy == "norton" or (strategy == "auto" and ctx.estar_fam.ranks[0] == 1):
-        return _proved(ctx, _norton(ctx, *_first_dual_line(ctx)), "norton")
+        return _proved(ctx, _norton(ctx, *_line_factors(ctx.estar_fam, 0)), "norton")
     if strategy in ("auto", "burnside"):
         basis = ctx.closure
         if len(basis) == sys.n * sys.n:

@@ -5,10 +5,14 @@ computes another way, or a fixture builder only tests need: the intertwiner
 space as the kernel of the n^2-unknown Sylvester system (the package spins
 one vector instead), the primitive idempotents as Lagrange products (the
 package projects along the eigenspace decomposition), Horner evaluation of a
-polynomial at a matrix (the package reads its operator tables), the standard
-orderings by full enumeration, the whole space as a subspace, the golden d=1
-instance, and the agreement of an isomorphism verdict with parameter-array
-equality (the fuzz isomorphism stage encodes it as its expected verdicts).
+polynomial at a matrix, the operator tables tau_i(A), tau*_i(A*) and the
+alternating products as n x n matrices, with the trace and corner-product
+identities and the cross-trace table read from them as matrix products (the
+package reads the rank-one corners as scalars, through vectors), the
+standard orderings by full enumeration, the whole space as a subspace, the
+golden d=1 instance, and the agreement of an isomorphism verdict with
+parameter-array equality (the fuzz isomorphism stage encodes it as its
+expected verdicts).
 """
 
 from fractions import Fraction as F
@@ -16,7 +20,9 @@ from itertools import permutations
 
 from tdlab.appshell import gen_leonard_split
 from tdlab.matrices import Matrix, MatrixError, Subspace, kernel
+from tdlab.polys import TauEtaFamily
 from tdlab.scalars import FieldError, RationalField
+from tdlab.splitparam import _prefix_products
 from tdlab.tdcore import FAIL, PASS, Check, _off_band_pair
 
 
@@ -132,3 +138,187 @@ def conjecture_crosscheck(verdict: str, array1, array2):
         PASS if agree else FAIL,
         None if agree else {"verdict": verdict, "same_array": same_array},
     )
+
+
+def _linear_products(m: Matrix, values) -> list:
+    """The prefix products of (m - v I) over `values`: entry i is the product
+    of the first i factors, entry 0 the identity.  The identity is never a
+    factor of a multiplication."""
+    ident = Matrix.identity(m.field, m.rows)
+    out = [ident]
+    for v in values:
+        factor = m - ident.scale(v)
+        out.append(factor if len(out) == 1 else out[-1] * factor)
+    return out
+
+
+def _alternating(sigma: list, tau: list) -> list:
+    """sigma_i tau_i for i = 0..d, where both tables start at the identity."""
+    return [tau[0]] + [s * t for s, t in zip(sigma[1:], tau[1:])]
+
+
+def operator_tables(sys):
+    """(tau, tau_star, alternating, alternating_star), each indexed i = 0..d:
+    tau_i(A) = (A - theta_0)...(A - theta_{i-1}), tau*_i(A*) likewise,
+    (A* - theta*_1)...(A* - theta*_i) tau_i(A), whose action on U_0 is
+    zeta_i, and (A - theta_1)...(A - theta_i) tau*_i(A*)."""
+    tau = _linear_products(sys.A, sys.thetas[:-1])
+    tau_star = _linear_products(sys.Astar, sys.thetas_star[:-1])
+    alternating = _alternating(_linear_products(sys.Astar, sys.thetas_star[1:]), tau)
+    alternating_star = _alternating(_linear_products(sys.A, sys.thetas[1:]), tau_star)
+    return tau, tau_star, alternating, alternating_star
+
+
+def trace_zeta(ctx):
+    """splitparam.trace_zeta with every trace read from a matrix product."""
+    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
+    field, d = sys.field, sys.d
+    e0, ed = e_fam[0], e_fam[d]
+    es0, esd = estar_fam[0], estar_fam[d]
+    checks = []
+
+    corner_traces = {
+        "tr_E0Estar0": (e0 * es0).trace(),
+        "tr_E0Estard": (e0 * esd).trace(),
+        "tr_EdEstar0": (ed * es0).trace(),
+        "tr_EdEstard": (ed * esd).trace(),
+    }
+    zero = field.zero
+    bad = {k: v for k, v in corner_traces.items() if v == zero}
+    checks.append(Check("split/trace_nonzero", FAIL if bad else PASS, bad or None))
+    if bad:
+        return {}, checks
+
+    pre_t = _prefix_products(field, list(sys.thetas), sys.thetas[0])
+    pre_s = _prefix_products(field, list(sys.thetas_star), sys.thetas_star[0])
+    tr_e0es0 = corner_traces["tr_E0Estar0"]
+    tr_es0e0 = (es0 * e0).trace()
+    tau, tau_star, _, _ = operator_tables(sys)
+
+    by_dual_prefix = [pre_s[i] * (tau[i] * es0).trace() for i in range(d + 1)]
+    by_primary_prefix = [pre_t[i] * (tau_star[i] * e0).trace() for i in range(d + 1)]
+    by_corner_ratio = [
+        (e0 * tau_star[i] * tau[i] * es0).trace() / tr_e0es0 for i in range(d + 1)
+    ]
+    by_corner_ratio_dual = [
+        (es0 * tau[i] * tau_star[i] * e0).trace() / tr_es0e0 for i in range(d + 1)
+    ]
+    values = {
+        "dual_prefix_times_trace": by_dual_prefix,
+        "primary_prefix_times_trace": by_primary_prefix,
+        "corner_trace_ratio": by_corner_ratio,
+        "corner_trace_ratio_dual": by_corner_ratio_dual,
+        "corner_traces": corner_traces,
+    }
+    zt = list(ctx.zetas)
+    mismatch = None
+    for name in (
+        "dual_prefix_times_trace",
+        "primary_prefix_times_trace",
+        "corner_trace_ratio",
+        "corner_trace_ratio_dual",
+    ):
+        if values[name] != zt:
+            mismatch = {"formula": name, "got": values[name], "expected": zt}
+            break
+    checks.append(Check("split/trace_formulas", FAIL if mismatch else PASS, mismatch))
+    return values, checks
+
+
+def vanishing_check(ctx):
+    """splitparam.vanishing_check with every corner formed as a matrix product."""
+    sys, zetas = ctx.sys, ctx.zetas
+    field, d = sys.field, sys.d
+    e0 = ctx.e_fam[0]
+    es0 = ctx.estar_fam[0]
+    taus_a, taus_b, alternating, alternating_star = operator_tables(sys)
+    checks = []
+
+    bad = None
+    for i in range(d + 1):
+        for j in range(d + 1):
+            if i == j:
+                continue
+            if not (e0 * taus_b[i] * taus_a[j] * es0).is_zero():
+                bad = {"side": "primary-corner", "i": i, "j": j}
+                break
+            if not (es0 * taus_a[i] * taus_b[j] * e0).is_zero():
+                bad = {"side": "dual-corner", "i": i, "j": j}
+                break
+        if bad:
+            break
+    checks.append(Check("split/offdiag_products_vanish", FAIL if bad else PASS, bad))
+
+    pre_t = _prefix_products(field, list(sys.thetas), sys.thetas[0])
+    pre_s = _prefix_products(field, list(sys.thetas_star), sys.thetas_star[0])
+    bad = None
+    for i in range(d + 1):
+        lhs1 = e0 * taus_b[i] * taus_a[i] * es0
+        if lhs1 != (e0 * taus_b[i] * e0 * es0).scale(pre_t[i]):
+            bad = {"identity": "primary via primary-prefix", "i": i}
+            break
+        if lhs1 != (e0 * es0 * taus_a[i] * es0).scale(pre_s[i]):
+            bad = {"identity": "primary via dual-prefix", "i": i}
+            break
+        lhs2 = es0 * taus_a[i] * taus_b[i] * e0
+        if lhs2 != (es0 * taus_a[i] * es0 * e0).scale(pre_s[i]):
+            bad = {"identity": "dual via dual-prefix", "i": i}
+            break
+        if lhs2 != (es0 * e0 * taus_b[i] * e0).scale(pre_t[i]):
+            bad = {"identity": "dual via primary-prefix", "i": i}
+            break
+    checks.append(Check("split/prefix_product_reductions", FAIL if bad else PASS, bad))
+
+    bad = None
+    for i in range(d + 1):
+        if (e0 * taus_b[i] * taus_a[i] * es0) != (e0 * es0).scale(zetas[i]):
+            bad = {"identity": "primary corner scaling", "i": i}
+            break
+        if (es0 * taus_a[i] * taus_b[i] * e0) != (es0 * e0).scale(zetas[i]):
+            bad = {"identity": "dual corner scaling", "i": i}
+            break
+    checks.append(Check("split/diag_products_scale", FAIL if bad else PASS, bad))
+
+    bad = None
+    for i in range(d + 1):
+        if alternating[i] * es0 != es0.scale(zetas[i]):
+            bad = {"identity": "alternating product on first dual eigenspace", "i": i}
+            break
+        if alternating_star[i] * e0 != e0.scale(zetas[i]):
+            bad = {"identity": "alternating product on first primary eigenspace", "i": i}
+            break
+    checks.append(Check("split/raising_identities", FAIL if bad else PASS, bad))
+    return checks
+
+
+def zeta_d_closed_form(ctx):
+    """splitparam.zeta_d_closed_form with its traces read from matrix products."""
+    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
+    field, d = sys.field, sys.d
+    fam_t = TauEtaFamily(field, sys.thetas)
+    fam_s = TauEtaFamily(field, sys.thetas_star)
+    lhs = ctx.zetas[d]
+    first = (
+        fam_s.eta_at(d, sys.thetas_star[0])
+        * fam_t.tau_at(d, sys.thetas[d])
+        * (e_fam[d] * estar_fam[0]).trace()
+    )
+    second = (
+        fam_t.eta_at(d, sys.thetas[0])
+        * fam_s.tau_at(d, sys.thetas_star[d])
+        * (estar_fam[d] * e_fam[0]).trace()
+    )
+    ok = lhs == first and lhs == second
+    witness = None if ok else {"zeta_d": lhs, "primary_form": first, "dual_form": second}
+    return Check("split/zeta_last_closed_form", PASS if ok else FAIL, witness)
+
+
+def cross_traces(ctx):
+    """The cross-trace table of splitparam.problems_report, read from matrix products."""
+    e_fam, estar_fam, d = ctx.e_fam, ctx.estar_fam, ctx.sys.d
+    return {
+        "tr_Ei_Estar0": [(e_fam[i] * estar_fam[0]).trace() for i in range(d + 1)],
+        "tr_Ei_Estard": [(e_fam[i] * estar_fam[d]).trace() for i in range(d + 1)],
+        "tr_Estari_E0": [(estar_fam[i] * e_fam[0]).trace() for i in range(d + 1)],
+        "tr_Estari_Ed": [(estar_fam[i] * e_fam[d]).trace() for i in range(d + 1)],
+    }

@@ -66,12 +66,12 @@ def test_orbit_request_derives_two_families(doc, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
 def test_orbit_request_validates_once_and_builds_no_operator_table(doc, tmp_path, monkeypatch, capsys):
     # the relatives take the base's report, and their split sequences apply
-    # the factors to a vector
+    # the factors to a vector; a context has no operator table to build
     validations = _count_calls(monkeypatch, td, "validate")
-    tables = _count_calls(monkeypatch, td, "_linear_products")
     assert run(["orbit", _write(tmp_path, doc)]) == 0
     assert len(validations) == 1
-    assert len(tables) == 0
+    for name in ("tau", "tau_star", "alternating", "alternating_star"):
+        assert not hasattr(SystemContext, name)
 
 
 @pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])

@@ -1,8 +1,8 @@
-"""The operator-polynomial tables of a SystemContext: tau_i(A), tau*_i(A*)
-and the alternating products, checked against Horner evaluation and the
-explicit factor-by-factor products on several systems and all their
-relatives.  The alternating tables are in turn the oracle for the split
-sequence, which applies the same factors to a vector."""
+"""The operator-polynomial tables of the test oracle (oracles.operator_tables):
+tau_i(A), tau*_i(A*) and the alternating products, checked against Horner
+evaluation and the explicit factor-by-factor products on several systems
+and all their relatives.  The explicit alternating products are in turn the
+oracle for the split sequence, which applies the same factors to a vector."""
 
 import pytest
 
@@ -10,9 +10,9 @@ from tdlab import d4orbit as d4
 from tdlab.appshell import run_identity_suite, system_from_document
 from tdlab.matrices import Matrix
 from tdlab.polys import Poly, TauEtaFamily
-from tdlab.tdcore import SystemContext, _linear_products
+from tdlab.tdcore import SystemContext
 
-from oracles import at_matrix
+from oracles import _linear_products, at_matrix, operator_tables
 from test_golden import KRAW_GF, KRAW_Q
 
 
@@ -39,36 +39,46 @@ def _factor_product(field, n, factors):
     return out
 
 
+def _alternating_factors(sys, i, dual=False):
+    """The factors of (B - theta'_1)...(B - theta'_i)(A - theta_{i-1})...(A - theta_0)
+    with (A, B) = (A, A*), or (A*, A) for the dual."""
+    a, b, th, ths = sys.A, sys.Astar, sys.thetas, sys.thetas_star
+    if dual:
+        a, b, th, ths = b, a, ths, th
+    lowering = [(b, ths[k]) for k in range(1, i + 1)]
+    raising = [(a, th[k]) for k in range(i - 1, -1, -1)]
+    return lowering + raising
+
+
 def test_tau_tables_equal_horner_evaluation(base):
     for ctx in _relatives(base):
         sys = ctx.sys
         fam_t = TauEtaFamily(sys.field, sys.thetas)
         fam_s = TauEtaFamily(sys.field, sys.thetas_star)
-        assert len(ctx.tau) == len(ctx.tau_star) == sys.d + 1
+        tau, tau_star, _, _ = operator_tables(sys)
+        assert len(tau) == len(tau_star) == sys.d + 1
         for i in range(sys.d + 1):
-            assert ctx.tau[i] == at_matrix(fam_t.tau(i), sys.A)
-            assert ctx.tau_star[i] == at_matrix(fam_s.tau(i), sys.Astar)
+            assert tau[i] == at_matrix(fam_t.tau(i), sys.A)
+            assert tau_star[i] == at_matrix(fam_s.tau(i), sys.Astar)
 
 
 def test_alternating_products_equal_explicit_products(base):
     for ctx in _relatives(base):
         sys = ctx.sys
-        field, n, a, b = sys.field, sys.n, sys.A, sys.Astar
-        th, ths = sys.thetas, sys.thetas_star
+        field, n = sys.field, sys.n
+        _, _, alternating, alternating_star = operator_tables(sys)
         for i in range(sys.d + 1):
-            lowering = [(b, ths[k]) for k in range(1, i + 1)]
-            raising = [(a, th[k]) for k in range(i - 1, -1, -1)]
-            assert ctx.alternating[i] == _factor_product(field, n, lowering + raising)
-            lowering = [(a, th[k]) for k in range(1, i + 1)]
-            raising = [(b, ths[k]) for k in range(i - 1, -1, -1)]
-            assert ctx.alternating_star[i] == _factor_product(field, n, lowering + raising)
+            assert alternating[i] == _factor_product(field, n, _alternating_factors(sys, i))
+            assert alternating_star[i] == _factor_product(field, n, _alternating_factors(sys, i, dual=True))
 
 
 def test_split_sequence_is_how_the_alternating_tables_act_on_the_split_line(base):
     for ctx in _relatives(base):
+        sys = ctx.sys
         v = ctx.decomposition[0].basis[0]
-        assert len(ctx.zetas) == len(ctx.alternating)
-        for op, zeta in zip(ctx.alternating, ctx.zetas):
+        assert len(ctx.zetas) == sys.d + 1
+        for i, zeta in enumerate(ctx.zetas):
+            op = _factor_product(sys.field, sys.n, _alternating_factors(sys, i))
             assert op.apply(v) == tuple(zeta * x for x in v)
 
 
@@ -91,7 +101,7 @@ def test_linear_products_never_multiply_by_the_identity(monkeypatch, x1):
 
 @pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
 def test_identity_suite_never_evaluates_polynomials_at_matrices(doc):
-    # the suite reads the context's tables; Horner evaluation at a matrix
+    # the suite applies its factors to vectors; Horner evaluation at a matrix
     # exists only as the test oracle, not as a Poly method the suite could call
     assert not hasattr(Poly, "at_matrix")
     sys, _ = system_from_document(doc)
