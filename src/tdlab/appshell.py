@@ -264,9 +264,9 @@ class RunConfig:
         if self.jobs < 1:
             raise InputError("jobs must be at least 1")
         if self.d_max < 1:
-            raise InputError("d_max must be at least 1")
+            raise InputError("d-max must be at least 1")
         if self.chain_depth < 1:
-            raise InputError("chain_depth must be at least 1")
+            raise InputError("chain-depth must be at least 1")
         if isinstance(self.field, PrimeField) and self.field.p < 5:
             raise InputError("fuzz needs a prime modulus of at least 5")
         if self.irreducibility == "exhaustive_gfp" and not (

@@ -267,17 +267,27 @@ def compute_orbit(ctx: SystemContext):
     """The split data of all eight relatives of a validated sharp system.
 
     The identity relative is the base context itself.  The others take its
-    families and report (see relative_context); each builds its own split
-    decomposition, split sequence and parameter array, and reads its shape
-    from its own families.  Returns {name: dict} in the fixed element order.
+    families and report (see relative_context), and each builds its own split
+    sequence and parameter array and reads its shape from its own families.
+    The complement g' of g (all three letters flipped) has U'_i =
+    (E_dV+...+E_{d-i}V) meet (E*_{d-i}V+...+E*_0V) = U_{d-i}, so it takes g's
+    summands reversed: four split decompositions serve all eight.  The
+    assertions split_decomposition would make on g' repeat g's: its partial
+    sums are g's tail sums, its raising is g's lowering and its lowering g's
+    raising, and dim U'_i = dim U_{d-i} = rho*_{d-i} follows from g's
+    partial-sum identities.  Returns {name: dict} in the fixed element order.
     """
     if not ctx.report.passed():
         raise InvariantViolation("relative id failed validation", {"relative": "id"})
     if not ctx.report.sharp:
         raise InvariantViolation("relative id is not sharp", {"relative": "id"})
-    orbit = {}
+    orbit, summands = {}, {}
     for g in ALL_ELEMENTS:
         rel = ctx if g == IDENTITY else relative_context(ctx, g)
+        complement = D4Element(not g.rev_dual, not g.rev_primary, not g.swap)
+        if complement in summands:
+            rel.decomposition = summands[complement][::-1]
+        summands[g] = rel.decomposition
         orbit[g.name] = {
             "zetas": rel.zetas,
             "array": sp.parameter_array(rel.sys, rel.zetas),

@@ -48,10 +48,6 @@ def _ensure(cond: bool, message: str, witness=None):
         raise InvariantViolation(message, witness)
 
 
-def _sum(s: Subspace, t: Subspace) -> Subspace:
-    return mx.sum_and_meet(s, t)[0]
-
-
 def _shifted(m: Matrix, thetas, v) -> tuple:
     """(m - theta I) applied to v once per theta in `thetas`, as m v - theta v:
     the shifted matrices are never built."""
@@ -69,15 +65,15 @@ def _shifts(m: Matrix, thetas, v) -> list:
 def split_decomposition(ctx: SystemContext) -> tuple:
     """The split summands U_0..U_d, asserting everything about them.
 
-    U_i is the intersection of the first i+1 dual eigenspaces' sum with the
-    last d-i+1 primary eigenspaces' sum.  Asserted here: the direct sum, the
-    two partial-sum identities, the raising/lowering containments, and
-    dim U_i equal to the shape entry.
+    U_i is the meet of estar_fam's prefix sum E*_0V+...+E*_iV with e_fam's
+    suffix sum E_iV+...+E_dV (IdempotentFamily.partial_sums).  Asserted here:
+    the direct sum, the two partial-sum identities, the raising/lowering
+    containments, and dim U_i equal to the shape entry.
     """
     sys, e_fam = ctx.sys, ctx.e_fam
     field, n, d = sys.field, sys.n, sys.d
-    lower = list(accumulate(ctx.estar_fam.eigenspaces, _sum))
-    upper = list(accumulate(reversed(e_fam.eigenspaces), _sum))[::-1]
+    lower = ctx.estar_fam.partial_sums[0]
+    upper = e_fam.partial_sums[1]
     subspaces = [mx.sum_and_meet(lower[i], upper[i])[1] for i in range(d + 1)]
 
     running = Subspace.zero(field, n)
@@ -92,7 +88,7 @@ def split_decomposition(ctx: SystemContext) -> tuple:
 
     tail = Subspace.zero(field, n)
     for i in range(d, -1, -1):
-        tail = _sum(tail, subspaces[i])
+        tail = mx.sum_and_meet(tail, subspaces[i])[0]
         _ensure(
             tail == upper[i],
             f"tail sum of split summands differs from primary eigenspace sum at {i}",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from . import matrices as mx
 from .matrices import Matrix, Subspace
@@ -105,11 +105,12 @@ class TdSystem:
 
 @dataclass
 class IdempotentFamily:
-    """Primitive idempotents of one operator, in the candidate order."""
+    """Primitive idempotents of one operator in the candidate order, and their partial sums."""
 
     mats: tuple
     eigenspaces: tuple  # Subspace per eigenvalue
     ranks: tuple
+    reversal_of: "IdempotentFamily | None" = dc_field(default=None, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.mats)
@@ -122,13 +123,29 @@ class IdempotentFamily:
 
     def reversed(self) -> "IdempotentFamily":
         """The same idempotents for the reversed eigenvalue order."""
-        return IdempotentFamily(self.mats[::-1], self.eigenspaces[::-1], self.ranks[::-1])
+        return IdempotentFamily(self.mats[::-1], self.eigenspaces[::-1], self.ranks[::-1], self)
+
+    @cached_property
+    def partial_sums(self) -> tuple:
+        """(prefix, suffix): prefix[i] = E_0V+...+E_iV and suffix[i] =
+        E_iV+...+E_dV, each chain summed once.  The family of the reversed
+        order reads its original's chains, each the other's reversed."""
+        if self.reversal_of is not None:
+            prefix, suffix = self.reversal_of.partial_sums
+            return suffix[::-1], prefix[::-1]
+        return _running_sums(self.eigenspaces), _running_sums(self.eigenspaces[::-1])[::-1]
 
     def transposed(self) -> "IdempotentFamily":
         """The family of the transposed operator: E_i^t, whose image is its eigenspace."""
         mats = tuple(e.transpose() for e in self.mats)
         spaces = tuple(mx.image(e) for e in mats)
         return IdempotentFamily(mats, spaces, self.ranks)
+
+
+def _running_sums(spaces) -> tuple:
+    """spaces[0], spaces[0]+spaces[1], ...: each sum through mx.sum_and_meet,
+    which asserts the modular law."""
+    return tuple(accumulate(spaces, lambda s, t: mx.sum_and_meet(s, t)[0]))
 
 
 @dataclass(frozen=True)

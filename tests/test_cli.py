@@ -318,6 +318,17 @@ def test_conjectures_rejects_chain_depth_below_one(depth, tmp_path, capsys):
     assert captured.err == "error: chain-depth must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--chain-depth", "chain-depth must be at least 1"), ("--d-max", "d-max must be at least 1")],
+)
+def test_fuzz_names_the_flag_it_rejects(flag, message, capsys):
+    assert run(["fuzz", "--trials", "2", "--seed", "2", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _raise_invariant(*args, **kwargs):
     raise InvariantViolation("injected failure")
 

@@ -5,6 +5,7 @@ dual, which it takes from its base system, is the one a fresh validation
 would give."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from tdlab.cli import run
 from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import SystemContext
 
+from test_conjlab import _n16_pair
 from test_golden import KRAW_GF, KRAW_Q
 from test_spin import GOLDEN_SYSTEMS, _fuzz_corpus
 
@@ -85,6 +87,33 @@ def test_orbit_request_builds_no_split_projections(doc, tmp_path, monkeypatch, c
     assert len(split) == 0
 
 
+@pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
+def test_orbit_request_builds_four_split_decompositions(doc, tmp_path, monkeypatch, capsys):
+    # a relative and its complement, all three letters flipped, share one
+    calls = _count_calls(monkeypatch, sp, "split_decomposition")
+    assert run(["orbit", _write(tmp_path, doc)]) == 0
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
+def test_orbit_request_sums_each_eigenspace_chain_once(doc, tmp_path, monkeypatch, capsys):
+    # the prefix and suffix sums of the base's two families; the reversed
+    # families of the relatives read them
+    chains = _count_calls(monkeypatch, td, "_running_sums")
+    assert run(["orbit", _write(tmp_path, doc)]) == 0
+    assert len(chains) == 4
+    assert all(a != b for a, b in combinations(chains, 2))
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "GF"])
+def test_fuzz_trial_builds_five_split_decompositions(field, monkeypatch):
+    # the base, three relatives whose complements take their summands, and the dual
+    calls = _count_calls(monkeypatch, sp, "split_decomposition")
+    doc = fuzz_run(RunConfig(seed=7, trials=1, d_max=3, field=field))
+    assert doc["checks"][0]["witness"]["accepted"]
+    assert len(calls) == 5
+
+
 @pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "GF"])
 def test_fuzz_trial_validates_only_the_candidate(field, monkeypatch):
     # the relatives and the dual take the candidate's report
@@ -125,6 +154,41 @@ def test_relative_and_dual_families_equal_fresh_ones(doc):
         assert rel.e_fam == fresh.e_fam
         assert rel.estar_fam == fresh.estar_fam
         assert fresh.report.passed() and fresh.report.shape == (1, 2, 1)
+
+
+def _assert_orbit_decompositions_equal_fresh_ones(ctx, monkeypatch):
+    """Each relative's summands, as compute_orbit derives them, equal those of
+    a fresh context with fresh families and sums, and its complement's
+    reversed."""
+    relatives = {d4.IDENTITY: ctx}
+    derive = d4.relative_context
+
+    def recording(base, g):
+        relatives[g] = derive(base, g)
+        return relatives[g]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(d4, "relative_context", recording)
+        d4.compute_orbit(ctx)
+    assert len(relatives) == 8
+    for g, rel in relatives.items():
+        assert rel.decomposition == sp.split_decomposition(SystemContext(rel.sys))
+        complement = d4.D4Element(not g.rev_dual, not g.rev_primary, not g.swap)
+        assert rel.decomposition == relatives[complement].decomposition[::-1]
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN_SYSTEMS), "n16"])
+def test_orbit_decompositions_equal_fresh_ones(name, monkeypatch):
+    sys = _n16_pair() if name == "n16" else GOLDEN_SYSTEMS[name]()
+    _assert_orbit_decompositions_equal_fresh_ones(SystemContext(sys), monkeypatch)
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "GF"])
+def test_orbit_decompositions_equal_fresh_ones_on_the_fuzz_corpus(field, monkeypatch):
+    corpus = _fuzz_corpus(field)
+    assert len(corpus) >= 10
+    for _, ctx in corpus:
+        _assert_orbit_decompositions_equal_fresh_ones(ctx, monkeypatch)
 
 
 def _assert_relatives_and_dual_validate_from_scratch(ctx):
