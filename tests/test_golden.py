@@ -16,9 +16,19 @@ from pathlib import Path
 
 import pytest
 
-from tdlab.appshell import checks_to_json, dumps_document, run_identity_suite, system_from_document
+from tdlab import matrices as mx
+from tdlab.appshell import (
+    checks_to_json,
+    conjectures_stage,
+    dumps_document,
+    run_identity_suite,
+    system_from_document,
+    to_jsonable,
+)
 from tdlab.cli import run
-from tdlab.tdcore import SystemContext
+from tdlab.matrices import Matrix
+from tdlab.scalars import PrimeField
+from tdlab.tdcore import SystemContext, TdSystem, ValidateOptions
 
 # the n=16 pair comes from the benchmark's own generator, which is not a package
 _sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -218,6 +228,43 @@ GOLDEN_SUITE = {
 }
 
 
+# The conjectures stage's checks and payload on each way of reaching the
+# generated algebra T: Mat_n known from Norton's test (the n=16 pair), Mat_n
+# from the solved closure (KRAW_Q under `assume`), and the proper T of the
+# GF(3) pair without a line, validated exhaustively and under `assume`.  No
+# CLI report reaches the product-form corner, the multiplication-closure
+# assertion or a corner of dimension 2.
+GOLDEN_CONJECTURES = {
+    "gf3_no_line_assume": "a1d097b064aa6a5ab66b4ee3d7ea2b250d64b5f369dca30dc0781453324726ee",
+    "gf3_no_line_exhaustive": "a1d097b064aa6a5ab66b4ee3d7ea2b250d64b5f369dca30dc0781453324726ee",
+    "kraw121_q_assume": "13ff033da180bf210d4c240b837987cc28409b49e7b662ecbf6f61f7692d3a86",
+    "kraw16_gf": "f56914c147e208fffef6a7dff3b05ff0dd9b835a572a3ebc3fa487fbf8bef1b9",
+}
+
+
+def gf3_pair_without_a_line():
+    """V = GF(9)^2 read over GF(3), with A = diag(1, 0) and A* = P diag(0, 1)
+    P^-1 for P = [[1, 1], [i, 1+i]] over GF(9) = GF(3)[i]: irreducible over
+    GF(3), but multiplication by i commutes with both operators, so they
+    generate only the 8-dimensional M_2(GF(9)), and no eigenspace is a line."""
+    f = PrimeField(3)
+
+    def over_gf3(m):
+        # a + b i acts on GF(3)^2 as [[a, -b], [b, a]]
+        rows = [[0] * 4 for _ in range(4)]
+        for r in range(2):
+            for c in range(2):
+                a, b = m[r][c]
+                for i, row in enumerate(([a, -b], [b, a])):
+                    rows[2 * r + i][2 * c : 2 * c + 2] = row
+        return Matrix(f, [[f.from_int(x) for x in row] for row in rows])
+
+    a = over_gf3([[(1, 0), (0, 0)], [(0, 0), (0, 0)]])
+    p = over_gf3([[(1, 0), (1, 0)], [(0, 1), (1, 1)]])
+    astar = p * over_gf3([[(0, 0), (0, 0)], [(0, 0), (1, 0)]]) * mx.inverse(p)
+    return TdSystem(f, 4, a, astar, (f.one, f.zero), (f.zero, f.one))
+
+
 def _kraw16_document():
     a, astar, thetas = kraw.krawtchouk_pair((2, 2, 2, 2), (2, 3, 5, 7))
     return kraw.system_document(a, astar, thetas, kraw.PRIME)
@@ -288,3 +335,24 @@ def test_identity_suite_digest(name):
     assert ctx.report.passed() and ctx.report.sharp
     checks = checks_to_json(sys.field, run_identity_suite(ctx))
     assert _sha256(dumps_document({"checks": checks})) == GOLDEN_SUITE[name]
+
+
+def _conjectures_input(name):
+    assume = ValidateOptions(irreducibility="assume")
+    if name == "kraw16_gf":
+        return system_from_document(_kraw16_document())[0], ValidateOptions()
+    if name == "kraw121_q_assume":
+        return system_from_document(KRAW_Q)[0], assume
+    if name == "gf3_no_line_exhaustive":
+        return gf3_pair_without_a_line(), ValidateOptions(irreducibility="exhaustive_gfp")
+    return gf3_pair_without_a_line(), assume
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONJECTURES))
+def test_conjectures_stage_digest(name):
+    sys, options = _conjectures_input(name)
+    ctx = SystemContext(sys, options)
+    assert ctx.report.passed()
+    checks, payload = conjectures_stage(ctx)
+    doc = {"checks": checks_to_json(sys.field, checks), "payload": to_jsonable(sys.field, payload)}
+    assert _sha256(dumps_document(doc)) == GOLDEN_CONJECTURES[name]
