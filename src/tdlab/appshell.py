@@ -530,24 +530,18 @@ def dual_stage(ctx: SystemContext):
 def conjectures_stage(ctx: SystemContext, chain_depth: int = 3):
     """Subalgebra and corner-algebra checks; also runs on non-sharp systems,
     where the parameter-array conditions are skipped."""
-    sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
+    sys, estar_fam = ctx.sys, ctx.estar_fam
     checks = []
     extra = {}
     try:
-        algs = cj.generate_subalgebras(sys, ctx.closure)
-        corner, corner_cks = cj.corner_algebra_checks(
-            sys,
-            algs["T"],
-            algs["D"],
-            algs["Dstar"],
-            estar_fam[0],
-            e_fam[0],
-            depth=chain_depth,
-        )
+        algs = cj.generate_subalgebras(ctx)
+        corner, corner_cks = cj.corner_algebra_checks(ctx, algs, depth=chain_depth)
         checks.extend(corner_cks)
         verdict, field_cks = cj.field_check(sys.field, corner, estar_fam[0], estar_fam.ranks[0])
         checks.extend(field_cks)
-        extra["subalgebra_dims"] = {k: v.dim for k, v in algs.items()} | {"corner": corner.dim}
+        # T is None when it is all of Mat_n
+        dims = {k: sys.n**2 if v is None else len(v) for k, v in algs.items()}
+        extra["subalgebra_dims"] = dims | {"corner": len(corner)}
         extra["corner_field_verdict"] = verdict
     except InvariantViolation as err:
         checks.append(Check("conj/subalgebras", FAIL, {"error": str(err)}))

@@ -44,14 +44,14 @@ def _emit(doc: dict) -> int:
 
 def _validated(path: str, irreducibility: str | None = None) -> SystemContext:
     sys, assume_note = app.load_system(path)
-    strategy = irreducibility or ("assume" if assume_note else "auto")
-    if strategy == "exhaustive":
-        strategy = "exhaustive_gfp"
+    typed = irreducibility or ("assume" if assume_note else "auto")
+    strategy = "exhaustive_gfp" if typed == "exhaustive" else typed
     ctx = SystemContext(sys, ValidateOptions(irreducibility=strategy, assume_note=assume_note))
     try:
-        ctx.report  # an infeasible strategy is an input error
+        ctx.report
     except ValueError as err:
-        raise app.InputError(str(err)) from err
+        # an infeasible strategy is an input error, named as it was typed
+        raise app.InputError(str(err).replace(strategy, typed)) from err
     return ctx
 
 

@@ -1,6 +1,9 @@
 """Subalgebras generated by the operators, the corner algebra cut out by the
 first dual idempotent, and the empirical conjecture checks that live there.
 
+Each algebra is a list of matrices, its rref-canonical vectorized basis;
+the builders take the system's context.
+
 Everything reports evidence: complete verdicts where a finite decision
 procedure exists (small prime fields, generator minimal polynomials of
 degree at most 2 over the rationals), honest "inconclusive" otherwise.
@@ -8,7 +11,6 @@ degree at most 2 over the rationals), honest "inconclusive" otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 from math import gcd
@@ -19,14 +21,8 @@ from .polys import Poly, poly_gcd
 from .scalars import PrimeField, RationalField, rational_sqrt
 from .splitparam import three_term_ratios, weighted_zeta_sum
 from .tdcore import (
-    EXHAUSTIVE_LIMIT, FAIL, INCONCLUSIVE, PASS, Check, InvariantViolation, TdSystem, find_duplicate,
+    EXHAUSTIVE_LIMIT, FAIL, INCONCLUSIVE, PASS, Check, InvariantViolation, SystemContext, find_duplicate,
 )
-
-
-@dataclass
-class SubalgebraBasis:
-    basis: list  # rref-canonical vectorized matrix basis
-    dim: int
 
 
 def _span_of(field, n, mats) -> Subspace:
@@ -37,14 +33,26 @@ def _subspace_to_mats(field, n, space: Subspace):
     return [Matrix.from_vec(field, row, n, n) for row in space.basis]
 
 
-def generate_subalgebras(sys: TdSystem, closure):
-    """The single-operator polynomial algebras and the full generated one.
+def _proper_generated_algebra(ctx: SystemContext):
+    """The basis of T, the algebra A and A* generate, or None when T is Mat_n:
+    by the density theorem on a pair validation proved absolutely irreducible
+    (see tdcore.check_irreducible), with no closure solved, and otherwise
+    when the solved closure has n^2 elements."""
+    if ctx.absolutely_irreducible or len(ctx.closure) == ctx.sys.n ** 2:
+        return None
+    return ctx.closure
+
+
+def generate_subalgebras(ctx: SystemContext) -> dict:
+    """The bases of the single-operator polynomial algebras D and D*, and of
+    the algebra T generated by A and A*: None when T is all of Mat_n.
 
     Each single-operator algebra is spanned by the powers up to the
     diameter (the minimal polynomial has degree d+1 on a validated
-    system, which is asserted).  `closure` is the basis of the algebra
-    generated by A and A* (SystemContext.closure).
+    system, which is asserted).  A proper T is asserted closed under
+    multiplication.
     """
+    sys = ctx.sys
     field, n, d = sys.field, sys.n, sys.d
     out = {}
     for label, m in (("D", sys.A), ("Dstar", sys.Astar)):
@@ -56,12 +64,10 @@ def generate_subalgebras(sys: TdSystem, closure):
             raise InvariantViolation(
                 f"powers of {label} are dependent below degree d+1", {"dim": space.dim}
             )
-        out[label] = SubalgebraBasis(_subspace_to_mats(field, n, space), space.dim)
-    if len(closure) < n * n:
-        # the full matrix algebra is closed by definition; only proper
-        # subalgebras need the quadratic membership check
-        mx.assert_multiplication_closed(closure)
-    out["T"] = SubalgebraBasis(closure, len(closure))
+        out[label] = _subspace_to_mats(field, n, space)
+    out["T"] = _proper_generated_algebra(ctx)
+    if out["T"] is not None:
+        mx.assert_multiplication_closed(out["T"])
     return out
 
 
@@ -70,63 +76,58 @@ def _times(field, n, space: Subspace, mats) -> Subspace:
     return _span_of(field, n, [x * y for x in _subspace_to_mats(field, n, space) for y in mats])
 
 
-def corner_algebra(sys: TdSystem, t_alg: SubalgebraBasis, estar0: Matrix) -> SubalgebraBasis:
-    """The two-sided cut of the generated algebra by the first dual idempotent.
+def corner_algebra(ctx: SystemContext, cut: Matrix) -> list:
+    """A basis of the two-sided cut of the generated algebra by an idempotent.
 
-    When the generated algebra is all of Mat_n, the cut E*_0 Mat_n E*_0 is
-    spanned by the outer products u v^T of a basis u of E*_0's column space
+    When the generated algebra is all of Mat_n, the cut E Mat_n E is
+    spanned by the outer products u v^T of a basis u of E's column space
     and a basis v of its row space, with no matrix products.
     """
-    field, n = sys.field, sys.n
-    if t_alg.dim == n * n:
-        cols, rows = mx.image(estar0).basis, mx.image(estar0.transpose()).basis
+    field, n = ctx.sys.field, ctx.sys.n
+    t_basis = _proper_generated_algebra(ctx)
+    if t_basis is None:
+        cols, rows = mx.image(cut).basis, mx.image(cut.transpose()).basis
         outer = [tuple(a * b for a in u for b in v) for u in cols for v in rows]
         space = Subspace.from_vectors(field, n * n, outer)
     else:
-        space = _span_of(field, n, [estar0 * x * estar0 for x in t_alg.basis])
-    return SubalgebraBasis(_subspace_to_mats(field, n, space), space.dim)
+        space = _span_of(field, n, [cut * x * cut for x in t_basis])
+    return _subspace_to_mats(field, n, space)
 
 
-def corner_algebra_checks(
-    sys: TdSystem,
-    t_alg: SubalgebraBasis,
-    d_alg: SubalgebraBasis,
-    dstar_alg: SubalgebraBasis,
-    estar0: Matrix,
-    e0: Matrix,
-    depth: int = 3,
-):
-    """The four corner-algebra conjecture clauses, each independently.
+def corner_algebra_checks(ctx: SystemContext, algs: dict, depth: int = 3):
+    """The corner algebra cut out by E*_0, and the four corner-algebra
+    conjecture clauses, each independently; `algs` is generate_subalgebras'.
 
     (commutes) the cut of the single-operator algebra is commutative;
     (chain) the alternating-word subspace equalities up to `depth` lines;
     (generated) the cut of the single-operator algebra generates the whole
     corner; (commutative) the corner itself is commutative.
     """
-    field, n = sys.field, sys.n
+    field, n = ctx.sys.field, ctx.sys.n
+    estar0, e0 = ctx.estar_fam[0], ctx.e_fam[0]
     checks = []
-    corner = corner_algebra(sys, t_alg, estar0)
+    corner = corner_algebra(ctx, estar0)
 
-    cut_d = _span_of(field, n, [estar0 * x * estar0 for x in d_alg.basis])
+    cut_d = _span_of(field, n, [estar0 * x * estar0 for x in algs["D"]])
     cut_d_mats = _subspace_to_mats(field, n, cut_d)
     bad = _first_noncommuting(cut_d_mats)
     checks.append(Check("conj/corner_cut_commutes", FAIL if bad else PASS, bad))
 
-    bad = _first_chain_failure(field, n, d_alg.basis, dstar_alg.basis, estar0, e0, depth)
+    bad = _first_chain_failure(field, n, algs["D"], algs["Dstar"], estar0, e0, depth)
     checks.append(Check("conj/chain_equalities", FAIL if bad else PASS, bad or {"depth": depth}))
 
     # both bases are rref-canonical, so equal spans have equal bases
     generated = mx.algebra_closure(cut_d_mats, unit=estar0)
-    ok = generated == corner.basis
+    ok = generated == corner
     checks.append(
         Check(
             "conj/corner_generated_by_cut",
             PASS if ok else FAIL,
-            None if ok else {"generated_dim": len(generated), "corner_dim": corner.dim},
+            None if ok else {"generated_dim": len(generated), "corner_dim": len(corner)},
         )
     )
 
-    bad = _first_noncommuting(corner.basis)
+    bad = _first_noncommuting(corner)
     checks.append(Check("conj/corner_commutative", FAIL if bad else PASS, bad))
     return corner, checks
 
@@ -174,7 +175,7 @@ def _first_chain_failure(field, n, d_mats, dstar_mats, estar0, e0, depth: int):
     return None
 
 
-def field_check(field, corner: SubalgebraBasis, estar0: Matrix, estar0_rank: int):
+def field_check(field, corner: list, estar0: Matrix, estar0_rank: int):
     """Is the corner algebra a field with the cut idempotent as identity?
 
     Over GF(p) with at most EXHAUSTIVE_LIMIT elements the verdict is
@@ -188,10 +189,9 @@ def field_check(field, corner: SubalgebraBasis, estar0: Matrix, estar0_rank: int
     inconclusive}.
     """
     checks = []
-    mats = corner.basis
-    dim = corner.dim
+    dim = len(corner)
     bad = None
-    for k, x in enumerate(mats):
+    for k, x in enumerate(corner):
         if estar0 * x != x or x * estar0 != x:
             bad = {"basis_index": k}
             break
@@ -208,7 +208,7 @@ def field_check(field, corner: SubalgebraBasis, estar0: Matrix, estar0_rank: int
         )
     )
 
-    if _first_noncommuting(mats):
+    if _first_noncommuting(corner):
         checks.append(Check("conj/corner_field", FAIL, {"reason": "not commutative"}))
         return "not_field", checks
 
@@ -217,7 +217,7 @@ def field_check(field, corner: SubalgebraBasis, estar0: Matrix, estar0_rank: int
         return "field", checks
 
     if isinstance(field, PrimeField) and field.p**dim <= EXHAUSTIVE_LIMIT:
-        witness = _exhaustive_zero_divisor(field, mats)
+        witness = _exhaustive_zero_divisor(field, corner)
         if witness is not None:
             checks.append(Check("conj/corner_field", FAIL, {"zero_divisor_coeffs": witness}))
             return "not_field", checks
@@ -272,11 +272,12 @@ def _exhaustive_zero_divisor(field: PrimeField, mats):
     return None
 
 
-def _rational_field_check(field, corner: SubalgebraBasis, estar0, checks):
-    gen = _corner_generator(corner, estar0)
+def _rational_field_check(field, corner: list, estar0, checks):
+    # conventionally estar0 * A * estar0: the first non-identity basis element
+    gen = next((m for m in corner if m != estar0), estar0)
     minpoly = _minimal_polynomial(field, estar0, gen)
     deg = minpoly.degree
-    if deg == 2 and corner.dim == 2:
+    if deg == 2 and len(corner) == 2:
         # decidable: irreducible over Q iff no rational root
         c0, c1 = minpoly.coeffs[0], minpoly.coeffs[1]
         disc = c1 * c1 - 4 * c0
@@ -285,7 +286,7 @@ def _rational_field_check(field, corner: SubalgebraBasis, estar0, checks):
             return "field", checks
         checks.append(Check("conj/corner_field", FAIL, {"reason": "quadratic minimal polynomial splits"}))
         return "not_field", checks
-    if deg != corner.dim:
+    if deg != len(corner):
         checks.append(
             Check(
                 "conj/corner_field",
@@ -312,15 +313,6 @@ def _rational_field_check(field, corner: SubalgebraBasis, estar0, checks):
         )
     )
     return "inconclusive", checks
-
-
-def _corner_generator(corner: SubalgebraBasis, estar0):
-    # conventionally estar0 * A * estar0; recover it from the span when the
-    # caller supplies only the basis by picking the first non-identity element
-    for m in corner.basis:
-        if m != estar0:
-            return m
-    return estar0
 
 
 def _minimal_polynomial(field, estar0, gen) -> Poly:

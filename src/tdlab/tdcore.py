@@ -160,7 +160,9 @@ class SystemContext:
     Derived on first use: the two idempotent families, the validation
     report, the basis of the algebra generated by A and A*, the split
     summands and the split sequence.  A context for a relative or the dual
-    of a system is seeded from that system's (see seeded).
+    of a system is seeded from that system's (see seeded).  Validation
+    records in `absolutely_irreducible` whether it proved that only scalars
+    commute with A and A*.
     """
 
     def __init__(self, sys: TdSystem, options: ValidateOptions | None = None):
@@ -190,17 +192,10 @@ class SystemContext:
 
     @cached_property
     def closure(self) -> list:
-        """rref-canonical basis of the algebra generated by A and A*.
-
-        On an absolutely irreducible pair (see check_irreducible) this is
-        all of Mat_n by the density theorem, whose rref basis is the matrix
-        units, so nothing is solved.
-        """
-        sys = self.sys
-        if self.absolutely_irreducible:
-            units = Matrix.identity(sys.field, sys.n * sys.n).data
-            return [Matrix.from_vec(sys.field, row, sys.n, sys.n) for row in units]
-        return mx.algebra_closure([sys.A, sys.Astar])
+        """rref-canonical basis of the algebra generated by A and A*, solved
+        on first read.  conjlab does not read it on an absolutely irreducible
+        pair, where the algebra is all of Mat_n (see check_irreducible)."""
+        return mx.algebra_closure([self.sys.A, self.sys.Astar])
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -415,10 +410,12 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
 
     When a complete strategy proves irreducibility and E_0 or E*_0 is a
     line, every map commuting with A and A* fixes that line and so is a
-    scalar; this is recorded as `ctx.absolutely_irreducible`.  Every
-    reducibility witness is re-verified before it is returned.  The
-    generated algebra and the families come from `ctx`, and are derived
-    only when a strategy needs them.
+    scalar; this is recorded as `ctx.absolutely_irreducible`.  A and A*
+    then generate all of Mat_n by the density theorem, which the corner
+    algebra reads without solving the closure.  Every reducibility witness
+    is re-verified before it is returned.  The generated algebra and the
+    families come from `ctx`, and are derived only when a strategy needs
+    them.
     """
     sys = ctx.sys
     if strategy == "assume":
@@ -449,7 +446,7 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
             raise ValueError("exhaustive_gfp strategy needs a prime field")
         if sys.field.p**sys.n > EXHAUSTIVE_LIMIT:
             raise ValueError(
-                f"exhaustive_gfp infeasible: {sys.field.p}^{sys.n} exceeds {EXHAUSTIVE_LIMIT}"
+                f"exhaustive_gfp strategy infeasible: {sys.field.p}^{sys.n} exceeds {EXHAUSTIVE_LIMIT}"
             )
         for vec in _gfp_line_representatives(sys.field, sys.n):
             span, _, _ = _spin((sys.A, sys.Astar), vec)

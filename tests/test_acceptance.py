@@ -127,10 +127,10 @@ def test_criterion_1_golden_instance():
     assert all(c.status == "pass" for c in achecks)
     assert dagger.apply(sys.A) == sys.A and dagger.apply(sys.Astar) == sys.Astar
 
-    from tdlab.conjlab import corner_algebra, generate_subalgebras
+    from tdlab.conjlab import corner_algebra
 
-    corner = corner_algebra(sys, generate_subalgebras(sys, ctx.closure)["T"], es[0])
-    assert corner.dim == 1
+    corner = corner_algebra(ctx, es[0])
+    assert len(corner) == 1
 
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"golden instance took {elapsed:.3f}s"

@@ -2,7 +2,7 @@ import json
 
 import pytest
 from oracles import builtin_x1
-from test_golden import KRAW_Q
+from test_golden import KRAW_GF, KRAW_Q, X1
 
 from tdlab import appshell as app
 from tdlab import d4orbit as d4
@@ -264,6 +264,23 @@ def test_verify_exhaustive_strategy(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     irr = next(c for c in out["checks"] if c["id"] == "irreducible")
     assert irr["witness"]["strategy"] == "exhaustive_gfp"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (X1, "exhaustive strategy needs a prime field"),
+        (KRAW_GF, "exhaustive strategy infeasible: 10007^4 exceeds 1000000"),
+    ],
+    ids=["rational", "too_large"],
+)
+def test_verify_names_the_strategy_as_typed(doc, message, tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(dumps_document(doc), encoding="utf-8")
+    assert run(["verify", str(path), "--irreducibility", "exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_zero_q_hint_exits_two(tmp_path, capsys):

@@ -6,7 +6,6 @@ from test_golden import KRAW1221_Q, KRAW_GF, KRAW_Q
 from tdlab import conjlab
 from tdlab.appshell import system_from_document
 from tdlab.conjlab import (
-    SubalgebraBasis,
     corner_algebra,
     corner_algebra_checks,
     field_check,
@@ -24,27 +23,24 @@ QQ = RationalField()
 
 def test_x1_subalgebra_dimensions(x1):
     sys, _ = x1
-    algs = generate_subalgebras(sys, SystemContext(sys).closure)
-    assert algs["D"].dim == 2
-    assert algs["Dstar"].dim == 2
-    assert algs["T"].dim == 4
+    ctx = SystemContext(sys)
+    algs = generate_subalgebras(ctx)
+    assert len(algs["D"]) == 2
+    assert len(algs["Dstar"]) == 2
+    assert algs["T"] is None and len(ctx.closure) == 4  # all of Mat_2
 
 
 def test_subalgebra_dimension_is_diameter_plus_one(inst_d3):
     sys, _ = inst_d3
-    algs = generate_subalgebras(sys, SystemContext(sys).closure)
-    assert algs["D"].dim == sys.d + 1
-    assert algs["Dstar"].dim == sys.d + 1
+    algs = generate_subalgebras(SystemContext(sys))
+    assert len(algs["D"]) == sys.d + 1
+    assert len(algs["Dstar"]) == sys.d + 1
 
 
 def test_x1_corner_checks(x1):
     sys, ctx = x1
-    algs = generate_subalgebras(sys, SystemContext(sys).closure)
-    corner, checks = corner_algebra_checks(
-        sys, algs["T"], algs["D"], algs["Dstar"],
-        ctx.estar_fam[0], ctx.e_fam[0],
-    )
-    assert corner.dim == 1
+    corner, checks = corner_algebra_checks(ctx, generate_subalgebras(ctx))
+    assert len(corner) == 1
     assert all(c.status == "pass" for c in checks), checks
 
 
@@ -55,13 +51,11 @@ def test_d0_everything_trivial():
     sys = TdSystem(f, 1, a, astar, (f.from_int(5),), (f.from_int(7),))
     ctx = SystemContext(sys)
     assert ctx.report.passed()
-    algs = generate_subalgebras(sys, ctx.closure)
-    assert algs["D"].dim == algs["Dstar"].dim == algs["T"].dim == 1
-    corner, checks = corner_algebra_checks(
-        sys, algs["T"], algs["D"], algs["Dstar"],
-        ctx.estar_fam[0], ctx.e_fam[0],
-    )
-    assert corner.dim == 1
+    algs = generate_subalgebras(ctx)
+    assert len(algs["D"]) == len(algs["Dstar"]) == 1
+    assert algs["T"] is None and len(ctx.closure) == 1  # all of Mat_1
+    corner, checks = corner_algebra_checks(ctx, algs)
+    assert len(corner) == 1
     verdict, fchecks = field_check(f, corner, ctx.estar_fam[0], 1)
     assert verdict == "field"
 
@@ -75,22 +69,21 @@ def _n16_pair():
 def test_corner_outer_products_match_the_product_form(name):
     sys = _n16_pair() if name == "n16" else GOLDEN_SYSTEMS[name]()
     ctx = SystemContext(sys)
-    t_alg = generate_subalgebras(sys, ctx.closure)["T"]
-    assert t_alg.dim == sys.n**2  # the outer-product form applies
+    t_basis = ctx.closure
+    assert len(t_basis) == sys.n**2  # the outer-product form applies
     # every idempotent of both families (ranks 1 and 2) cuts the algebra; on
     # the n=16 pair one of rank 1 and one of rank 4 keep the products cheap
     cuts = [*ctx.estar_fam, *ctx.e_fam] if name != "n16" else [ctx.estar_fam[0], ctx.e_fam[1]]
     for e in cuts:
-        products = conjlab._span_of(sys.field, sys.n, [e * x * e for x in t_alg.basis])
-        corner = corner_algebra(sys, t_alg, e)
-        assert corner.dim == products.dim == rank(e) ** 2
-        assert corner.basis == conjlab._subspace_to_mats(sys.field, sys.n, products)
+        products = conjlab._span_of(sys.field, sys.n, [e * x * e for x in t_basis])
+        corner = corner_algebra(ctx, e)
+        assert len(corner) == products.dim == rank(e) ** 2
+        assert corner == conjlab._subspace_to_mats(sys.field, sys.n, products)
 
 
 def test_x1_field_check(x1):
     sys, ctx = x1
-    algs = generate_subalgebras(sys, SystemContext(sys).closure)
-    corner = corner_algebra(sys, algs["T"], ctx.estar_fam[0])
+    corner = corner_algebra(ctx, ctx.estar_fam[0])
     verdict, checks = field_check(QQ, corner, ctx.estar_fam[0], 1)
     assert verdict == "field"
     assert any(c.id == "conj/corner_dim_matches_rank" and c.status == "pass" for c in checks)
@@ -98,12 +91,9 @@ def test_x1_field_check(x1):
 
 def test_chain_monotonicity(inst_d3):
     sys, ctx = inst_d3
-    algs = generate_subalgebras(sys, SystemContext(sys).closure)
+    algs = generate_subalgebras(ctx)
     for depth in (1, 2, 3):
-        _, checks = corner_algebra_checks(
-            sys, algs["T"], algs["D"], algs["Dstar"],
-            ctx.estar_fam[0], ctx.e_fam[0], depth=depth,
-        )
+        _, checks = corner_algebra_checks(ctx, algs, depth=depth)
         chain = next(c for c in checks if c.id == "conj/chain_equalities")
         assert chain.status == "pass", (depth, chain)
 
@@ -148,8 +138,8 @@ def _first_failing_line(field, n, case):
 
 
 def _chain_inputs(ctx):
-    algs = generate_subalgebras(ctx.sys, ctx.closure)
-    return ctx.sys.field, ctx.sys.n, algs["D"].basis, algs["Dstar"].basis
+    algs = generate_subalgebras(ctx)
+    return ctx.sys.field, ctx.sys.n, algs["D"], algs["Dstar"]
 
 
 def _kraw_context(doc):
@@ -214,8 +204,7 @@ def test_chain_work_is_bounded_in_depth(monkeypatch):
 
 
 def _artificial_corner(field, second):
-    ident = Matrix.identity(field, 2)
-    return SubalgebraBasis([ident, second], 2)
+    return [Matrix.identity(field, 2), second]
 
 
 def test_field_check_exhaustive_finds_zero_divisor():
@@ -258,7 +247,7 @@ def test_field_check_noncommutative_rejected():
     f = PrimeField(3)
     a = Matrix.from_ints(f, [[0, 1], [0, 0]])
     b = Matrix.from_ints(f, [[0, 0], [1, 0]])
-    corner = SubalgebraBasis([Matrix.identity(f, 2), a, b, a * b], 4)
+    corner = [Matrix.identity(f, 2), a, b, a * b]
     verdict, _ = field_check(f, corner, Matrix.identity(f, 2), 4)
     assert verdict == "not_field"
 

@@ -14,13 +14,21 @@ from tdlab import formlab as fl
 from tdlab import matrices as mx
 from tdlab import splitparam as sp
 from tdlab import tdcore as td
-from tdlab.appshell import RunConfig, fuzz_run, system_from_document
+from tdlab.appshell import (
+    RunConfig,
+    conjectures_stage,
+    document_from_system,
+    fuzz_run,
+    run_identity_suite,
+    system_from_document,
+)
 from tdlab.cli import run
+from tdlab.matrices import Matrix
 from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import SystemContext
 
 from test_conjlab import _n16_pair
-from test_golden import KRAW_GF, KRAW_Q
+from test_golden import KRAW_GF, KRAW_Q, gf3_pair_without_a_line
 from test_spin import GOLDEN_SYSTEMS, _fuzz_corpus
 
 
@@ -131,16 +139,42 @@ def test_fuzz_trial_builds_split_projections_once(field, monkeypatch):
     assert len(split) == 1
 
 
+def _of_the_pair(gens, unit=None):
+    return len(gens) == 2 and unit is None
+
+
 @pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
 def test_conjectures_request_builds_one_generated_algebra(doc, tmp_path, monkeypatch, capsys):
-    def of_the_pair(gens, unit=None):
-        return len(gens) == 2 and unit is None
-
-    calls = _count_calls(monkeypatch, mx, "algebra_closure", of_the_pair)
+    calls = _count_calls(monkeypatch, mx, "algebra_closure", _of_the_pair)
     assert run(["conjectures", _write(tmp_path, doc)]) == 0
     # Norton proved the pair absolutely irreducible, so the generated
-    # algebra is Mat_n and is written down, not solved for
+    # algebra is Mat_n, known by its dimension and never solved for
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("name", ["KRAW_Q", "KRAW_GF", "n16"])
+def test_a_norton_proved_pair_never_writes_down_its_generated_algebra(name, monkeypatch):
+    docs = {"KRAW_Q": KRAW_Q, "KRAW_GF": KRAW_GF}
+    sys = _n16_pair() if name == "n16" else system_from_document(docs[name])[0]
+    n = sys.n
+    units = _count_calls(monkeypatch, Matrix, "identity", lambda field, size: size == n * n)
+    ctx = SystemContext(sys)
+    irreducible = next(c for c in ctx.report.checks if c.id == "irreducible")
+    assert irreducible.witness["strategy"] == "norton"
+    conjectures_stage(ctx)
+    assert "closure" not in vars(ctx)
+    run_identity_suite(ctx)
+    assert "closure" not in vars(ctx)
+    assert units == []  # no n^2 matrix units either
+
+
+def test_conjectures_request_solves_a_proper_closure_once(tmp_path, monkeypatch, capsys):
+    doc = document_from_system(gf3_pair_without_a_line(), {"assume": True, "note": "proved exhaustively"})
+    calls = _count_calls(monkeypatch, mx, "algebra_closure", _of_the_pair)
+    assert run(["conjectures", _write(tmp_path, doc)]) == 3  # not sharp: a skip
+    out = json.loads(capsys.readouterr().out)
+    assert out["subalgebra_dims"] == {"D": 2, "Dstar": 2, "T": 8, "corner": 2}
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
@@ -226,4 +260,4 @@ def test_context_derives_each_object_once(x1, monkeypatch):
         assert ctx.zetas is ctx.zetas
         assert ctx.closure is ctx.closure
     assert len(families) == 2
-    assert len(closures) == 0  # the matrix units, as Norton proved irreducibility
+    assert len(closures) == 1  # one solve across the two reads

@@ -1,9 +1,11 @@
 """The spin algorithms against the solves they replace.
 
-Norton's irreducibility test is compared with the Burnside closure, the spin
-invariant form and isomorphism test with the n^2-unknown intertwiner solve
-(tests/oracles.py), and the matrix-unit generated algebra with
-`matrices.algebra_closure`.  The inputs are x1, every golden document, the
+Norton's irreducibility test is compared with the Burnside closure, and the
+spin invariant form and isomorphism test with the n^2-unknown intertwiner
+solve (tests/oracles.py).  On each pair that Norton's test or eigen_subset
+proves absolutely irreducible, the closure `matrices.algebra_closure` solves
+is the n^2 matrix units: all of Mat_n, which is why the corner algebra never
+solves it there.  The inputs are x1, every golden document, the
 n=16 Krawtchouk pair of shape (1,4,6,4,1), the fuzz corpus of
 `fuzz --trials 25 --seed 7` over both fields, and two reducible systems.
 """
@@ -42,7 +44,7 @@ from tdlab.tdcore import (
 )
 
 from oracles import intertwiner_matrices
-from test_golden import DOCUMENTS, LEONARD_D6
+from test_golden import DOCUMENTS, LEONARD_D6, gf3_pair_without_a_line
 
 # the n=16 pair comes from the benchmark's own generator, which is not a package
 _sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -65,11 +67,15 @@ def oracle_isomorphism(ctx1, ctx2):
     return ("isomorphic", basis[0]) if basis else ("not_isomorphic", None)
 
 
+def _matrix_units(field, n):
+    """The rref basis of Mat_n: the n^2 matrix units, in row-major order."""
+    return [Matrix.from_vec(field, row, n, n) for row in Matrix.identity(field, n * n).data]
+
+
 def assert_spin_matches_oracles(sys, conjugate_seed=1):
-    """Norton against Burnside, the matrix-unit closure against the solved
-    one, the spin form against the solved one, and spin isomorphism against
-    the solved one on a conjugate, the dual and the reversed relatives.
-    Returns the solved closure."""
+    """Norton against Burnside, the solved closure against the matrix units,
+    the spin form against the solved one, and spin isomorphism against the
+    solved one on a conjugate, the dual and the reversed relatives."""
     n = sys.n
     burnside = SystemContext(sys)
     assert check_irreducible(burnside, strategy="burnside") == (
@@ -82,7 +88,7 @@ def assert_spin_matches_oracles(sys, conjugate_seed=1):
     assert (verdict, used) == ("irreducible", "norton")
     assert detail == {"line": "Estar_0", "spin_dim": n, "dual_spin_dim": n}
     assert ctx.absolutely_irreducible
-    assert ctx.closure == burnside.closure  # the solved closure, rref-canonical
+    assert burnside.closure == _matrix_units(sys.field, n)  # rref-canonical
 
     gram, checks = fl.invariant_form(ctx)
     solved = intertwiner_matrices(sys.A, sys.Astar, sys.A.transpose(), sys.Astar.transpose())
@@ -101,7 +107,6 @@ def assert_spin_matches_oracles(sys, conjugate_seed=1):
         assert verdict == expected
         if gamma is not None:
             assert payload == {"gamma": gamma, "intertwiner_dim": 1}
-    return burnside.closure
 
 
 def _invertible(field, rng, n):
@@ -141,7 +146,7 @@ def test_spin_matches_oracles_on_the_n16_pair():
         "strategy": "norton",
         "detail": {"line": "Estar_0", "spin_dim": n, "dual_spin_dim": n},
     }
-    assert ctx.closure == burnside.closure
+    assert burnside.closure == _matrix_units(sys.field, n)
     gram, _ = fl.invariant_form(ctx)
     solved = intertwiner_matrices(sys.A, sys.Astar, sys.A.transpose(), sys.Astar.transpose())
     assert [gram] == solved
@@ -167,7 +172,7 @@ def test_spin_matches_oracles_on_the_fuzz_corpus(field):
         # fuzz validates with eigen_subset, which also earns the shortcut
         assert next(c for c in ctx.report.checks if c.id == "irreducible").witness["strategy"] == "eigen_subset"
         assert ctx.absolutely_irreducible
-        assert ctx.closure == assert_spin_matches_oracles(ctx.sys, conjugate_seed=index)
+        assert_spin_matches_oracles(ctx.sys, conjugate_seed=index)
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF"])
@@ -277,29 +282,11 @@ def test_leonard_plus_line_form_verdict_matches_the_oracle(tmp_path, capsys):
 
 
 def test_no_shortcut_without_a_line():
-    # V = GF(9)^2 read over GF(3), with A = diag(1, 0) and A* = P diag(0, 1)
-    # P^-1 for P = [[1, 1], [i, 1+i]] over GF(9) = GF(3)[i]: irreducible
-    # over GF(3), but multiplication by i commutes with both operators, so
-    # they generate only the 8-dimensional M_2(GF(9)); no eigenspace is a
-    # line, and the closure must be solved for
-    f = PrimeField(3)
-
-    def over_gf3(m):
-        # a + b i acts on GF(3)^2 as [[a, -b], [b, a]]
-        rows = [[0] * 4 for _ in range(4)]
-        for r in range(2):
-            for c in range(2):
-                a, b = m[r][c]
-                for i, row in enumerate(([a, -b], [b, a])):
-                    rows[2 * r + i][2 * c : 2 * c + 2] = row
-        return Matrix(f, [[f.from_int(x) for x in row] for row in rows])
-
-    a = over_gf3([[(1, 0), (0, 0)], [(0, 0), (0, 0)]])
-    p = over_gf3([[(1, 0), (1, 0)], [(0, 1), (1, 1)]])
-    astar = p * over_gf3([[(0, 0), (0, 0)], [(0, 0), (1, 0)]]) * mx.inverse(p)
-    sys = TdSystem(f, 4, a, astar, (f.one, f.zero), (f.zero, f.one))
+    # irreducible over GF(3), yet the operators generate only M_2(GF(9)) and
+    # no eigenspace is a line, so the closure must be solved for
+    sys = gf3_pair_without_a_line()
     ctx = SystemContext(sys, ValidateOptions(irreducibility="exhaustive_gfp"))
     irreducible = next(c for c in ctx.report.checks if c.id == "irreducible")
     assert irreducible.status == "pass"
     assert not ctx.absolutely_irreducible
-    assert len(ctx.closure) == 8 == len(mx.algebra_closure([a, astar]))
+    assert len(ctx.closure) == 8 == len(mx.algebra_closure([sys.A, sys.Astar]))

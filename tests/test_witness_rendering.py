@@ -16,7 +16,7 @@ from tdlab import appshell as app
 from tdlab import d4orbit as d4
 from tdlab import formlab as fl
 from tdlab import splitparam as sp
-from tdlab.conjlab import SubalgebraBasis, field_check, pa_conditions
+from tdlab.conjlab import field_check, pa_conditions
 from tdlab.matrices import Matrix
 from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import InvariantViolation, SystemContext, TdSystem, validate
@@ -197,7 +197,7 @@ def test_parameter_array_conditions():
 def test_corner_field_rational_root():
     m = Matrix(QQ, [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(3)]])
     ident = Matrix.identity(QQ, 3)
-    corner = SubalgebraBasis([ident, m, m * m], 3)
+    corner = [ident, m, m * m]
     assert _rendered(QQ, field_check(QQ, corner, ident, 3)[1]) == [
         {"id": "conj/corner_dim_matches_rank", "status": "pass", "witness": {"corner_dim": 3, "rank": 3}},
         {"id": "conj/corner_field", "status": "fail",
