@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from test_golden import KRAW1221_Q, KRAW_GF, KRAW_Q
+from test_golden import KRAW1221_Q, KRAW_GF, KRAW_Q, gf3_pair_without_a_line
 
 from tdlab import conjlab
 from tdlab.appshell import system_from_document
@@ -15,7 +15,7 @@ from tdlab.conjlab import (
 from tdlab.matrices import Matrix, Subspace, rank
 from tdlab.rng import SplitMix64
 from tdlab.scalars import PrimeField, RationalField
-from tdlab.tdcore import SystemContext, TdSystem
+from tdlab.tdcore import SystemContext, TdSystem, ValidateOptions
 from test_spin import GOLDEN_SYSTEMS, kraw
 
 QQ = RationalField()
@@ -147,22 +147,37 @@ def _kraw_context(doc):
     return SystemContext(sys)
 
 
-@pytest.mark.parametrize(
-    "doc", [None, KRAW_Q, KRAW_GF, KRAW1221_Q], ids=["x1", "KRAW_Q", "KRAW_GF", "KRAW1221_Q"]
-)
-def test_chain_matches_line_by_line_definition(doc, x1):
-    ctx = x1[1] if doc is None else _kraw_context(doc)
+def _chain_context(name, x1):
+    if name == "x1":
+        return x1[1]
+    if name == "n16":
+        return SystemContext(_n16_pair())
+    if name == "gf3_assume":
+        return SystemContext(gf3_pair_without_a_line(), ValidateOptions(irreducibility="assume"))
+    return _kraw_context({"KRAW_Q": KRAW_Q, "KRAW_GF": KRAW_GF, "KRAW1221_Q": KRAW1221_Q}[name])
+
+
+# the first failing line of each start/cap case, where every start and cap is
+# compared: (E*_i, E_j) for all i, j, then (E_i, E*_j); on the GF(3) pair the
+# start E*_0 has rank 2
+ALL_CASES_FAILING_LINES = {
+    "KRAW_Q": [None, 1, None, None, 1, None, None, 1, None, None, 3, None, 2, 2, 2, None, 3, None],
+    "gf3_assume": [None, None, None, None, 2, 2, 2, 2],
+}
+
+
+@pytest.mark.parametrize("name", ["x1", "KRAW_Q", "KRAW_GF", "KRAW1221_Q", "n16", "gf3_assume"])
+def test_chain_matches_line_by_line_definition(name, x1):
+    ctx = _chain_context(name, x1)
     field, n, d_mats, dstar_mats = _chain_inputs(ctx)
     cases = [(d_mats, dstar_mats, ctx.estar_fam[0], ctx.e_fam[0])]
-    if n == 4:
-        # other idempotents as start and cap, so that lines 1, 2 and 3 fail
-        # and the witnesses are compared too
+    if name in ALL_CASES_FAILING_LINES:
+        # other idempotents as start and cap, so that the witnesses of
+        # failing lines are compared too
         cases = [(d_mats, dstar_mats, s, c) for s in ctx.estar_fam for c in ctx.e_fam]
         cases += [(d_mats, dstar_mats, s, c) for s in ctx.e_fam for c in ctx.estar_fam]
     failing_lines = [_first_failing_line(field, n, case) for case in cases]
-    assert failing_lines[0] is None
-    if n == 4:
-        assert {1, 2, 3} <= set(failing_lines)
+    assert failing_lines == ALL_CASES_FAILING_LINES.get(name, [None])
 
 
 def test_chain_stop_rule_on_arbitrary_factors():
