@@ -184,7 +184,7 @@ def load_system(path: str):
         raise InputError(f"cannot read {path}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
         raise InputError(f"{path} is not UTF-8 text: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # too deeply nested for the decoder
         raise InputError(f"invalid JSON in {path}: {err}") from err
     return system_from_document(doc)
 

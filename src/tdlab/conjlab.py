@@ -1,8 +1,8 @@
 """Subalgebras generated by the operators, the corner algebra cut out by the
 first dual idempotent, and the empirical conjecture checks that live there.
 
-Each algebra is a list of matrices, its rref-canonical vectorized basis;
-the builders take the system's context.
+Each algebra or span is a list of matrices, its rref-canonical vectorized
+basis (see _span); the builders take the system's context.
 
 Everything reports evidence: complete verdicts where a finite decision
 procedure exists (small prime fields, generator minimal polynomials of
@@ -16,7 +16,7 @@ from itertools import islice, product
 from math import gcd
 
 from . import matrices as mx
-from .matrices import Matrix, Subspace
+from .matrices import Matrix, MatrixError, Subspace
 from .polys import Poly, poly_gcd
 from .scalars import PrimeField, RationalField, rational_sqrt
 from .splitparam import three_term_ratios, weighted_zeta_sum
@@ -25,12 +25,14 @@ from .tdcore import (
 )
 
 
-def _span_of(field, n, mats) -> Subspace:
-    return Subspace.from_vectors(field, n * n, [m.vec() for m in mats])
-
-
-def _subspace_to_mats(field, n, space: Subspace):
-    return [Matrix.from_vec(field, row, n, n) for row in space.basis]
+def _span(mats) -> list:
+    """The rref-canonical basis of the span of same-shape matrices, as
+    matrices of that shape ([] for no matrices or a zero span)."""
+    if not mats:
+        return []
+    field, rows, cols = mats[0].field, mats[0].rows, mats[0].cols
+    space = Subspace.from_vectors(field, rows * cols, [m.vec() for m in mats])
+    return [Matrix.from_vec(field, row, rows, cols) for row in space.basis]
 
 
 def _proper_generated_algebra(ctx: SystemContext):
@@ -52,28 +54,27 @@ def generate_subalgebras(ctx: SystemContext) -> dict:
     system, which is asserted).  A proper T is asserted closed under
     multiplication.
     """
-    sys = ctx.sys
-    field, n, d = sys.field, sys.n, sys.d
+    field, n, d = ctx.sys.field, ctx.sys.n, ctx.sys.d
     out = {}
-    for label, m in (("D", sys.A), ("Dstar", sys.Astar)):
+    for label, m in (("D", ctx.sys.A), ("Dstar", ctx.sys.Astar)):
         powers = [Matrix.identity(field, n)]
         for _ in range(d):
             powers.append(powers[-1] * m)
-        space = _span_of(field, n, powers)
-        if space.dim != d + 1:
-            raise InvariantViolation(
-                f"powers of {label} are dependent below degree d+1", {"dim": space.dim}
-            )
-        out[label] = _subspace_to_mats(field, n, space)
+        out[label] = basis = _span(powers)
+        if len(basis) != d + 1:
+            raise InvariantViolation(f"powers of {label} are dependent below degree d+1", {"dim": len(basis)})
     out["T"] = _proper_generated_algebra(ctx)
     if out["T"] is not None:
-        mx.assert_multiplication_closed(out["T"])
+        try:
+            mx.assert_multiplication_closed(out["T"])
+        except MatrixError as err:
+            raise InvariantViolation(str(err)) from err
     return out
 
 
-def _times(field, n, space: Subspace, mats) -> Subspace:
-    """The span of the products x*y, x in space and y in mats."""
-    return _span_of(field, n, [x * y for x in _subspace_to_mats(field, n, space) for y in mats])
+def _times(basis, mats) -> list:
+    """The span of the products x*y, x in basis and y in mats."""
+    return _span([x * y for x in basis for y in mats])
 
 
 def corner_algebra(ctx: SystemContext, cut: Matrix) -> list:
@@ -83,15 +84,11 @@ def corner_algebra(ctx: SystemContext, cut: Matrix) -> list:
     spanned by the outer products u v^T of a basis u of E's column space
     and a basis v of its row space, with no matrix products.
     """
-    field, n = ctx.sys.field, ctx.sys.n
     t_basis = _proper_generated_algebra(ctx)
     if t_basis is None:
         cols, rows = mx.image(cut).basis, mx.image(cut.transpose()).basis
-        outer = [tuple(a * b for a in u for b in v) for u in cols for v in rows]
-        space = Subspace.from_vectors(field, n * n, outer)
-    else:
-        space = _span_of(field, n, [cut * x * cut for x in t_basis])
-    return _subspace_to_mats(field, n, space)
+        return _span([Matrix(cut.field, [[a * b for b in v] for a in u]) for u in cols for v in rows])
+    return _span([cut * x * cut for x in t_basis])
 
 
 def corner_algebra_checks(ctx: SystemContext, algs: dict, depth: int = 3):
@@ -103,21 +100,19 @@ def corner_algebra_checks(ctx: SystemContext, algs: dict, depth: int = 3):
     (generated) the cut of the single-operator algebra generates the whole
     corner; (commutative) the corner itself is commutative.
     """
-    field, n = ctx.sys.field, ctx.sys.n
     estar0, e0 = ctx.estar_fam[0], ctx.e_fam[0]
     checks = []
     corner = corner_algebra(ctx, estar0)
 
-    cut_d = _span_of(field, n, [estar0 * x * estar0 for x in algs["D"]])
-    cut_d_mats = _subspace_to_mats(field, n, cut_d)
-    bad = _first_noncommuting(cut_d_mats)
+    cut_d = _span([estar0 * x * estar0 for x in algs["D"]])
+    bad = _first_noncommuting(cut_d)
     checks.append(Check("conj/corner_cut_commutes", FAIL if bad else PASS, bad))
 
-    bad = _first_chain_failure(field, n, algs["D"], algs["Dstar"], estar0, e0, depth)
+    bad = _first_chain_failure(algs["D"], algs["Dstar"], estar0, e0, depth)
     checks.append(Check("conj/chain_equalities", FAIL if bad else PASS, bad or {"depth": depth}))
 
     # both bases are rref-canonical, so equal spans have equal bases
-    generated = mx.algebra_closure(cut_d_mats, unit=estar0)
+    generated = mx.algebra_closure(cut_d, unit=estar0)
     ok = generated == corner
     checks.append(
         Check(
@@ -141,7 +136,7 @@ def _first_noncommuting(mats):
     return None
 
 
-def _first_chain_failure(field, n, d_mats, dstar_mats, estar0, e0, depth: int):
+def _first_chain_failure(d_mats, dstar_mats, estar0, e0, depth: int):
     """The witness of the first alternating-word chain line up to `depth`
     whose two sides differ, or None.
 
@@ -150,25 +145,33 @@ def _first_chain_failure(field, n, d_mats, dstar_mats, estar0, e0, depth: int):
     in the dual algebra (odd lines) and by estar0 otherwise.  The right side
     is the same word with every dual-algebra factor replaced by estar0.
 
+    Every matrix on either side is estar0*W, with columns in estar0's column
+    space, so it is fixed by its rows at that space's pivots, and right
+    multiplication acts on those rows alone.  The spans are kept as spans of
+    those rho_0 x n row blocks: they have the dimensions and equalities of
+    the n x n spans, and the stop rule sees the same repeats.  A zero estar0
+    spans nothing on both sides.
+
     Both uncapped sides are spans extended by one factor per line.  The
     factors alternate, so a line's prefixes are a function of those two
     lines before: once both prefixes equal theirs from two lines back,
     every later line repeats one of the last two, and the scan stops.
     """
-    left = right = _span_of(field, n, [estar0])
+    rows = [estar0.data[i] for i in mx.image(estar0).pivots]
+    left = right = [Matrix(estar0.field, rows)] if rows else []
     back = [None, None]  # the prefixes of the two previous lines
     for line in range(depth + 1):
         even = line % 2 == 0
-        left = _times(field, n, left, d_mats if even else dstar_mats)
+        left = _times(left, d_mats if even else dstar_mats)
         if even:
-            right = _times(field, n, _times(field, n, right, d_mats), [estar0])
+            right = _times(_times(right, d_mats), [estar0])
         if line:
             if even:  # the right side already ends with estar0
-                lhs, rhs = _times(field, n, left, [estar0]), right
+                lhs, rhs = _times(left, [estar0]), right
             else:
-                lhs, rhs = _times(field, n, left, [e0]), _times(field, n, right, [e0])
+                lhs, rhs = _times(left, [e0]), _times(right, [e0])
             if lhs != rhs:
-                return {"line": line, "lhs_dim": lhs.dim, "rhs_dim": rhs.dim}
+                return {"line": line, "lhs_dim": len(lhs), "rhs_dim": len(rhs)}
         if back[0] == (left, right):
             return None
         back = [back[1], (left, right)]

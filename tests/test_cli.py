@@ -168,6 +168,18 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert run(["verify", str(tmp_path / "missing.json")]) == 2
 
 
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: invalid JSON in {path}: maximum recursion depth exceeded"
+        " while decoding a JSON array from a unicode string\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

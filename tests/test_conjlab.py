@@ -4,7 +4,7 @@ import pytest
 from test_golden import KRAW1221_Q, KRAW_GF, KRAW_Q, gf3_pair_without_a_line
 
 from tdlab import conjlab
-from tdlab.appshell import system_from_document
+from tdlab.appshell import conjectures_stage, system_from_document
 from tdlab.conjlab import (
     corner_algebra,
     corner_algebra_checks,
@@ -75,10 +75,10 @@ def test_corner_outer_products_match_the_product_form(name):
     # the n=16 pair one of rank 1 and one of rank 4 keep the products cheap
     cuts = [*ctx.estar_fam, *ctx.e_fam] if name != "n16" else [ctx.estar_fam[0], ctx.e_fam[1]]
     for e in cuts:
-        products = conjlab._span_of(sys.field, sys.n, [e * x * e for x in t_basis])
+        products = conjlab._span([e * x * e for x in t_basis])
         corner = corner_algebra(ctx, e)
-        assert len(corner) == products.dim == rank(e) ** 2
-        assert corner == conjlab._subspace_to_mats(sys.field, sys.n, products)
+        assert len(corner) == len(products) == rank(e) ** 2
+        assert corner == products
 
 
 def test_x1_field_check(x1):
@@ -133,13 +133,14 @@ def _first_failing_line(field, n, case):
     first = _chain_by_definition(field, n, *case, 8)
     for depth in range(1, 9):
         expected = first if first and first["line"] <= depth else None
-        assert conjlab._first_chain_failure(field, n, *case, depth) == expected, (case, depth)
+        assert conjlab._first_chain_failure(*case, depth) == expected, (case, depth)
     return first and first["line"]
 
 
 def _chain_inputs(ctx):
+    assert ctx.report.passed()  # so that a Norton-proved Mat_n is not solved for
     algs = generate_subalgebras(ctx)
-    return ctx.sys.field, ctx.sys.n, algs["D"], algs["Dstar"]
+    return algs["D"], algs["Dstar"]
 
 
 def _kraw_context(doc):
@@ -169,7 +170,8 @@ ALL_CASES_FAILING_LINES = {
 @pytest.mark.parametrize("name", ["x1", "KRAW_Q", "KRAW_GF", "KRAW1221_Q", "n16", "gf3_assume"])
 def test_chain_matches_line_by_line_definition(name, x1):
     ctx = _chain_context(name, x1)
-    field, n, d_mats, dstar_mats = _chain_inputs(ctx)
+    field, n = ctx.sys.field, ctx.sys.n
+    d_mats, dstar_mats = _chain_inputs(ctx)
     cases = [(d_mats, dstar_mats, ctx.estar_fam[0], ctx.e_fam[0])]
     if name in ALL_CASES_FAILING_LINES:
         # other idempotents as start and cap, so that the witnesses of
@@ -200,7 +202,7 @@ def test_chain_stop_rule_on_arbitrary_factors():
 
 def test_chain_work_is_bounded_in_depth(monkeypatch):
     ctx = _kraw_context(KRAW_Q)
-    field, n, d_mats, dstar_mats = _chain_inputs(ctx)
+    d_mats, dstar_mats = _chain_inputs(ctx)
     calls = []
     times = conjlab._times
 
@@ -212,10 +214,42 @@ def test_chain_work_is_bounded_in_depth(monkeypatch):
     counts = []
     for depth in (50, 10**5):
         calls.clear()
-        args = (field, n, d_mats, dstar_mats, ctx.estar_fam[0], ctx.e_fam[0], depth)
+        args = (d_mats, dstar_mats, ctx.estar_fam[0], ctx.e_fam[0], depth)
         assert conjlab._first_chain_failure(*args) is None
         counts.append(len(calls))
     assert counts[1] <= counts[0]
+
+
+@pytest.mark.parametrize("name", ["KRAW_Q", "KRAW_GF", "n16", "gf3_assume"])
+def test_chain_products_act_on_rho0_rows(name, monkeypatch):
+    # every span is one of rho_0 x n row blocks, so each product's left
+    # operand has rho_0 rows: 1 on the sharp pairs, 2 (not n = 4) on the
+    # GF(3) pair
+    ctx = _chain_context(name, None)
+    d_mats, dstar_mats = _chain_inputs(ctx)
+    estar0, e0, rho0 = ctx.estar_fam[0], ctx.e_fam[0], ctx.estar_fam.ranks[0]
+    rows = []
+    mul = Matrix.__mul__
+
+    def recording_mul(self, other):
+        rows.append(self.rows)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
+    assert conjlab._first_chain_failure(d_mats, dstar_mats, estar0, e0, 3) is None
+    assert set(rows) == {rho0} == ({2} if name == "gf3_assume" else {1})
+
+
+def test_a_proper_algebra_not_closed_is_a_subalgebras_fail():
+    ctx = _chain_context("gf3_assume", None)
+    sys = ctx.sys
+    ctx.closure = [Matrix.identity(sys.field, sys.n), sys.A, sys.Astar]
+    checks, extra = conjectures_stage(ctx)
+    failed = [c for c in checks if c.status == "fail"]
+    assert [(c.id, c.witness) for c in failed] == [
+        ("conj/subalgebras", {"error": "algebra basis is not multiplication-closed"})
+    ]
+    assert extra == {}
 
 
 def _artificial_corner(field, second):
