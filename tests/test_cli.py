@@ -174,10 +174,11 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys):
     assert run(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: invalid JSON in {path}: maximum recursion depth exceeded"
-        " while decoding a JSON array from a unicode string\n"
-    )
+    # the decoder's own message is the interpreter's, so only tdlab's prefix
+    # and the single line are pinned
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.err.endswith("\n")
+    assert lines[0].startswith(f"error: invalid JSON in {path}: ")
 
 
 @pytest.mark.parametrize(

@@ -163,6 +163,7 @@ def _chain_context(name, x1):
 # start E*_0 has rank 2
 ALL_CASES_FAILING_LINES = {
     "KRAW_Q": [None, 1, None, None, 1, None, None, 1, None, None, 3, None, 2, 2, 2, None, 3, None],
+    "KRAW_GF": [None, 1, None, None, 1, None, None, 1, None, None, 3, None, 2, 2, 2, None, 3, None],
     "gf3_assume": [None, None, None, None, 2, 2, 2, 2],
 }
 
