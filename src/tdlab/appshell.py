@@ -10,20 +10,14 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
 
-from . import conjlab as cj
-from . import d4orbit as d4
-from . import formlab as fl
 from . import matrices as mx
-from . import splitparam as sp
 from . import tdcore as td
 from .matrices import Matrix, Subspace
-from .polys import eta_expansion_check
 from .rng import SplitMix64, trial_seed
 from .scalars import Field, FieldError, FpElement, PrimeField, RationalField, field_from_descriptor
 from .tdcore import (
@@ -59,25 +53,12 @@ def to_jsonable(field: Field, obj):
         return matrix_to_json(field, obj)
     if isinstance(obj, Subspace):
         return {"ambient": obj.ambient, "basis": [[field.format(a) for a in row] for row in obj.basis]}
-    if isinstance(obj, sp.ParameterArray):
-        return {
-            "theta": [field.format(v) for v in obj.thetas],
-            "theta_star": [field.format(v) for v in obj.thetas_star],
-            "zeta": [field.format(v) for v in obj.zetas],
-        }
-    if isinstance(obj, d4.QData):
-        out = {"kind": obj.kind}
-        if obj.q is not None:
-            out["q"] = field.format(obj.q)
-        if obj.beta is not None:
-            out["beta"] = field.format(obj.beta)
-        if obj.chosen_root_note:
-            out["note"] = obj.chosen_root_note
-        return out
     if isinstance(obj, dict):
         return {str(k): to_jsonable(field, v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(field, v) for v in obj]
+    if hasattr(obj, "report_fields"):  # a parameter array or q data
+        return to_jsonable(field, obj.report_fields())
     return str(obj)
 
 
@@ -437,7 +418,9 @@ def run_trial(config: RunConfig, index: int) -> TrialResult:
 # A stage maps a validated sharp context (conjectures_stage also takes a
 # non-sharp one) to (checks, payload): its checks in report order and what a
 # report embeds.  A None payload means a gate failed: a derivation the later
-# checks depend on raised.  The CLI subcommands call the same stages.
+# checks depend on raised.  The CLI subcommands call the same stages.  Each
+# stage imports the modules it runs where it runs them, so that a request
+# loads only what its subcommand needs.
 
 
 def _gate(checks: list, check_id: str, derive, witness: bool = False):
@@ -456,6 +439,8 @@ def _gate(checks: list, check_id: str, derive, witness: bool = False):
 
 
 def split_stage(ctx: SystemContext):
+    from . import splitparam as sp
+
     checks = []
     if _gate(checks, "split/decomposition", lambda: ctx.decomposition) is None:
         return checks, None
@@ -469,6 +454,8 @@ def split_stage(ctx: SystemContext):
 
 
 def params_stage(ctx: SystemContext):
+    from . import splitparam as sp
+
     checks = []
     array = _gate(checks, "split/parameter_array", lambda: sp.parameter_array(ctx.sys, ctx.zetas))
     return checks, None if array is None else {"parameter_array": array}
@@ -476,6 +463,10 @@ def params_stage(ctx: SystemContext):
 
 def relations_stage(ctx: SystemContext):
     """The q-bracket identities and the split data of the eight relatives."""
+    from . import d4orbit as d4
+    from . import splitparam as sp
+    from .polys import eta_expansion_check
+
     sys = ctx.sys
     ok, witness = eta_expansion_check(sys.field, sys.thetas, sys.thetas_star)
     checks = [Check("poly/eta_expansion", PASS if ok else FAIL, witness)]
@@ -493,6 +484,8 @@ def relations_stage(ctx: SystemContext):
 
 def orbit_stage(ctx: SystemContext):
     """All eight relatives with their split data, and the relations between them."""
+    from . import d4orbit as d4
+
     sys = ctx.sys
     checks = []
     derived = _gate(
@@ -515,6 +508,8 @@ def orbit_stage(ctx: SystemContext):
 
 
 def form_stage(ctx: SystemContext):
+    from . import formlab as fl
+
     gram, checks = fl.invariant_form(ctx)
     if gram is None:
         return checks, {}
@@ -524,12 +519,16 @@ def form_stage(ctx: SystemContext):
 
 
 def dual_stage(ctx: SystemContext):
+    from . import formlab as fl
+
     return fl.dual_system(ctx)[1], {}
 
 
 def conjectures_stage(ctx: SystemContext, chain_depth: int = 3):
     """Subalgebra and corner-algebra checks; also runs on non-sharp systems,
     where the parameter-array conditions are skipped."""
+    from . import conjlab as cj
+
     sys, estar_fam = ctx.sys, ctx.estar_fam
     checks = []
     extra = {}
@@ -555,6 +554,8 @@ def conjectures_stage(ctx: SystemContext, chain_depth: int = 3):
 
 
 def problems_stage(ctx: SystemContext):
+    from . import splitparam as sp
+
     checks = []
     problems = _gate(
         checks,
@@ -672,6 +673,8 @@ def _run_all_trials(config: RunConfig):
     workers = min(config.jobs, config.trials, os.cpu_count() or 1)
     if workers == 1:
         return [trial(i) for i in range(config.trials)]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(trial, range(config.trials)))
 
@@ -688,6 +691,9 @@ def _isomorphism_stage(config: RunConfig, results):
     (trial, kind, failed check) per disagreement, kind being "conjugate",
     "reversed" or "equal-array pair".
     """
+    from . import d4orbit as d4
+    from . import formlab as fl
+
     field = config.field
     accepted = [r for r in results if r.accepted and not r.failed_identity]
     cases = []

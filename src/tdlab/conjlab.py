@@ -40,7 +40,7 @@ def _proper_generated_algebra(ctx: SystemContext):
     by the density theorem on a pair validation proved absolutely irreducible
     (see tdcore.check_irreducible), with no closure solved, and otherwise
     when the solved closure has n^2 elements."""
-    if ctx.absolutely_irreducible or len(ctx.closure) == ctx.sys.n ** 2:
+    if ctx.report.absolutely_irreducible or len(ctx.closure) == ctx.sys.n ** 2:
         return None
     return ctx.closure
 

@@ -99,6 +99,17 @@ class QData:
     beta: object = None
     chosen_root_note: str = ""
 
+    def report_fields(self) -> dict:
+        """The q data as a report shows it: only what is known."""
+        out = {"kind": self.kind}
+        if self.q is not None:
+            out["q"] = self.q
+        if self.beta is not None:
+            out["beta"] = self.beta
+        if self.chosen_root_note:
+            out["note"] = self.chosen_root_note
+        return out
+
 
 class BracketUnavailable(ValueError):
     """No bracket value can be produced for the requested q situation."""

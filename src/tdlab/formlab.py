@@ -25,7 +25,6 @@ from .tdcore import (
     InvariantViolation,
     SystemContext,
     TdSystem,
-    _line_factors,
     _spin,
 )
 
@@ -58,7 +57,7 @@ def spin_intertwiner(ctx: SystemContext, b: Matrix, bstar: Matrix, w0):
     reducible), where the spin cannot decide.
     """
     sys = ctx.sys
-    v0 = _line_factors(ctx.estar_fam, 0)[0]
+    v0 = ctx.estar_fam.line_factors(0)[0]
     span, kept, images = _spin((sys.A, sys.Astar), v0, replay=((b, bstar), w0))
     if span.dim < sys.n:
         return None, span.dim
@@ -80,7 +79,7 @@ def invariant_form(ctx: SystemContext):
     """
     sys = ctx.sys
     checks = []
-    u0 = _line_factors(ctx.estar_fam, 0)[1]
+    u0 = ctx.estar_fam.line_factors(0)[1]
     basis, spin_dim = spin_intertwiner(ctx, sys.A.transpose(), sys.Astar.transpose(), u0)
     if basis is None:
         checks.append(Check("form/solution_dim", FAIL, {"spin_dim": spin_dim}))
@@ -259,7 +258,7 @@ def isomorphism_test(ctx1: SystemContext, ctx2: SystemContext):
         return "not_isomorphic", {"reason": "eigenvalue sequences differ"}
     if ctx1.estar_fam.ranks != ctx2.estar_fam.ranks:
         return "not_isomorphic", {"reason": "eigenspace dimensions differ"}
-    w0 = _line_factors(ctx2.estar_fam, 0)[0]
+    w0 = ctx2.estar_fam.line_factors(0)[0]
     basis, spin_dim = spin_intertwiner(ctx1, sys2.A, sys2.Astar, w0)
     if basis is None:
         raise InvariantViolation(

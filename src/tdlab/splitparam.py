@@ -27,7 +27,6 @@ from .tdcore import (
     InvariantViolation,
     SystemContext,
     TdSystem,
-    _line_factors,
     projections,
 )
 
@@ -41,6 +40,10 @@ class ParameterArray:
     @property
     def d(self) -> int:
         return len(self.thetas) - 1
+
+    def report_fields(self) -> dict:
+        """The array as a report shows it."""
+        return {"theta": self.thetas, "theta_star": self.thetas_star, "zeta": self.zetas}
 
 
 def _ensure(cond: bool, message: str, witness=None):
@@ -181,8 +184,8 @@ def _trace_with(m: Matrix, line):
 class _Corner:
     """The products E_0 tau'_i(B) tau_j(A) E'_0, i, j = 0..d, of a sharp
     system, as scalars.  E_0 = x y^t is the first idempotent of A and
-    E'_0 = v u^t that of B (see _line_factors); tau_j and tau'_i are the
-    prefix products over the eigenvalues of A and of B.  Then
+    E'_0 = v u^t that of B (see IdempotentFamily.line_factors); tau_j and
+    tau'_i are the prefix products over the eigenvalues of A and of B.  Then
 
         E_0 tau'_i tau_j E'_0 = x p[i][j] u^t,   p[i][j] = rows[i] . cols[j],
         E_0 tau'_i E_0 = x left[i] y^t,          E'_0 tau_j E'_0 = v right[j] u^t,
@@ -196,8 +199,8 @@ class _Corner:
     def __init__(self, own, other):
         (a, thetas, fam), (self.b, self.thetas_b, fam_b) = own, other
         field = a.field
-        x, y = _line_factors(fam, 0)
-        self.v, u = _line_factors(fam_b, 0)
+        x, y = fam.line_factors(0)
+        self.v, u = fam_b.line_factors(0)
         rows = _shifts(self.b.transpose(), self.thetas_b[:-1], y)
         self.cols = _shifts(a, thetas[:-1], self.v)
         self.p = [[_dot(field, r, c) for c in self.cols] for r in rows]
@@ -231,7 +234,7 @@ def trace_zeta(ctx: SystemContext):
     """
     sys, e_fam, estar_fam = ctx.sys, ctx.e_fam, ctx.estar_fam
     field, d = sys.field, sys.d
-    es0, esd = _line_factors(estar_fam, 0), _line_factors(estar_fam, d)
+    es0, esd = estar_fam.line_factors(0), estar_fam.line_factors(d)
     corner_traces = {
         "tr_E0Estar0": _trace_with(e_fam[0], es0),
         "tr_E0Estard": _trace_with(e_fam[0], esd),
@@ -355,12 +358,12 @@ def zeta_d_closed_form(ctx: SystemContext):
     first = (
         fam_s.eta_at(d, sys.thetas_star[0])
         * fam_t.tau_at(d, sys.thetas[d])
-        * _trace_with(e_fam[d], _line_factors(estar_fam, 0))
+        * _trace_with(e_fam[d], estar_fam.line_factors(0))
     )
     second = (
         fam_t.eta_at(d, sys.thetas[0])
         * fam_s.tau_at(d, sys.thetas_star[d])
-        * _trace_with(estar_fam[d], _line_factors(e_fam, 0))
+        * _trace_with(estar_fam[d], e_fam.line_factors(0))
     )
     ok = lhs == first and lhs == second
     witness = None if ok else {"zeta_d": lhs, "primary_form": first, "dual_form": second}
@@ -439,8 +442,8 @@ def _cross_traces(ctx: SystemContext) -> dict:
     """tr(E_i E*_0), tr(E_i E*_d), tr(E*_i E_0) and tr(E*_i E_d) for i = 0..d,
     each read through the rank-one factor (see _trace_with)."""
     e_fam, estar_fam, d = ctx.e_fam, ctx.estar_fam, ctx.sys.d
-    e0, ed = _line_factors(e_fam, 0), _line_factors(e_fam, d)
-    es0, esd = _line_factors(estar_fam, 0), _line_factors(estar_fam, d)
+    e0, ed = e_fam.line_factors(0), e_fam.line_factors(d)
+    es0, esd = estar_fam.line_factors(0), estar_fam.line_factors(d)
     return {
         "tr_Ei_Estar0": [_trace_with(e, es0) for e in e_fam],
         "tr_Ei_Estard": [_trace_with(e, esd) for e in e_fam],

@@ -59,6 +59,9 @@ class VerificationReport:
     checks: list = dc_field(default_factory=list)
     shape: tuple | None = None
     sharp: bool | None = None
+    # irreducibility was proved in a way that shows only scalars commute
+    # with A and A* (see check_irreducible)
+    absolutely_irreducible: bool = False
 
     def add(self, check: Check):
         self.checks.append(check)
@@ -105,12 +108,14 @@ class TdSystem:
 
 @dataclass
 class IdempotentFamily:
-    """Primitive idempotents of one operator in the candidate order, and their partial sums."""
+    """Primitive idempotents of one operator in the candidate order, their
+    partial sums and the line factors of the rank-one ones."""
 
     mats: tuple
     eigenspaces: tuple  # Subspace per eigenvalue
     ranks: tuple
     reversal_of: "IdempotentFamily | None" = dc_field(default=None, repr=False, compare=False)
+    _lines: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.mats)
@@ -134,6 +139,15 @@ class IdempotentFamily:
             prefix, suffix = self.reversal_of.partial_sums
             return suffix[::-1], prefix[::-1]
         return _running_sums(self.eigenspaces), _running_sums(self.eigenspaces[::-1])[::-1]
+
+    def line_factors(self, i: int):
+        """(x, y) with E_i = x y^t (see _line_factors), derived once per i.
+        The family of the reversed order reads its original's."""
+        if self.reversal_of is not None:
+            return self.reversal_of.line_factors(len(self) - 1 - i)
+        if i not in self._lines:
+            self._lines[i] = _line_factors(self, i)
+        return self._lines[i]
 
     def transposed(self) -> "IdempotentFamily":
         """The family of the transposed operator: E_i^t, whose image is its eigenspace."""
@@ -160,16 +174,12 @@ class SystemContext:
     Derived on first use: the two idempotent families, the validation
     report, the basis of the algebra generated by A and A*, the split
     summands and the split sequence.  A context for a relative or the dual
-    of a system is seeded from that system's (see seeded).  Validation
-    records in `absolutely_irreducible` whether it proved that only scalars
-    commute with A and A*.
+    of a system is seeded from that system's (see seeded).
     """
 
     def __init__(self, sys: TdSystem, options: ValidateOptions | None = None):
         self.sys = sys
         self.options = options or ValidateOptions()
-        # set by check_irreducible: only scalars commute with A and A*
-        self.absolutely_irreducible = False
 
     def seeded(self, sys: TdSystem, e_fam, estar_fam) -> "SystemContext":
         """The context of a relative or the dual of this validated system:
@@ -410,18 +420,18 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
 
     When a complete strategy proves irreducibility and E_0 or E*_0 is a
     line, every map commuting with A and A* fixes that line and so is a
-    scalar; this is recorded as `ctx.absolutely_irreducible`.  A and A*
-    then generate all of Mat_n by the density theorem, which the corner
-    algebra reads without solving the closure.  Every reducibility witness
-    is re-verified before it is returned.  The generated algebra and the
-    families come from `ctx`, and are derived only when a strategy needs
-    them.
+    scalar; validate records this as `report.absolutely_irreducible`.  A
+    and A* then generate all of Mat_n by the density theorem, which the
+    corner algebra reads without solving the closure.  Every reducibility
+    witness is re-verified before it is returned.  The generated algebra
+    and the families come from `ctx`, and are derived only when a strategy
+    needs them.
     """
     sys = ctx.sys
     if strategy == "assume":
         return "irreducible", {"note": assume_note or "assumed by caller"}, "assume"
     if strategy == "norton" or (strategy == "auto" and ctx.estar_fam.ranks[0] == 1):
-        return _proved(ctx, _norton(ctx, *_line_factors(ctx.estar_fam, 0)), "norton")
+        return _proved(ctx, _norton(ctx, *ctx.estar_fam.line_factors(0)), "norton")
     if strategy in ("auto", "burnside"):
         basis = ctx.closure
         if len(basis) == sys.n * sys.n:
@@ -467,11 +477,6 @@ def _proved(ctx: SystemContext, outcome, strategy: str):
         if not _verify_invariant_subspace(ctx.sys, outcome):
             raise InvariantViolation(f"{strategy} witness failed re-verification")
         return "reducible", outcome, strategy
-    # norton and eigen_subset run only when a first eigenspace is a line
-    ctx.absolutely_irreducible = strategy != "exhaustive_gfp" or 1 in (
-        ctx.e_fam.ranks[0],
-        ctx.estar_fam.ranks[0],
-    )
     return "irreducible", outcome, strategy
 
 
@@ -576,6 +581,10 @@ def validate(
         report.add(Check("irreducible", INCONCLUSIVE, {"strategy": used, "detail": witness}))
         return report
     report.add(Check("irreducible", PASS, {"strategy": used, "detail": witness}))
+    # norton and eigen_subset run only when a first eigenspace is a line
+    report.absolutely_irreducible = used in ("norton", "eigen_subset") or (
+        used == "exhaustive_gfp" and 1 in (e_fam.ranks[0], estar_fam.ranks[0])
+    )
 
     shape, problem = compute_shape(e_fam, estar_fam)
     if problem:

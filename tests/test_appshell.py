@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 from fractions import Fraction as F
@@ -276,7 +277,8 @@ def test_fuzz_jobs_start_at_most_one_worker_per_trial_and_cpu(monkeypatch, cpus,
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(appshell, "ProcessPoolExecutor", SerialPool)
+    # the pool branch imports its executor from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(appshell.os, "cpu_count", lambda: cpus)
     config = RunConfig(seed=7, trials=3, d_max=2, field=PrimeField(10007), jobs=10**6)
     doc = fuzz_run(config)

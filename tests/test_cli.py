@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys as _sys
+from pathlib import Path
 
 import pytest
 from oracles import builtin_x1
 from test_golden import KRAW_GF, KRAW_Q, X1
 
+import tdlab
 from tdlab import appshell as app
 from tdlab import d4orbit as d4
 from tdlab import splitparam as sp
@@ -396,3 +401,69 @@ def test_fuzz_over_a_large_prime_field(capsys):
     assert run(["fuzz", "--trials", "1", "--seed", "1", "--field", f"p={2**61 - 1}"]) == 0
     assert run(["fuzz", "--trials", "1", "--seed", "1", "--field", f"p={2**89 - 1}"]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+def _fresh_interpreter(*args):
+    """Run `python *args` in a new interpreter that imports tdlab from this tree."""
+    src = str(Path(tdlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [_sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+# what `cli.run(argv)` leaves in sys.modules: its exit code, the tdlab
+# modules, and the process-pool modules
+_LOADED = """
+import contextlib, io, json, sys
+from tdlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+tdlab = sorted(m for m in sys.modules if m == "tdlab" or m.startswith("tdlab."))
+pool = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+print(json.dumps([code, tdlab, pool]))
+"""
+
+_ALWAYS_LOADED = ("cli", "appshell", "matrices", "scalars", "tdcore", "rng")
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["verify"], ()),
+        (["params"], ("polys", "splitparam")),
+        (["orbit"], ("polys", "splitparam", "d4orbit")),
+        (["form"], ("formlab",)),
+        (["conjectures"], ("conjlab", "splitparam", "polys")),
+        # gen asserts the split sequence of the instance it built
+        (["gen", "leonard", "--theta", "1,0", "--theta-star", "1,0", "--phi", "1"], ("polys", "splitparam")),
+    ],
+    ids=["verify", "params", "orbit", "form", "conjectures", "gen"],
+)
+def test_a_request_loads_only_the_modules_it_runs(argv, extra, tmp_path):
+    # every request but gen reads the (1,2,1) pair over GF(10007)
+    if argv[0] != "gen":
+        path = tmp_path / "kraw121_gf.json"
+        path.write_text(json.dumps(KRAW_GF), encoding="utf-8")
+        argv = [*argv, str(path)]
+    proc = _fresh_interpreter("-c", _LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, pool = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    assert loaded == sorted(["tdlab", *(f"tdlab.{m}" for m in (*_ALWAYS_LOADED, *extra))])
+    assert pool == []
+
+
+def test_fuzz_jobs_in_a_fresh_interpreter():
+    # the pool branch imports its executor only when it runs; with at least
+    # two CPUs, --jobs 2 starts two workers
+    reports = []
+    for jobs in ("1", "2"):
+        argv = ["fuzz", "--trials", "3", "--seed", "7", "--field", "p=10007", "--jobs", jobs]
+        proc = _fresh_interpreter("-m", "tdlab.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["config"].pop("jobs") == int(jobs)
+        reports.append(dumps_document(doc))
+    assert reports[0] == reports[1]

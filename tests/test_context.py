@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from tdlab import conjlab as cj
 from tdlab import d4orbit as d4
 from tdlab import formlab as fl
 from tdlab import matrices as mx
@@ -166,6 +167,31 @@ def test_a_norton_proved_pair_never_writes_down_its_generated_algebra(name, monk
     run_identity_suite(ctx)
     assert "closure" not in vars(ctx)
     assert units == []  # no n^2 matrix units either
+
+
+def test_an_unvalidated_context_knows_mat_n_without_a_solve(monkeypatch):
+    # "T = Mat_n" is read from the validation report, which the first read
+    # derives, so no call order decides whether the closure is solved
+    sys = _n16_pair()
+    validated = SystemContext(sys)
+    assert validated.report.passed()
+    expected = cj.generate_subalgebras(validated)
+    assert expected["T"] is None
+    calls = _count_calls(monkeypatch, mx, "algebra_closure")
+    assert cj.generate_subalgebras(SystemContext(sys)) == expected
+    assert calls == []
+
+
+def test_identity_suite_factors_each_line_once(monkeypatch):
+    # E_0, E_d, E*_0 and E*_d; the relatives' reversed families read their
+    # original's factors
+    factored = _count_calls(monkeypatch, td, "_line_factors")
+    ctx = SystemContext(_n16_pair())
+    assert ctx.report.passed() and ctx.report.sharp
+    run_identity_suite(ctx)
+    d = ctx.sys.d
+    expected = [(fam, i) for fam in (ctx.e_fam, ctx.estar_fam) for i in (0, d)]
+    assert sorted((id(fam), i) for fam, i in factored) == sorted((id(fam), i) for fam, i in expected)
 
 
 def test_conjectures_request_solves_a_proper_closure_once(tmp_path, monkeypatch, capsys):

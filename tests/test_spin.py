@@ -77,17 +77,17 @@ def assert_spin_matches_oracles(sys, conjugate_seed=1):
     the spin form against the solved one, and spin isomorphism against the
     solved one on a conjugate, the dual and the reversed relatives."""
     n = sys.n
-    burnside = SystemContext(sys)
+    burnside = SystemContext(sys, ValidateOptions(irreducibility="burnside"))
     assert check_irreducible(burnside, strategy="burnside") == (
         "irreducible", {"closure_dim": n * n}, "burnside"
     )
-    assert not burnside.absolutely_irreducible
+    assert not burnside.report.absolutely_irreducible
 
-    ctx = SystemContext(sys)
+    ctx = SystemContext(sys, ValidateOptions(irreducibility="norton"))
     verdict, detail, used = check_irreducible(ctx, strategy="norton")
     assert (verdict, used) == ("irreducible", "norton")
     assert detail == {"line": "Estar_0", "spin_dim": n, "dual_spin_dim": n}
-    assert ctx.absolutely_irreducible
+    assert ctx.report.absolutely_irreducible
     assert burnside.closure == _matrix_units(sys.field, n)  # rref-canonical
 
     gram, checks = fl.invariant_form(ctx)
@@ -171,7 +171,7 @@ def test_spin_matches_oracles_on_the_fuzz_corpus(field):
     for index, ctx in corpus:
         # fuzz validates with eigen_subset, which also earns the shortcut
         assert next(c for c in ctx.report.checks if c.id == "irreducible").witness["strategy"] == "eigen_subset"
-        assert ctx.absolutely_irreducible
+        assert ctx.report.absolutely_irreducible
         assert_spin_matches_oracles(ctx.sys, conjugate_seed=index)
 
 
@@ -288,5 +288,5 @@ def test_no_shortcut_without_a_line():
     ctx = SystemContext(sys, ValidateOptions(irreducibility="exhaustive_gfp"))
     irreducible = next(c for c in ctx.report.checks if c.id == "irreducible")
     assert irreducible.status == "pass"
-    assert not ctx.absolutely_irreducible
+    assert not ctx.report.absolutely_irreducible
     assert len(ctx.closure) == 8 == len(mx.algebra_closure([sys.A, sys.Astar]))
