@@ -59,7 +59,7 @@ def to_jsonable(field: Field, obj):
         return [to_jsonable(field, v) for v in obj]
     if hasattr(obj, "report_fields"):  # a parameter array or q data
         return to_jsonable(field, obj.report_fields())
-    return str(obj)
+    raise TypeError(f"no report form for {type(obj).__name__}")
 
 
 def matrix_to_json(field: Field, m: Matrix):
@@ -261,7 +261,9 @@ class RunConfig:
         return {**asdict(self), "field": self.field.descriptor()}
 
 
-_Q_CHOICES_RATIONAL = (2, 3, 4, 5, -2, -3, -4, -5, (3, 2), (-3, 2), (5, 2), (5, 3))
+_Q_CHOICES_RATIONAL = (
+    2, 3, 4, 5, -2, -3, -4, -5, Fraction(3, 2), Fraction(-3, 2), Fraction(5, 2), Fraction(5, 3)
+)
 
 
 def _random_candidate(config: RunConfig, rng: SplitMix64, d: int) -> SystemContext:
@@ -274,29 +276,17 @@ def _random_candidate(config: RunConfig, rng: SplitMix64, d: int) -> SystemConte
     every candidate, so construction never decides acceptance.
     """
     field = config.field
-    if isinstance(field, RationalField):
-        if d <= 2:
-            pool = list(range(-9, 10))
-            thetas = _sample_distinct(rng, pool, d + 1, field.from_int)
-            thetas_star = _sample_distinct(rng, pool, d + 1, field.from_int)
-        else:
-            qc = _Q_CHOICES_RATIONAL[rng.randrange(len(_Q_CHOICES_RATIONAL))]
-            q = Fraction(*qc) if isinstance(qc, tuple) else Fraction(qc)
-            c = Fraction(_nonzero_int(rng, 5))
-            c_star = Fraction(_nonzero_int(rng, 5))
-            thetas = tuple(c * q**i for i in range(d + 1))
-            thetas_star = tuple(c_star * q**i for i in range(d + 1))
+    if d <= 2:
+        thetas = _random_distinct(field, rng, d + 1)
+        thetas_star = _random_distinct(field, rng, d + 1)
     else:
-        p = field.p
-        if d <= 2:
-            thetas = _sample_distinct_residues(field, rng, d + 1)
-            thetas_star = _sample_distinct_residues(field, rng, d + 1)
+        if isinstance(field, RationalField):
+            q = Fraction(_Q_CHOICES_RATIONAL[rng.randrange(len(_Q_CHOICES_RATIONAL))])
         else:
-            q = field.from_int(2 + rng.randrange(p - 3))  # avoids 0, 1, p-1
-            c = field.from_int(1 + rng.randrange(p - 1))
-            c_star = field.from_int(1 + rng.randrange(p - 1))
-            thetas = tuple(c * q**i for i in range(d + 1))
-            thetas_star = tuple(c_star * q**i for i in range(d + 1))
+            q = field.from_int(2 + rng.randrange(field.p - 3))  # avoids 0, 1, p-1
+        c, c_star = _random_nonzero(field, rng), _random_nonzero(field, rng)
+        thetas = tuple(c * q**i for i in range(d + 1))
+        thetas_star = tuple(c_star * q**i for i in range(d + 1))
     phis, e_fam = _sample_superdiagonal(field, rng, thetas, thetas_star)
     sys = _bidiagonal_system(field, thetas, thetas_star, phis)
     ctx = SystemContext(sys, ValidateOptions(irreducibility=config.irreducibility))
@@ -314,10 +304,11 @@ def _random_nonzero(field: Field, rng: SplitMix64):
 def _sample_superdiagonal(field: Field, rng: SplitMix64, thetas, thetas_star):
     """A random point on the tridiagonality-compatible superdiagonal line.
 
-    The primary idempotents depend only on thetas, so the conditions
-    E_i Astar E_j = 0 (|i-j| > 1) are affine in the superdiagonal entries;
-    the exact solver produces the solution line and a zero-free point on it
-    is sampled.  Falls back to unconstrained entries when the system is
+    The primary idempotents depend only on thetas, so the band blocks of
+    Astar (tdcore.band_blocks), which vanish exactly when it is
+    block-tridiagonal, are affine in the superdiagonal entries; the exact
+    solver produces the solution line and a zero-free point on it is
+    sampled.  Falls back to unconstrained entries when the system is
     degenerate (the validator then rejects the candidate).  Returns the
     superdiagonal and the idempotent family of A, when it was derived.
     """
@@ -325,25 +316,22 @@ def _sample_superdiagonal(field: Field, rng: SplitMix64, thetas, thetas_star):
     if d == 1 or len(set(thetas)) != d + 1:
         return tuple(_random_nonzero(field, rng) for _ in range(d)), None
     n = d + 1
-    zero = field.zero
-    # with a zero superdiagonal, A* is the diagonal part the units U_k at
-    # (k-1, k) are added to
+    zero, one = field.zero, field.one
+    # with a zero superdiagonal A* is its diagonal part D, to which the
+    # units U_k at (k-1, k) are added: D + sum phi_k U_k is block-tridiagonal
+    # iff sum phi_k block(U_k) = -block(D), entry by entry, at every pair
     unit_free = _bidiagonal_system(field, thetas, thetas_star, (zero,) * d)
     e_fam = td.primitive_idempotents(unit_free.A, thetas)
-    diag = unit_free.Astar
-    rows, rhs = [], []
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1:
-                base = e_fam[i] * diag * e_fam[j]
-                # E_i U_k E_j is column k-1 of E_i times row k of E_j
-                ei, ej = e_fam[i].data, e_fam[j].data
-                for r in range(n):
-                    for c in range(n):
-                        rows.append([ei[r][k - 1] * ej[k][c] for k in range(1, n)])
-                        rhs.append(-base.data[r][c])
-    system = Matrix(field, rows)
-    particular = mx.solve(system, tuple(rhs))
+    units = [
+        Matrix(field, [[one if (r, c) == (k - 1, k) else zero for c in range(n)] for r in range(n)])
+        for k in range(1, n)
+    ]
+    base, *per_unit = (
+        [a for _, _, block in td.band_blocks(e_fam, m) for v in block for a in v]
+        for m in (unit_free.Astar, *units)
+    )
+    system = Matrix(field, list(zip(*per_unit)))
+    particular = mx.solve(system, tuple(-b for b in base))
     if particular is None:
         return tuple(_random_nonzero(field, rng) for _ in range(d)), e_fam
     directions = mx.kernel_vectors(system)
@@ -364,23 +352,17 @@ def _nonzero_int(rng: SplitMix64, bound: int) -> int:
             return v
 
 
-def _sample_distinct(rng: SplitMix64, pool, k: int, embed):
-    pool = list(pool)
-    out = []
-    for _ in range(k):
-        v = pool.pop(rng.randrange(len(pool)))
-        out.append(embed(v))
-    return tuple(out)
-
-
-def _sample_distinct_residues(field: PrimeField, rng: SplitMix64, k: int):
-    seen = set()
+def _random_distinct(field: Field, rng: SplitMix64, k: int):
+    """k distinct scalars: drawn without replacement from -9..9 over Q, and
+    over GF(p) by redrawing a residue already drawn."""
+    if isinstance(field, RationalField):
+        pool = list(range(-9, 10))
+        return tuple(field.from_int(pool.pop(rng.randrange(len(pool)))) for _ in range(k))
     out = []
     while len(out) < k:
-        v = rng.randrange(field.p)
-        if v not in seen:
-            seen.add(v)
-            out.append(field.from_int(v))
+        v = field.from_int(rng.randrange(field.p))
+        if v not in out:
+            out.append(v)
     return tuple(out)
 
 
@@ -704,8 +686,7 @@ def _isomorphism_stage(config: RunConfig, results):
         arrays.setdefault((sys.n, key), []).append(r)
         rng = SplitMix64(trial_seed(r.seed, 0xC0))
         for k in range(2):
-            p = _random_invertible(field, rng, sys.n)
-            p_inv = mx.inverse(p)
+            p, p_inv = _random_invertible(field, rng, sys.n)
             conj = TdSystem(
                 field, sys.n, p * sys.A * p_inv, p * sys.Astar * p_inv, sys.thetas, sys.thetas_star
             )
@@ -738,15 +719,18 @@ def _isomorphism_stage(config: RunConfig, results):
     return checks, disagreements
 
 
-def _random_invertible(field: Field, rng: SplitMix64, n: int) -> Matrix:
+def _random_invertible(field: Field, rng: SplitMix64, n: int):
+    """A random invertible n x n matrix and its inverse; a singular draw is redrawn."""
     while True:
         if isinstance(field, RationalField):
             rows = [[field.from_int(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
         else:
             rows = [[field.from_int(rng.randrange(field.p)) for _ in range(n)] for _ in range(n)]
         m = Matrix(field, rows)
-        if mx.det(m) != field.zero:
-            return m
+        try:
+            return m, mx.inverse(m)
+        except mx.MatrixError:
+            continue
 
 
 def _write_artifacts(out_dir, config, results, counterexamples, iso_counterexamples, report_doc):

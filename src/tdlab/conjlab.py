@@ -22,6 +22,7 @@ from .scalars import PrimeField, RationalField, rational_sqrt
 from .splitparam import three_term_ratios, weighted_zeta_sum
 from .tdcore import (
     EXHAUSTIVE_LIMIT, FAIL, INCONCLUSIVE, PASS, Check, InvariantViolation, SystemContext, find_duplicate,
+    verdict,
 )
 
 
@@ -193,13 +194,9 @@ def field_check(field, corner: list, estar0: Matrix, estar0_rank: int):
     """
     checks = []
     dim = len(corner)
-    bad = None
-    for k, x in enumerate(corner):
-        if estar0 * x != x or x * estar0 != x:
-            bad = {"basis_index": k}
-            break
-    checks.append(Check("conj/corner_identity_element", FAIL if bad else PASS, bad))
-    if bad:
+    ununital = ({"basis_index": k} for k, x in enumerate(corner) if estar0 * x != x or x * estar0 != x)
+    checks.append(verdict("conj/corner_identity_element", ununital))
+    if checks[-1].status == FAIL:
         return "not_field", checks
 
     dim_ok = dim == estar0_rank
@@ -387,13 +384,10 @@ def pa_conditions(field, thetas, thetas_star, zetas):
     """
     checks = []
     d = len(thetas) - 1
-    dup = None
-    for label, seq in (("theta", thetas), ("theta_star", thetas_star)):
-        found = find_duplicate(seq)
-        if found:
-            dup = {"sequence": label, "indices": found["indices"]}
-            break
-    checks.append(Check("conj/pa_distinct", FAIL if dup else PASS, dup))
+    found = ((label, find_duplicate(seq)) for label, seq in (("theta", thetas), ("theta_star", thetas_star)))
+    repeated = ({"sequence": label, "indices": f["indices"]} for label, f in found if f)
+    checks.append(verdict("conj/pa_distinct", repeated))
+    dup = checks[-1].witness
 
     problems = []
     if zetas[0] != field.one:
@@ -404,13 +398,8 @@ def pa_conditions(field, thetas, thetas_star, zetas):
         problems.append({"clause": "weighted_sum", "value": field.zero})
     checks.append(Check("conj/pa_normalization", FAIL if problems else PASS, problems or None))
 
-    bad = None
-    if d >= 3 and not dup:
-        ratios = three_term_ratios(thetas) + three_term_ratios(thetas_star)
-        first = ratios[0]
-        for r in ratios[1:]:
-            if r != first:
-                bad = {"first": first, "other": r}
-                break
-    checks.append(Check("conj/pa_ratios", FAIL if bad else PASS, bad))
+    # empty below d = 3, and not defined on a repeated eigenvalue
+    ratios = [] if dup else three_term_ratios(thetas) + three_term_ratios(thetas_star)
+    unequal = ({"first": ratios[0], "other": r} for r in ratios[1:] if r != ratios[0])
+    checks.append(verdict("conj/pa_ratios", unequal))
     return checks

@@ -24,6 +24,7 @@ from .tdcore import (
     SystemContext,
     TdSystem,
     compute_shape,
+    verdict,
 )
 
 
@@ -328,12 +329,9 @@ def zeta_relations_check(sys: TdSystem, qd: QData, orbit: dict):
         ("rev_primary", "rev_primary_swap"),
         ("rev_dual_rev_primary", "rev_dual_rev_primary_swap"),
     ]
-    bad = None
-    for a, b in pairs:
-        if orbit[a]["zetas"] != orbit[b]["zetas"]:
-            bad = {"pair": [a, b], "first": orbit[a]["zetas"], "second": orbit[b]["zetas"]}
-            break
-    checks.append(Check("orbit/column_sequences_equal", FAIL if bad else PASS, bad))
+    unequal = ((a, b) for a, b in pairs if orbit[a]["zetas"] != orbit[b]["zetas"])
+    witnesses = ({"pair": [a, b], "first": orbit[a]["zetas"], "second": orbit[b]["zetas"]} for a, b in unequal)
+    checks.append(verdict("orbit/column_sequences_equal", witnesses))
 
     z = orbit["id"]["zetas"]
     z_rd = orbit["rev_dual"]["zetas"]
@@ -377,19 +375,14 @@ def zeta_relations_check(sys: TdSystem, qd: QData, orbit: dict):
         checks.append(Check(check_id, FAIL if bad else PASS, bad or q_note))
 
     weighted = sp.weighted_zeta_sum(field, sys.thetas, sys.thetas_star, z)
-    bad = None
-    for name in ("id", "swap", "rev_dual_rev_primary", "rev_dual_rev_primary_swap"):
-        if orbit[name]["zetas"][d] != z[d]:
-            bad = {"relative": name, "last_term": orbit[name]["zetas"][d]}
-            break
-    checks.append(Check("orbit/last_term_unchanged_group", FAIL if bad else PASS, bad))
-
-    bad = None
-    for name in ("rev_dual", "rev_primary", "rev_dual_swap", "rev_primary_swap"):
-        if orbit[name]["zetas"][d] != weighted:
-            bad = {"relative": name, "last_term": orbit[name]["zetas"][d], "weighted_sum": weighted}
-            break
-    checks.append(Check("orbit/last_term_weighted_group", FAIL if bad else PASS, bad))
+    last = {name: data["zetas"][d] for name, data in orbit.items()}
+    unchanged = ("id", "swap", "rev_dual_rev_primary", "rev_dual_rev_primary_swap")
+    moved = ({"relative": r, "last_term": last[r]} for r in unchanged if last[r] != z[d])
+    checks.append(verdict("orbit/last_term_unchanged_group", moved))
+    weighted_group = ("rev_dual", "rev_primary", "rev_dual_swap", "rev_primary_swap")
+    off = (r for r in weighted_group if last[r] != weighted)
+    witnesses = ({"relative": r, "last_term": last[r], "weighted_sum": weighted} for r in off)
+    checks.append(verdict("orbit/last_term_weighted_group", witnesses))
 
     # cross-consistency: the rev_primary relation at i = d (all brackets have a
     # zero index there) must reproduce the weighted sum.

@@ -26,6 +26,7 @@ from .tdcore import (
     SystemContext,
     TdSystem,
     _spin,
+    verdict,
 )
 
 
@@ -161,25 +162,23 @@ def anti_automorphism(g: Matrix, ctx: SystemContext):
         x = pool[rng.randrange(len(pool))]
         y = pool[rng.randrange(len(pool))]
         sample.append(x * y)
-    bad = None
-    for k, x in enumerate(sample):
-        xd = dagger.apply(x)
-        if dagger.apply(xd) != x:
-            bad = {"property": "involution", "sample_index": k}
-            break
-        if xd.trace() != x.trace():
-            bad = {"property": "trace", "sample_index": k}
-            break
-    checks.append(Check("form/anti_involutive_and_trace", FAIL if bad else PASS, bad))
+    images = ((k, x, dagger.apply(x)) for k, x in enumerate(sample))
+    unkept = (
+        {"property": prop, "sample_index": k}
+        for k, x, xd in images
+        for prop, kept in (("involution", dagger.apply(xd) == x), ("trace", xd.trace() == x.trace()))
+        if not kept
+    )
+    checks.append(verdict("form/anti_involutive_and_trace", unkept))
 
-    bad = None
-    for k in range(4):
-        x = sample[rng.randrange(len(sample))]
-        y = sample[rng.randrange(len(sample))]
-        if dagger.apply(x * y) != dagger.apply(y) * dagger.apply(x):
-            bad = {"property": "anti-multiplicative", "pair_index": k}
-            break
-    checks.append(Check("form/anti_multiplicative", FAIL if bad else PASS, bad))
+    # each pair is drawn only when the pairs before it passed
+    pairs = ((sample[rng.randrange(len(sample))], sample[rng.randrange(len(sample))]) for _ in range(4))
+    unkept = (
+        {"property": "anti-multiplicative", "pair_index": k}
+        for k, (x, y) in enumerate(pairs)
+        if dagger.apply(x * y) != dagger.apply(y) * dagger.apply(x)
+    )
+    checks.append(verdict("form/anti_multiplicative", unkept))
     return dagger, checks
 
 

@@ -28,6 +28,7 @@ from .tdcore import (
     SystemContext,
     TdSystem,
     projections,
+    verdict,
 )
 
 
@@ -216,12 +217,6 @@ def _corners(ctx: SystemContext):
     return _Corner(*ops), _Corner(*ops[::-1])
 
 
-def _verdict(check_id: str, failures) -> Check:
-    """Passes when `failures` yields nothing, else fails with its first witness."""
-    bad = next(failures, None)
-    return Check(check_id, FAIL if bad else PASS, bad)
-
-
 def trace_zeta(ctx: SystemContext):
     """The four trace formulas for the split sequence, checked exactly.
 
@@ -257,7 +252,7 @@ def trace_zeta(ctx: SystemContext):
     }
     zt = list(ctx.zetas)
     mismatches = ({"formula": k, "got": v, "expected": zt} for k, v in formulas.items() if v != zt)
-    checks.append(_verdict("split/trace_formulas", mismatches))
+    checks.append(verdict("split/trace_formulas", mismatches))
     return {**formulas, "corner_traces": corner_traces}, checks
 
 
@@ -306,10 +301,10 @@ def vanishing_check(ctx: SystemContext):
         if _shifted(c.b, c.thetas_b[1 : i + 1], c.cols[i]) != tuple(zetas[i] * a for a in c.v)
     )
     return [
-        _verdict("split/offdiag_products_vanish", offdiag),
-        _verdict("split/prefix_product_reductions", prefix),
-        _verdict("split/diag_products_scale", scaling),
-        _verdict("split/raising_identities", raising),
+        verdict("split/offdiag_products_vanish", offdiag),
+        verdict("split/prefix_product_reductions", prefix),
+        verdict("split/diag_products_scale", scaling),
+        verdict("split/raising_identities", raising),
     ]
 
 
@@ -338,14 +333,18 @@ def bijection_check(ctx: SystemContext):
         ("EdV->Estar0V", e_fam.eigenspaces[d], estar_fam[0]),
         ("EdV->EstardV", e_fam.eigenspaces[d], estar_fam[d]),
     ]
-    bad = None
-    for name, source, proj in maps:
-        imgs = [proj.apply(v) for v in source.basis]
-        img_space = Subspace.from_vectors(field, n, imgs)
-        if img_space.dim != source.dim:
-            bad = {"map": name, "source_dim": source.dim, "image_dim": img_space.dim}
-            break
-    return Check("split/bijections", FAIL if bad else PASS, bad)
+    images = (
+        (name, source, Subspace.from_vectors(field, n, [proj.apply(v) for v in source.basis]))
+        for name, source, proj in maps
+    )
+    return verdict(
+        "split/bijections",
+        (
+            {"map": name, "source_dim": source.dim, "image_dim": image.dim}
+            for name, source, image in images
+            if image.dim != source.dim
+        ),
+    )
 
 
 def zeta_d_closed_form(ctx: SystemContext):

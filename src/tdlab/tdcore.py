@@ -54,6 +54,13 @@ class Check:
     witness: object = None
 
 
+def verdict(check_id: str, failures) -> Check:
+    """Passes when the iterator `failures` yields nothing, else fails with its
+    first witness; nothing after the first is drawn."""
+    bad = next(failures, None)
+    return Check(check_id, FAIL if bad else PASS, bad)
+
+
 @dataclass
 class VerificationReport:
     checks: list = dc_field(default_factory=list)
@@ -302,29 +309,38 @@ def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
     )
 
 
+def band_blocks(fam: IdempotentFamily, m: Matrix) -> list:
+    """(i, j, block) for every |i - j| > 1, scanning i, then j: the block
+    is E_i M applied to the basis of E_jV, one vector per basis vector.
+
+    E_j maps V onto E_jV, so the block is zero exactly when E_i M E_j is,
+    and M is block-tridiagonal for the ordering (M E_jV within
+    E_{j-1}V + E_jV + E_{j+1}V) iff every block is zero.  No matrix
+    product is formed.
+    """
+    images = [[m.apply(v) for v in space.basis] for space in fam.eigenspaces]
+    return [
+        (i, j, [ei.apply(w) for w in images[j]])
+        for i, ei in enumerate(fam)
+        for j in range(len(fam))
+        if abs(i - j) > 1
+    ]
+
+
 def check_tridiagonal(sys: TdSystem, e_fam: IdempotentFamily, estar_fam: IdempotentFamily):
     """Block-tridiagonality of both candidate orderings.
 
     Returns the two checks (primary ordering against Astar, dual ordering
-    against A); each failure carries the offending index pair.
+    against A); each failure carries the first index pair whose band block
+    (see band_blocks) is nonzero.
     """
-    out = []
-    for check_id, fam, middle in (
-        ("tridiagonal/A_ordering", e_fam, sys.Astar),
-        ("tridiagonal/Astar_ordering", estar_fam, sys.A),
-    ):
-        bad = _off_band_pair(fam.mats, middle)
-        out.append(Check(check_id, FAIL if bad else PASS, bad))
-    return out
-
-
-def _off_band_pair(mats, middle: Matrix):
-    """The first {i, j} with |i - j| > 1 and E_i M E_j != 0, or None."""
-    for i, ei in enumerate(mats):
-        for j, ej in enumerate(mats):
-            if abs(i - j) > 1 and not (ei * middle * ej).is_zero():
-                return {"i": i, "j": j}
-    return None
+    return [
+        verdict(check_id, ({"i": i, "j": j} for i, j, block in band_blocks(fam, m) if any(map(any, block))))
+        for check_id, fam, m in (
+            ("tridiagonal/A_ordering", e_fam, sys.Astar),
+            ("tridiagonal/Astar_ordering", estar_fam, sys.A),
+        )
+    ]
 
 
 def _verify_invariant_subspace(sys: TdSystem, w: Subspace) -> bool:
@@ -567,17 +583,17 @@ def validate(
     if any(c.status == FAIL for c in trid):
         return report
 
-    verdict, witness, used = check_irreducible(
+    outcome, witness, used = check_irreducible(
         ctx,
         strategy=options.irreducibility,
         assume_note=options.assume_note,
     )
-    if verdict == "reducible":
+    if outcome == "reducible":
         report.add(
             Check("irreducible", FAIL, {"strategy": used, "invariant_subspace": witness})
         )
         return report
-    if verdict == "inconclusive":
+    if outcome == "inconclusive":
         report.add(Check("irreducible", INCONCLUSIVE, {"strategy": used, "detail": witness}))
         return report
     report.add(Check("irreducible", PASS, {"strategy": used, "detail": witness}))

@@ -9,21 +9,23 @@ polynomial at a matrix, the operator tables tau_i(A), tau*_i(A*) and the
 alternating products as n x n matrices, with the trace and corner-product
 identities and the cross-trace table read from them as matrix products (the
 package reads the rank-one corners as scalars, through vectors), the
-standard orderings by full enumeration, the whole space as a subspace, the
-golden d=1 instance, and the agreement of an isomorphism verdict with
-parameter-array equality (the fuzz isomorphism stage encodes it as its
-expected verdicts).
+standard orderings by full enumeration with block-tridiagonality in its
+product form E_i M E_j (the package reads it on eigenspaces, and so does
+the fuzz sampler, whose n^2-row superdiagonal system is kept here), the
+whole space as a subspace, the golden d=1 instance, and the agreement of
+an isomorphism verdict with parameter-array equality (the fuzz isomorphism
+stage encodes it as its expected verdicts).
 """
 
 from fractions import Fraction as F
 from itertools import permutations
 
-from tdlab.appshell import gen_leonard_split
+from tdlab.appshell import _bidiagonal_system, gen_leonard_split
 from tdlab.matrices import Matrix, MatrixError, Subspace, kernel
 from tdlab.polys import TauEtaFamily
 from tdlab.scalars import FieldError, RationalField
 from tdlab.splitparam import _prefix_products
-from tdlab.tdcore import FAIL, PASS, Check, _off_band_pair
+from tdlab.tdcore import FAIL, PASS, Check
 
 
 def intertwiner_space(a, astar, b, bstar):
@@ -96,8 +98,19 @@ def at_matrix(poly, m):
     return acc
 
 
+def off_band_pair(mats, middle):
+    """The first {i, j} with |i - j| > 1 and E_i M E_j != 0, scanning i, then
+    j, or None: block-tridiagonality by the product form of its definition."""
+    for i, ei in enumerate(mats):
+        for j, ej in enumerate(mats):
+            if abs(i - j) > 1 and not (ei * middle * ej).is_zero():
+                return {"i": i, "j": j}
+    return None
+
+
 def enumerate_standard_orderings(sys, e_fam, estar_fam):
-    """All standard orderings of each eigenvalue list, by full enumeration.
+    """All standard orderings of each eigenvalue list, by full enumeration
+    with the product form (off_band_pair).
 
     Factorial in d+1; restricted to d <= 4.
     """
@@ -110,10 +123,33 @@ def enumerate_standard_orderings(sys, e_fam, estar_fam):
     ):
         good = []
         for perm in permutations(range(len(fam))):
-            if _off_band_pair([fam[k] for k in perm], middle) is None:
+            if off_band_pair([fam[k] for k in perm], middle) is None:
                 good.append(tuple(thetas[k] for k in perm))
         out[name] = good
     return out
+
+
+def superdiagonal_system(field, thetas, thetas_star):
+    """The fuzz sampler's superdiagonal system in its first form: n^2 rows
+    per pair |i - j| > 1, one for each entry (r, c) of
+    sum_k phi_k E_i U_k E_j = -E_i D E_j.  D is the diagonal part of A*, U_k
+    the unit at (k-1, k), and E_i U_k E_j is column k-1 of E_i times row k
+    of E_j.  The idempotents are the Lagrange products.  Returns (system,
+    rhs)."""
+    d = len(thetas) - 1
+    n = d + 1
+    unit_free = _bidiagonal_system(field, thetas, thetas_star, (field.zero,) * d)
+    e = lagrange_idempotents(unit_free.A, thetas)
+    rows, rhs = [], []
+    for i in range(n):
+        for j in range(n):
+            if abs(i - j) > 1:
+                base = e[i] * unit_free.Astar * e[j]
+                for r in range(n):
+                    for c in range(n):
+                        rows.append([e[i].data[r][k - 1] * e[j].data[k][c] for k in range(1, n)])
+                        rhs.append(-base.data[r][c])
+    return Matrix(field, rows), tuple(rhs)
 
 
 def builtin_x1():

@@ -19,7 +19,7 @@ from tdlab import splitparam as sp
 from tdlab.conjlab import field_check, pa_conditions
 from tdlab.matrices import Matrix
 from tdlab.scalars import PrimeField, RationalField
-from tdlab.tdcore import InvariantViolation, SystemContext, TdSystem, validate
+from tdlab.tdcore import Check, InvariantViolation, SystemContext, TdSystem, validate
 
 QQ = RationalField()
 GF13 = PrimeField(13)
@@ -227,3 +227,11 @@ def test_invariant_violation_witnesses(x1, inst_gf13_d2, monkeypatch):
         {"first": "10", "other": "2", "position": 1},
         {"zetas": ["1", "5/2"]},
     ]
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, object()], ids=["float", "set", "object"])
+def test_a_witness_without_a_report_form_raises(value):
+    # a repr in a report could differ between runs; no report prints one
+    check = Check("some/check", "fail", {"value": [value]})
+    with pytest.raises(TypeError, match=f"no report form for {type(value).__name__}"):
+        app.checks_to_json(QQ, [check])
