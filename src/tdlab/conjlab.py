@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, product
-from math import gcd
+from math import lcm
 
 from . import matrices as mx
 from .matrices import Matrix, MatrixError, Subspace
@@ -339,16 +339,10 @@ def _minimal_polynomial(field, estar0, gen) -> Poly:
 def _rational_root(field, poly: Poly):
     """Naive rational-root search: candidates p/q from the extreme coeffs."""
     coeffs = [Fraction(c) for c in poly.coeffs]
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    while ints and ints[0] == 0:
-        if poly(field.zero) == field.zero:
-            return field.zero
-        ints = ints[1:]
-    if not ints:
-        return None
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    if ints[0] == 0:  # a zero constant term: poly(0) = 0
+        return field.zero
     a0, an = abs(ints[0]), abs(ints[-1])
     for p in _divisors(a0):
         for q in _divisors(an):
@@ -360,9 +354,7 @@ def _rational_root(field, poly: Poly):
 
 
 def _divisors(n: int):
-    n = abs(n)
-    if n == 0:
-        return []
+    """The divisors of n > 0, ascending."""
     out = []
     f = 1
     while f * f <= n:

@@ -13,6 +13,7 @@ nondegeneracy are checked per instance, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import matrices as mx
 from .matrices import Matrix
@@ -122,23 +123,32 @@ def form_checks(g: Matrix, ctx: SystemContext):
 
     With B_i stacking the basis rows of eigenspace i, the form pairs
     eigenspaces i and j by the block B_j G B_i^t: it must vanish for i != j
-    and be nonsingular for i = j.  Each check reports its first failing
-    family and index, scanning i, then j.
+    and be nonsingular for i = j.  Per family, every block is read off one
+    P = B G B^t, B stacking all the B_i.  Each check reports its first
+    failing family and index, scanning family, then i, then j.
     """
-    orthogonal = nondegenerate = None
+    pairings = []
     for label, fam in (("primary", ctx.e_fam), ("dual", ctx.estar_fam)):
-        stacks = [Matrix(g.field, space.basis) for space in fam.eigenspaces]
-        for i, bi in enumerate(stacks):
-            gbi = g * bi.transpose()
-            for j, bj in enumerate(stacks):
-                block = bj * gbi
-                if i != j and orthogonal is None and not block.is_zero():
-                    orthogonal = {"family": label, "i": i, "j": j}
-                if i == j and nondegenerate is None and mx.det(block) == g.field.zero:
-                    nondegenerate = {"family": label, "i": i}
+        b = Matrix(g.field, [v for space in fam.eigenspaces for v in space.basis])
+        cuts = tuple(accumulate(fam.ranks, initial=0))
+        spans = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        pairings.append((label, (b * g * b.transpose()).data, spans))
+    off_diagonal = (
+        {"family": label, "i": i, "j": j}
+        for label, p, spans in pairings
+        for i, cols in enumerate(spans)
+        for j, rows in enumerate(spans)
+        if i != j and any(any(row[cols]) for row in p[rows])
+    )
+    singular_diagonal = (
+        {"family": label, "i": i}
+        for label, p, spans in pairings
+        for i, s in enumerate(spans)
+        if mx.det(Matrix(g.field, [row[s] for row in p[s]])) == g.field.zero
+    )
     return [
-        Check("form/eigenspaces_orthogonal", FAIL if orthogonal else PASS, orthogonal),
-        Check("form/restrictions_nondegenerate", FAIL if nondegenerate else PASS, nondegenerate),
+        verdict("form/eigenspaces_orthogonal", off_diagonal),
+        verdict("form/restrictions_nondegenerate", singular_diagonal),
     ]
 
 
@@ -235,14 +245,17 @@ def dual_system(ctx: SystemContext):
 
 
 def isomorphism_test(ctx1: SystemContext, ctx2: SystemContext):
-    """Decide isomorphism of two validated sharp systems.
+    """Decide isomorphism of a validated sharp system with a second system.
 
     Equal eigenvalue sequences and equal dual eigenspace dimensions are
     necessary; after that one spin (spin_intertwiner) decides: a nonzero
-    intertwiner is a witness map, invertible by the Schur argument and
-    verified against both operators and every idempotent (taken from the
-    two contexts).  Returns (verdict, payload) with verdict "isomorphic" or
-    "not_isomorphic".
+    intertwiner is a witness map.  Asserted: it is invertible, the Schur
+    premise on a target that need not be validated.  The rest follows:
+    spin_intertwiner kept gamma only when gamma A = A' gamma and
+    gamma A* = A*' gamma held exactly, and scaling keeps both; each E_i is
+    the Lagrange polynomial L_i(A) in the shared thetas (and so for E'_i,
+    E*_i, E*'_i), so gamma E_i = L_i(A') gamma = E'_i gamma.  Returns
+    (verdict, payload) with verdict "isomorphic" or "not_isomorphic".
     """
     sys1, sys2 = ctx1.sys, ctx2.sys
     if sys1.field != sys2.field:
@@ -272,9 +285,4 @@ def isomorphism_test(ctx1: SystemContext, ctx2: SystemContext):
             "nonzero intertwiner is singular; an input system is not irreducible",
             {"intertwiner_dim": len(basis)},
         )
-    if gamma * sys1.A != sys2.A * gamma or gamma * sys1.Astar != sys2.Astar * gamma:
-        raise InvariantViolation("intertwiner fails its defining relations")
-    for f1, f2 in zip((*ctx1.e_fam, *ctx1.estar_fam), (*ctx2.e_fam, *ctx2.estar_fam)):
-        if gamma * f1 != f2 * gamma:
-            raise InvariantViolation("intertwiner fails an idempotent relation")
     return "isomorphic", {"gamma": gamma, "intertwiner_dim": len(basis)}

@@ -236,37 +236,26 @@ def projections(field: Field, n: int, subspaces) -> list:
     """The projections of K^n onto each summand of a direct sum, along the
     others; a zero summand projects to the zero matrix.
 
-    One inversion of the matrix whose columns are the concatenated bases
-    serves all of them.  Asserted: each projection is idempotent, has its
-    summand as image and fixes it; they sum to the identity and are
-    pairwise orthogonal.
+    With C holding the concatenated bases as columns and R = C^-1 as rows,
+    F_i = C_i R_i: one inversion serves all of them.  Asserted: the F_i sum
+    to C R = I.  The rest follows: C is square (else the inversion raises),
+    so R C = I as well, that is R_i C_j = delta_ij I; hence F_i F_j =
+    delta_ij F_i, F_i C_i = C_i, and F_i has the span of C_i as image.
     """
     change = Matrix(field, [v for s in subspaces for v in s.basis]).transpose()
     change_inv = mx.inverse(change)
     out = []
-    total = Matrix.zeros(field, n, n)
     lo = 0
-    for i, s in enumerate(subspaces):
+    for s in subspaces:
         hi = lo + s.dim
         if lo == hi:
-            f = Matrix.zeros(field, n, n)
+            out.append(Matrix.zeros(field, n, n))
         else:
             block = Matrix(field, [row[lo:hi] for row in change.data])
-            f = block * Matrix(field, change_inv.data[lo:hi])
+            out.append(block * Matrix(field, change_inv.data[lo:hi]))
         lo = hi
-        if f * f != f:
-            raise InvariantViolation(f"projection {i} is not idempotent")
-        if mx.image(f) != s:
-            raise InvariantViolation(f"projection {i} has an image other than its summand")
-        if any(f.apply(v) != v for v in s.basis):
-            raise InvariantViolation(f"projection {i} does not fix its summand")
-        out.append(f)
-        total = total + f
-    if total != Matrix.identity(field, n):
+    if sum(out, Matrix.zeros(field, n, n)) != Matrix.identity(field, n):
         raise InvariantViolation("projections do not sum to the identity")
-    for (i, fi), (j, fj) in product(enumerate(out), repeat=2):
-        if i != j and not (fi * fj).is_zero():
-            raise InvariantViolation(f"projections {i} and {j} are not orthogonal")
     return out
 
 
@@ -276,8 +265,11 @@ def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
 
     Raises NotDiagonalizableError when the eigenvalue list does not exhaust
     the space, and ValueError on a repeated eigenvalue.  Asserted before
-    returning, besides what projections asserts: the eigen-relation, the
-    operator as the eigenvalue-weighted sum, and each rank.
+    returning, besides the sum to the identity (see projections): the
+    eigen-relation (m - theta_i) v = 0 on each basis vector v of E_iV.  As
+    E_i = C_i R_i with R_i of full row rank, that is m E_i = theta_i E_i;
+    rank E_i = dim E_iV follows from R_i C_i = I, and m = m sum E_i =
+    sum theta_i E_i.
     """
     field = m.field
     thetas = tuple(thetas)
@@ -285,7 +277,8 @@ def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
         raise ValueError("repeated eigenvalues")
     n = m.rows
     ident = Matrix.identity(field, n)
-    spaces = [mx.kernel(m - ident.scale(t)) for t in thetas]
+    shifts = [m - ident.scale(t) for t in thetas]
+    spaces = [mx.kernel(s) for s in shifts]
     total = sum(s.dim for s in spaces)
     if total < n:
         raise NotDiagonalizableError(
@@ -293,15 +286,9 @@ def primitive_idempotents(m: Matrix, thetas) -> IdempotentFamily:
             defect={"kernel_dims": [s.dim for s in spaces], "n": n},
         )
     mats = projections(field, n, spaces)
-    recon = Matrix.zeros(field, n, n)
-    for t, e, space in zip(thetas, mats, spaces):
-        if not (m * e - e.scale(t)).is_zero():
+    for shift, space in zip(shifts, spaces):
+        if any(any(shift.apply(v)) for v in space.basis):
             raise InvariantViolation("idempotent fails the eigen-relation")
-        if mx.rank(e) != space.dim:
-            raise InvariantViolation("idempotent rank differs from eigenspace dimension")
-        recon = recon + e.scale(t)
-    if recon != m:
-        raise InvariantViolation("operator is not the eigenvalue-weighted idempotent sum")
     return IdempotentFamily(
         mats=tuple(mats),
         eigenspaces=tuple(spaces),

@@ -3,7 +3,24 @@ from fractions import Fraction as F
 import pytest
 
 from tdlab.appshell import gen_leonard_split
+from tdlab.matrices import Matrix
 from tdlab.scalars import PrimeField, RationalField
+
+
+@pytest.fixture
+def matrix_products(monkeypatch):
+    """(left operand's rows, right operand) of each Matrix x Matrix product
+    formed during the test; clear() it where the counted part begins."""
+    products = []
+    original = Matrix.__mul__
+
+    def recording(self, other):
+        if isinstance(other, Matrix):
+            products.append((self.rows, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", recording)
+    return products
 
 
 @pytest.fixture(scope="session")

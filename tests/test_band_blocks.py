@@ -19,7 +19,6 @@ from tdlab import appshell as app
 from tdlab import matrices as mx
 from tdlab import tdcore as td
 from tdlab.appshell import RunConfig, _random_candidate, _sample_superdiagonal, system_from_document
-from tdlab.matrices import Matrix
 from tdlab.rng import SplitMix64, trial_seed
 from tdlab.tdcore import FAIL, PASS, Check, IdempotentFamily, SystemContext, TdSystem, validate
 
@@ -91,40 +90,27 @@ def test_band_blocks_vanish_where_the_products_do_on_every_order(name):
     assert failures == (0 if sys.d < 2 else len(list(permutations(range(sys.d + 1)))) - 2)
 
 
-def _counting_products(monkeypatch):
-    products = []
-    original = Matrix.__mul__
-
-    def counted(self, other):
-        if isinstance(other, Matrix):
-            products.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", counted)
-    return products
-
-
-def test_check_tridiagonal_forms_no_matrix_product_on_the_n16_pair(monkeypatch):
+def test_check_tridiagonal_forms_no_matrix_product_on_the_n16_pair(matrix_products):
     sys = _n16_pair()
     ctx = SystemContext(sys)
     e_fam, estar_fam = ctx.e_fam, ctx.estar_fam
-    products = _counting_products(monkeypatch)
+    matrix_products.clear()
     checks = td.check_tridiagonal(sys, e_fam, estar_fam)
     assert [c.status for c in checks] == [PASS, PASS]
-    assert len(products) == 0
+    assert len(matrix_products) == 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF"])
-def test_the_sampler_forms_no_matrix_product_beyond_the_family(field, monkeypatch):
+def test_the_sampler_forms_no_matrix_product_beyond_the_family(field, monkeypatch, matrix_products):
     config = RunConfig(seed=7, trials=1, field=field)
     ctx = _random_candidate(config, SplitMix64(5), 5)
     sys = ctx.sys
     e_fam = td.primitive_idempotents(sys.A, sys.thetas)
     monkeypatch.setattr(td, "primitive_idempotents", lambda m, thetas: e_fam)
-    products = _counting_products(monkeypatch)
+    matrix_products.clear()
     phis, fam = _sample_superdiagonal(field, SplitMix64(5), sys.thetas, sys.thetas_star)
     assert fam is e_fam and len(phis) == 5
-    assert len(products) == 0
+    assert len(matrix_products) == 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF"])

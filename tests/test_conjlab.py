@@ -222,23 +222,16 @@ def test_chain_work_is_bounded_in_depth(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["KRAW_Q", "KRAW_GF", "n16", "gf3_assume"])
-def test_chain_products_act_on_rho0_rows(name, monkeypatch):
+def test_chain_products_act_on_rho0_rows(name, matrix_products):
     # every span is one of rho_0 x n row blocks, so each product's left
     # operand has rho_0 rows: 1 on the sharp pairs, 2 (not n = 4) on the
     # GF(3) pair
     ctx = _chain_context(name, None)
     d_mats, dstar_mats = _chain_inputs(ctx)
     estar0, e0, rho0 = ctx.estar_fam[0], ctx.e_fam[0], ctx.estar_fam.ranks[0]
-    rows = []
-    mul = Matrix.__mul__
-
-    def recording_mul(self, other):
-        rows.append(self.rows)
-        return mul(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
+    matrix_products.clear()
     assert conjlab._first_chain_failure(d_mats, dstar_mats, estar0, e0, 3) is None
-    assert set(rows) == {rho0} == ({2} if name == "gf3_assume" else {1})
+    assert {rows for rows, _ in matrix_products} == {rho0} == ({2} if name == "gf3_assume" else {1})
 
 
 def test_a_proper_algebra_not_closed_is_a_subalgebras_fail():

@@ -19,7 +19,6 @@ import pytest
 from tdlab import d4orbit as d4
 from tdlab import splitparam as sp
 from tdlab.appshell import system_from_document
-from tdlab.matrices import Matrix
 from tdlab.tdcore import SystemContext
 
 import oracles
@@ -118,18 +117,10 @@ def test_wrong_eigenvalues_and_split_sequences_fail_alike_in_both_forms(doc):
     [sp.trace_zeta, sp.vanishing_check, sp.zeta_d_closed_form, sp._cross_traces],
     ids=["trace_zeta", "vanishing_check", "zeta_d_closed_form", "cross_traces"],
 )
-def test_corner_identities_form_no_matrix_product(doc, read, monkeypatch):
+def test_corner_identities_form_no_matrix_product(doc, read, matrix_products):
     sys, _ = system_from_document(doc)
     ctx = SystemContext(sys)
     assert ctx.report.passed() and ctx.zetas
-    products = []
-    original = Matrix.__mul__
-
-    def counted(self, other):
-        if isinstance(other, Matrix):
-            products.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", counted)
+    matrix_products.clear()
     read(ctx)
-    assert len(products) == 0
+    assert len(matrix_products) == 0

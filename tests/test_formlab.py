@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from tdlab import d4orbit as d4
-from tdlab.appshell import system_from_document
+from tdlab import formlab as fl
+from tdlab.appshell import RunConfig, fuzz_run, system_from_document
 from tdlab.formlab import (
     anti_automorphism,
     dual_system,
@@ -114,6 +115,31 @@ def test_isomorphism_with_conjugate(x1):
     g = payload["gamma"]
     assert g * sys.A == other.A * g and g * sys.Astar == other.Astar * g
     assert det(g) != F(0)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF"])
+def test_fuzz_isomorphism_witnesses_intertwine_every_idempotent_pair(field, monkeypatch):
+    # isomorphism_test asserts neither relation: both follow from the spin's
+    # gamma A = A' gamma and gamma A* = A*' gamma (see its docstring); here
+    # they are checked in product form on every isomorphic case of
+    # `fuzz --trials 25 --seed 7`: two conjugates of each accepted trial
+    cases = []
+    decide = fl.isomorphism_test
+
+    def recording(ctx1, ctx2):
+        verdict, payload = decide(ctx1, ctx2)
+        if verdict == "isomorphic":
+            cases.append((ctx1, ctx2, payload["gamma"]))
+        return verdict, payload
+
+    monkeypatch.setattr(fl, "isomorphism_test", recording)
+    assert fuzz_run(RunConfig(seed=7, trials=25, field=field))["checks"][-1]["status"] == "pass"
+    assert len(cases) == 50
+    for ctx1, ctx2, gamma in cases:
+        assert gamma * ctx1.sys.A == ctx2.sys.A * gamma
+        assert gamma * ctx1.sys.Astar == ctx2.sys.Astar * gamma
+        for e1, e2 in zip((*ctx1.e_fam, *ctx1.estar_fam), (*ctx2.e_fam, *ctx2.estar_fam), strict=True):
+            assert gamma * e1 == e2 * gamma
 
 
 def test_isomorphism_rejects_reversed_relative(x1):

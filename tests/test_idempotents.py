@@ -5,7 +5,9 @@
 products in the operator.  The inputs are every golden document, the
 candidates of `fuzz --trials 25 --seed 7` over both fields, the benchmark's
 Krawtchouk pairs over both fields, and A = I with an eigenvalue that has no
-eigenvector.
+eigenvector.  A family costs one matrix product per nonzero eigenspace: its
+two asserted identities (the sum to the identity and the eigen-relation on
+eigenvectors) form none, and each still catches the fault it guards.
 """
 
 import json
@@ -21,7 +23,8 @@ from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import InvariantViolation, primitive_idempotents, projections
 
 from oracles import lagrange_idempotents
-from test_spin import GOLDEN_SYSTEMS, kraw
+from test_conjlab import _n16_pair
+from test_spin import GOLDEN_SYSTEMS, _leonard_d6, kraw
 
 QQ = RationalField()
 GF = PrimeField(10007)
@@ -100,3 +103,59 @@ def test_projections_need_a_direct_sum():
         projections(QQ, 2, [line, line])
     with pytest.raises(MatrixError):
         projections(QQ, 2, [line, Subspace.zero(QQ, 2)])
+
+
+FAMILY_SYSTEMS = {
+    "n16_gf": _n16_pair,
+    "leonard6_q": lambda: _leonard_d6(QQ),
+    "leonard6_gf": lambda: _leonard_d6(GF),
+    "identity": lambda: system_from_document(IDENTITY)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_SYSTEMS))
+def test_a_family_forms_one_product_per_nonzero_eigenspace(name, matrix_products):
+    # E_i = C_i R_i, an n x rank by rank x n product; the identity's second
+    # eigenspace is zero and forms none
+    sys = FAMILY_SYSTEMS[name]()
+    for m, thetas in ((sys.A, sys.thetas), (sys.Astar, sys.thetas_star)):
+        matrix_products.clear()
+        fam = primitive_idempotents(m, thetas)
+        shapes = [(rows, right.rows, right.cols) for rows, right in matrix_products]
+        assert shapes == [(sys.n, rank, sys.n) for rank in fam.ranks if rank]
+
+
+def test_verify_on_the_cli_kraw_documents_forms_72_products(tmp_path, matrix_products, capsys):
+    # the eight documents of the cli-kraw benchmark; each family forms one
+    # product per eigenspace: 2 * (3 + 4 + 4 + 7) = 36 per field
+    paths = []
+    for prime in (None, kraw.PRIME):
+        for shape, dims in sorted(kraw.SHAPES.items()):
+            paths.append(tmp_path / f"kraw{''.join(map(str, shape))}-{prime}.json")
+            doc = kraw.krawtchouk_document(shape, (2, 3, 5)[: len(dims)], prime)
+            paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(tmp_path / f"leonard-{prime}.json")
+        assert run([*kraw.leonard_gen_args(prime), "-o", str(paths[-1])]) == 0
+    matrix_products.clear()
+    assert [run(["verify", str(path)]) for path in paths] == [0] * 8
+    capsys.readouterr()
+    assert len(matrix_products) == 72
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF"])
+def test_a_kernel_vector_that_is_no_eigenvector_fails_the_eigen_relation(field, monkeypatch):
+    # E_1V's basis vector v_1 becomes v_0 + v_1: still a direct sum, so the
+    # projections sum to the identity, but (A - theta_1) v no longer vanishes
+    sys = _leonard_d6(field)
+    kernel, spaces = mx.kernel, []
+
+    def perturbed(m):
+        spaces.append(kernel(m))
+        if len(spaces) == 2:
+            v0, v1 = spaces[0].basis[0], spaces[1].basis[0]
+            return Subspace.from_vectors(field, sys.n, [tuple(a + b for a, b in zip(v0, v1))])
+        return spaces[-1]
+
+    monkeypatch.setattr(mx, "kernel", perturbed)
+    with pytest.raises(InvariantViolation, match="eigen-relation"):
+        primitive_idempotents(sys.A, sys.thetas)

@@ -82,21 +82,13 @@ def test_split_sequence_is_how_the_alternating_tables_act_on_the_split_line(base
             assert op.apply(v) == tuple(zeta * x for x in v)
 
 
-def test_linear_products_never_multiply_by_the_identity(monkeypatch, x1):
+def test_linear_products_never_multiply_by_the_identity(x1, matrix_products):
     sys, _ = x1
-    calls = []
-    original = Matrix.__mul__
-
-    def counted(self, other):
-        calls.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", counted)
     for values in ((), (sys.thetas[0],), sys.thetas, (*sys.thetas, *sys.thetas_star)):
-        before = len(calls)
+        before = len(matrix_products)
         table = _linear_products(sys.A, values)
         assert len(table) == len(values) + 1
-        assert len(calls) - before == max(len(values) - 1, 0)
+        assert len(matrix_products) - before == max(len(values) - 1, 0)
 
 
 @pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])

@@ -9,8 +9,11 @@ same name does not hide an unused method.  A field counts as read only when
 its name appears as an Attribute in Load context outside the arguments of a
 call to its own class, so a field that is only assigned, or only copied into
 a new instance, is flagged.  A parameter other than self and cls counts as
-read when its name appears as a Name in its function's body.  What only
-tests need lives in tests/ (oracles.py or the one test file that uses it).
+read when its name appears as a Name in its function's body.  A name that
+a module-level import binds counts as read when it appears as a Name in Load
+context in its module; `__init__.py` is exempt, as its imports are the
+package's re-exports.  What only tests need lives in tests/ (oracles.py or
+the one test file that uses it).
 The allowlist names the few entry points kept for callers outside the
 package, each with its reason.
 """
@@ -97,6 +100,18 @@ def _unread_parameters(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}", param.arg
 
 
+def _unread_imports(tree: ast.Module):
+    """Each name bound by a module-level import (other than from __future__)
+    that its module never reads."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    yield name
+
+
 def _trees():
     for path in sorted(SRC.glob("*.py")):
         yield path.stem, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -144,3 +159,10 @@ def test_every_dataclass_field_is_read_in_src():
 def test_every_parameter_is_read_by_its_function():
     unread = sorted(p for module, tree in _trees() for p in _unread_parameters(module, tree))
     assert unread == [], f"parameters that their function never reads: {unread}"
+
+
+def test_every_module_level_import_is_read_in_its_module():
+    unread = sorted(
+        f"{module}.{name}" for module, tree in _trees() if module != "__init__" for name in _unread_imports(tree)
+    )
+    assert unread == [], f"module-level imports that nothing in their module reads: {unread}"

@@ -205,6 +205,16 @@ def test_corner_field_rational_root():
     ]
 
 
+def test_corner_field_rational_root_zero():
+    # minimal polynomial x(x - 1)(x - 2): the zero constant term is the root 0
+    m = Matrix(QQ, [[F(0), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(2)]])
+    ident = Matrix.identity(QQ, 3)
+    assert _rendered(QQ, field_check(QQ, [ident, m, m * m], ident, 3)[1])[1] == {
+        "id": "conj/corner_field", "status": "fail",
+        "witness": {"reason": "minimal polynomial has a rational root", "root": "0"},
+    }
+
+
 def _raised_witness(field, derive):
     with pytest.raises(InvariantViolation) as err:
         derive()
