@@ -496,7 +496,7 @@ def form_stage(ctx: SystemContext):
     if gram is None:
         return checks, {}
     checks.extend(fl.form_checks(gram, ctx))
-    checks.extend(fl.anti_automorphism(gram, ctx)[1])
+    checks.extend(fl.anti_automorphism(gram, ctx))
     return checks, {"gram": gram}
 
 

@@ -7,17 +7,18 @@ the pair to its transposed pair.  On a sharp system one spin decides either:
 an intertwiner maps the line E*_0 V into the target's E*_0 line, so it is
 fixed up to one scalar by the image of a vector v0 spanning that line, and
 v0 spins to V.  Existence, uniqueness (solution dimension 1), symmetry, and
-nondegeneracy are checked per instance, never assumed.
+nondegeneracy are checked per instance, never assumed.  The anti-automorphism
+X -> G^-1 X^t G is never applied: each of its three checks reads the identity
+on G that decides its property for every X (G A = A^t G and G A* = A*^t G;
+G^t = +-G; G G^-1 = I).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import matrices as mx
 from .matrices import Matrix
-from .rng import SplitMix64
 from .scalars import FieldError
 from .tdcore import (
     FAIL,
@@ -29,19 +30,6 @@ from .tdcore import (
     _spin,
     verdict,
 )
-
-
-# seeds the products in the anti-automorphism's spot-check sample
-SAMPLE_SEED = 0x5EED
-
-
-@dataclass
-class AntiMap:
-    conjugator: Matrix  # realizes X -> R^{-1} X^t R
-    conjugator_inv: Matrix
-
-    def apply(self, x: Matrix) -> Matrix:
-        return self.conjugator_inv * x.transpose() * self.conjugator
 
 
 def spin_intertwiner(ctx: SystemContext, b: Matrix, bstar: Matrix, w0):
@@ -126,6 +114,12 @@ def form_checks(g: Matrix, ctx: SystemContext):
     and be nonsingular for i = j.  Per family, every block is read off one
     P = B G B^t, B stacking all the B_i.  Each check reports its first
     failing family and index, scanning family, then i, then j.
+
+    Both follow from G A = A^t G (and G A* = A*^t G), distinct theta_i and
+    det G != 0: for u in E_iV and v in E_jV, theta_j u^t G v = u^t G A v =
+    theta_i u^t G v, and a vector of E_iV orthogonal to E_iV is then
+    orthogonal to all of V, so it is 0.  Only eigenspace bases that are
+    wrong can fail them.
     """
     pairings = []
     for label, fam in (("primary", ctx.e_fam), ("dual", ctx.estar_fam)):
@@ -153,43 +147,35 @@ def form_checks(g: Matrix, ctx: SystemContext):
 
 
 def anti_automorphism(g: Matrix, ctx: SystemContext):
-    """The transpose-conjugation map attached to the form, plus its checks.
+    """The checks on sigma(X) = G^-1 X^t G, the transpose-conjugation of the
+    form.  Each reads the identity on G that is equivalent to it for every X
+    in Mat_n, G being invertible (form/nondegenerate):
 
-    The deterministic sample for the involution/trace/anti-multiplicativity
-    spot checks contains both operators, every idempotent, and seeded
-    products of them.
+    * sigma(A) = A iff G A = A^t G (multiply by G on the left), and so for A*;
+    * sigma^2(X) = (G^-1 G^t) X (G^-1 G^t)^-1, so sigma^2 = id iff G^-1 G^t
+      is a scalar c, that is G^t = c G, where transposing gives c^2 = 1; and
+      tr sigma(X) = tr(X^t G G^-1) = tr X once G G^-1 = I;
+    * sigma(X Y) = G^-1 Y^t (G G^-1) X^t G = sigma(Y) sigma(X) for every
+      invertible G, so form/anti_multiplicative reads G G^-1 = I.
+
+    Five products whatever n: four for the generators, and G G^-1 once for
+    the last two checks.  A failure names the identity that failed.
     """
     sys = ctx.sys
-    dagger = AntiMap(conjugator=g, conjugator_inv=mx.inverse(g))
-    checks = []
-    fixed = dagger.apply(sys.A) == sys.A and dagger.apply(sys.Astar) == sys.Astar
-    checks.append(Check("form/anti_fixes_generators", PASS if fixed else FAIL))
-
-    sample = [sys.A, sys.Astar, *ctx.e_fam.mats, *ctx.estar_fam.mats]
-    rng = SplitMix64(SAMPLE_SEED)
-    pool = list(sample)
-    for _ in range(4):
-        x = pool[rng.randrange(len(pool))]
-        y = pool[rng.randrange(len(pool))]
-        sample.append(x * y)
-    images = ((k, x, dagger.apply(x)) for k, x in enumerate(sample))
-    unkept = (
-        {"property": prop, "sample_index": k}
-        for k, x, xd in images
-        for prop, kept in (("involution", dagger.apply(xd) == x), ("trace", xd.trace() == x.trace()))
-        if not kept
+    moved = (
+        {"identity": f"G {name} = {name}^t G"}
+        for name, m in (("A", sys.A), ("A*", sys.Astar))
+        if g * m != m.transpose() * g
     )
-    checks.append(verdict("form/anti_involutive_and_trace", unkept))
-
-    # each pair is drawn only when the pairs before it passed
-    pairs = ((sample[rng.randrange(len(sample))], sample[rng.randrange(len(sample))]) for _ in range(4))
-    unkept = (
-        {"property": "anti-multiplicative", "pair_index": k}
-        for k, (x, y) in enumerate(pairs)
-        if dagger.apply(x * y) != dagger.apply(y) * dagger.apply(x)
-    )
-    checks.append(verdict("form/anti_multiplicative", unkept))
-    return dagger, checks
+    gt = g.transpose()
+    signed = [] if gt == g or gt == -g else [{"identity": "G^t = G or G^t = -G"}]
+    ident = Matrix.identity(g.field, g.rows)
+    inverted = [] if g * mx.inverse(g) == ident else [{"identity": "G G^-1 = I"}]
+    return [
+        verdict("form/anti_fixes_generators", moved),
+        verdict("form/anti_involutive_and_trace", iter(signed + inverted)),
+        verdict("form/anti_multiplicative", iter(inverted)),
+    ]
 
 
 def dual_system(ctx: SystemContext):

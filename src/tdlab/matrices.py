@@ -123,14 +123,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.data)))
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise MatrixError("trace of a non-square matrix")
-        t = self.field.zero
-        for i in range(self.rows):
-            t = t + self.data[i][i]
-        return t
-
     def apply(self, vec):
         """Matrix times column vector (a tuple of scalars)."""
         if len(vec) != self.cols:

@@ -12,16 +12,18 @@ package reads the rank-one corners as scalars, through vectors), the
 standard orderings by full enumeration with block-tridiagonality in its
 product form E_i M E_j (the package reads it on eigenspaces, and so does
 the fuzz sampler, whose n^2-row superdiagonal system is kept here), the
-whole space as a subspace, the golden d=1 instance, and the agreement of
-an isomorphism verdict with parameter-array equality (the fuzz isomorphism
-stage encodes it as its expected verdicts).
+whole space as a subspace, the golden d=1 instance, the agreement of an
+isomorphism verdict with parameter-array equality (the fuzz isomorphism
+stage encodes it as its expected verdicts), the form's anti-automorphism
+X -> G^-1 X^t G as a product (the package reads each of its properties as
+an identity on G), and the trace of a matrix, which only these forms read.
 """
 
 from fractions import Fraction as F
 from itertools import permutations
 
 from tdlab.appshell import _bidiagonal_system, gen_leonard_split
-from tdlab.matrices import Matrix, MatrixError, Subspace, kernel
+from tdlab.matrices import Matrix, MatrixError, Subspace, inverse, kernel
 from tdlab.polys import TauEtaFamily
 from tdlab.scalars import FieldError, RationalField
 from tdlab.splitparam import _prefix_products
@@ -152,6 +154,18 @@ def superdiagonal_system(field, thetas, thetas_star):
     return Matrix(field, rows), tuple(rhs)
 
 
+def trace(m):
+    """The sum of the diagonal entries of a square matrix."""
+    if m.rows != m.cols:
+        raise MatrixError("trace of a non-square matrix")
+    return sum((m.data[i][i] for i in range(m.rows)), m.field.zero)
+
+
+def anti_image(g, x):
+    """sigma(X) = G^-1 X^t G, the transpose-conjugation of the form G."""
+    return inverse(g) * x.transpose() * g
+
+
 def builtin_x1():
     """The golden d=1 instance over the rationals, in its context."""
     return gen_leonard_split(RationalField(), (F(1), F(0)), (F(1), F(0)), (F(1),))
@@ -214,10 +228,10 @@ def trace_zeta(ctx):
     checks = []
 
     corner_traces = {
-        "tr_E0Estar0": (e0 * es0).trace(),
-        "tr_E0Estard": (e0 * esd).trace(),
-        "tr_EdEstar0": (ed * es0).trace(),
-        "tr_EdEstard": (ed * esd).trace(),
+        "tr_E0Estar0": trace(e0 * es0),
+        "tr_E0Estard": trace(e0 * esd),
+        "tr_EdEstar0": trace(ed * es0),
+        "tr_EdEstard": trace(ed * esd),
     }
     zero = field.zero
     bad = {k: v for k, v in corner_traces.items() if v == zero}
@@ -228,16 +242,16 @@ def trace_zeta(ctx):
     pre_t = _prefix_products(field, list(sys.thetas), sys.thetas[0])
     pre_s = _prefix_products(field, list(sys.thetas_star), sys.thetas_star[0])
     tr_e0es0 = corner_traces["tr_E0Estar0"]
-    tr_es0e0 = (es0 * e0).trace()
+    tr_es0e0 = trace(es0 * e0)
     tau, tau_star, _, _ = operator_tables(sys)
 
-    by_dual_prefix = [pre_s[i] * (tau[i] * es0).trace() for i in range(d + 1)]
-    by_primary_prefix = [pre_t[i] * (tau_star[i] * e0).trace() for i in range(d + 1)]
+    by_dual_prefix = [pre_s[i] * trace(tau[i] * es0) for i in range(d + 1)]
+    by_primary_prefix = [pre_t[i] * trace(tau_star[i] * e0) for i in range(d + 1)]
     by_corner_ratio = [
-        (e0 * tau_star[i] * tau[i] * es0).trace() / tr_e0es0 for i in range(d + 1)
+        trace(e0 * tau_star[i] * tau[i] * es0) / tr_e0es0 for i in range(d + 1)
     ]
     by_corner_ratio_dual = [
-        (es0 * tau[i] * tau_star[i] * e0).trace() / tr_es0e0 for i in range(d + 1)
+        trace(es0 * tau[i] * tau_star[i] * e0) / tr_es0e0 for i in range(d + 1)
     ]
     values = {
         "dual_prefix_times_trace": by_dual_prefix,
@@ -337,12 +351,12 @@ def zeta_d_closed_form(ctx):
     first = (
         fam_s.eta_at(d, sys.thetas_star[0])
         * fam_t.tau_at(d, sys.thetas[d])
-        * (e_fam[d] * estar_fam[0]).trace()
+        * trace(e_fam[d] * estar_fam[0])
     )
     second = (
         fam_t.eta_at(d, sys.thetas[0])
         * fam_s.tau_at(d, sys.thetas_star[d])
-        * (estar_fam[d] * e_fam[0]).trace()
+        * trace(estar_fam[d] * e_fam[0])
     )
     ok = lhs == first and lhs == second
     witness = None if ok else {"zeta_d": lhs, "primary_form": first, "dual_form": second}
@@ -353,8 +367,8 @@ def cross_traces(ctx):
     """The cross-trace table of splitparam.problems_report, read from matrix products."""
     e_fam, estar_fam, d = ctx.e_fam, ctx.estar_fam, ctx.sys.d
     return {
-        "tr_Ei_Estar0": [(e_fam[i] * estar_fam[0]).trace() for i in range(d + 1)],
-        "tr_Ei_Estard": [(e_fam[i] * estar_fam[d]).trace() for i in range(d + 1)],
-        "tr_Estari_E0": [(estar_fam[i] * e_fam[0]).trace() for i in range(d + 1)],
-        "tr_Estari_Ed": [(estar_fam[i] * e_fam[d]).trace() for i in range(d + 1)],
+        "tr_Ei_Estar0": [trace(e_fam[i] * estar_fam[0]) for i in range(d + 1)],
+        "tr_Ei_Estard": [trace(e_fam[i] * estar_fam[d]) for i in range(d + 1)],
+        "tr_Estari_E0": [trace(estar_fam[i] * e_fam[0]) for i in range(d + 1)],
+        "tr_Estari_Ed": [trace(estar_fam[i] * e_fam[d]) for i in range(d + 1)],
     }

@@ -17,8 +17,10 @@ from tdlab.rng import SplitMix64
 from tdlab.scalars import FieldError, PrimeField, RationalField
 from tdlab.splitparam import ParameterArray
 from tdlab.tdcore import SystemContext, TdSystem, validate
-from oracles import conjecture_crosscheck
+from oracles import anti_image, builtin_x1, conjecture_crosscheck, trace
+from test_conjlab import _n16_pair
 from test_golden import KRAW_GF
+from test_spin import _leonard_d6
 
 QQ = RationalField()
 
@@ -64,13 +66,13 @@ def test_d0_gram_is_scalar():
 def test_x1_anti_automorphism(x1):
     sys, ctx = x1
     gram, _ = invariant_form(ctx)
-    dagger, checks = anti_automorphism(gram, ctx)
+    checks = anti_automorphism(gram, ctx)
     assert all(c.status == "pass" for c in checks)
-    assert dagger.apply(sys.A) == sys.A
-    assert dagger.apply(sys.Astar) == sys.Astar
-    assert dagger.apply(Matrix.identity(QQ, 2)) == Matrix.identity(QQ, 2)
+    assert anti_image(gram, sys.A) == sys.A
+    assert anti_image(gram, sys.Astar) == sys.Astar
+    assert anti_image(gram, Matrix.identity(QQ, 2)) == Matrix.identity(QQ, 2)
     # anti-multiplicativity spot check from the fixture
-    assert dagger.apply(sys.A * sys.Astar) == sys.Astar * sys.A
+    assert anti_image(gram, sys.A * sys.Astar) == sys.Astar * sys.A
 
 
 def test_dual_system_x1(x1):
@@ -220,3 +222,58 @@ def test_form_checks_witnesses_match_the_vector_scan(fixture, request):
         assert [c.status for c in checks] == ["pass" if w is None else "fail" for w in expected]
         seen.update(repr(w) for w in expected)
     assert "None" in seen and len(seen) > 3
+
+
+ANTI_SYSTEMS = {
+    "x1": lambda: builtin_x1().sys,
+    "leonard6_q": lambda: _leonard_d6(QQ),
+    "n16_gf": _n16_pair,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANTI_SYSTEMS))
+def test_anti_automorphism_forms_five_products_whatever_n(name, matrix_products):
+    # G A, A^t G, G A*, A*^t G and G G^-1: no sample of Mat_n
+    ctx = SystemContext(ANTI_SYSTEMS[name]())
+    gram, _ = invariant_form(ctx)
+    matrix_products.clear()
+    checks = anti_automorphism(gram, ctx)
+    assert len(matrix_products) == 5
+    assert all(c.status == "pass" for c in checks)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF"])
+def test_fuzz_forms_3044_products(field, matrix_products):
+    # 5247 when the anti-automorphism sampled 2d+8 matrices per trial
+    assert fuzz_run(RunConfig(seed=7, trials=25, field=field))["checks"][-1]["status"] == "pass"
+    assert len(matrix_products) == 3044
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF"])
+def test_fuzz_forms_satisfy_the_anti_automorphism_in_product_form(field, monkeypatch):
+    # anti_automorphism reads identities on G (see its docstring); here the
+    # properties they decide are checked through sigma(X) = G^-1 X^t G on
+    # every accepted trial of `fuzz --trials 25 --seed 7`: the involution and
+    # the trace on A, A*, every idempotent and every product of two of them,
+    # anti-multiplicativity on every ordered pair of those factors
+    forms = []
+    decide = fl.anti_automorphism
+
+    def recording(g, ctx):
+        forms.append((g, ctx))
+        return decide(g, ctx)
+
+    monkeypatch.setattr(fl, "anti_automorphism", recording)
+    assert fuzz_run(RunConfig(seed=7, trials=25, field=field))["checks"][-1]["status"] == "pass"
+    assert len(forms) == 25
+    for g, ctx in forms:
+        factors = [ctx.sys.A, ctx.sys.Astar, *ctx.e_fam.mats, *ctx.estar_fam.mats]
+        images = [anti_image(g, x) for x in factors]
+        for x, xs in zip(factors, images):
+            for y, ys in zip(factors, images):
+                xy = x * y
+                xys = anti_image(g, xy)
+                assert xys == ys * xs
+                assert anti_image(g, xys) == xy and trace(xys) == trace(xy)
+        for x, xs in zip(factors, images):
+            assert anti_image(g, xs) == x and trace(xs) == trace(x)

@@ -20,7 +20,7 @@ from tdlab.splitparam import (
 )
 from tdlab.tdcore import FAIL, Check, InvariantViolation, SystemContext, TdSystem
 
-from oracles import full_subspace
+from oracles import full_subspace, trace
 
 
 def _pipeline(ctx):
@@ -90,7 +90,7 @@ def test_x1_bijections(x1):
 def test_x1_zeta_d_closed_form(x1):
     _, ctx = x1
     # eta*_1(theta*_0) tau_1(theta_1) tr(E_1 E*_0) = 1 * (-1) * (-1) = 1
-    tr = (ctx.e_fam[1] * ctx.estar_fam[0]).trace()
+    tr = trace(ctx.e_fam[1] * ctx.estar_fam[0])
     assert tr == F(-1)
     check = zeta_d_closed_form(ctx)
     assert check.status == "pass"
