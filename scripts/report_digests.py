@@ -16,6 +16,10 @@ line by line with `diff`.  The runs are:
   * `fuzz --trials 6 --seed 3 --irreducibility auto --field p=10007`;
   * `fuzz --trials 100 --seed 1 --field p=5 --d-max 1`, which exits 1.
 
+`auto` is also fuzz's default strategy, yet the run that names it stays:
+it is the control for a change of the default.  When the default moves, the
+three runs that take it change their bytes, and this one must not.
+
 The documents are built by `perfbench/kraw.py` into a temporary directory.
 """
 

@@ -235,7 +235,7 @@ class RunConfig:
     trials: int
     d_max: int = 5
     field: Field = dc_field(default_factory=RationalField)
-    irreducibility: str = "eigen_subset"
+    irreducibility: str = "auto"
     jobs: int = 1
     chain_depth: int = 3
 

@@ -180,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="rational")
     p.add_argument(
         "--irreducibility",
-        choices=["eigen_subset", "auto", "burnside", "exhaustive_gfp"],
-        default="eigen_subset",
+        choices=["auto", "burnside", "exhaustive_gfp"],
+        default="auto",
     )
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--chain-depth", dest="chain_depth", type=int, default=3)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import accumulate, combinations, product
+from itertools import accumulate, product
 
 from . import matrices as mx
 from .matrices import Matrix, Subspace
@@ -171,7 +171,7 @@ def _running_sums(spaces) -> tuple:
 
 @dataclass(frozen=True)
 class ValidateOptions:
-    irreducibility: str = "auto"  # auto | norton | burnside | eigen_subset | exhaustive_gfp | assume
+    irreducibility: str = "auto"  # auto | burnside | exhaustive_gfp | assume
     assume_note: str | None = None
 
 
@@ -409,14 +409,15 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
     Returns (verdict, witness, strategy_used) where verdict is one of
     "irreducible", "reducible", "inconclusive".
 
-    * norton: complete when E*_0 has rank 1; one spin of the line E*_0 V
-      and one of its transposed twin decide (see _norton).  `auto` tries it
-      first.
+    * auto: Norton's test when E*_0 has rank 1, which is complete there:
+      one spin of the line E*_0 V and one of its transposed twin decide
+      (see _norton), and the strategy reported is "norton".  Otherwise
+      burnside, and "inconclusive" when that is insufficient.  validate
+      calls it only when every eigenspace is nonzero and each family's
+      ranks sum to n, so when every eigenspace of A is a line, n = d+1,
+      every eigenspace of A* is a line too, and Norton decides.
     * burnside: generated-algebra dimension n^2 implies irreducible
       (sufficient only over non-closed fields).
-    * eigen_subset: complete when every eigenspace of A is a line; any
-      invariant subspace is then a sum of eigenlines, and all 2^(d+1)
-      subsets are tested against Astar-invariance.
     * exhaustive_gfp: complete over GF(p) with p^n within the enumeration
       budget; every line is closed under both operators.
     * assume: trust the caller and record the note.
@@ -433,7 +434,7 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
     sys = ctx.sys
     if strategy == "assume":
         return "irreducible", {"note": assume_note or "assumed by caller"}, "assume"
-    if strategy == "norton" or (strategy == "auto" and ctx.estar_fam.ranks[0] == 1):
+    if strategy == "auto" and ctx.estar_fam.ranks[0] == 1:
         return _proved(ctx, _norton(ctx, *ctx.estar_fam.line_factors(0)), "norton")
     if strategy in ("auto", "burnside"):
         basis = ctx.closure
@@ -441,19 +442,7 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
             return "irreducible", {"closure_dim": len(basis)}, "burnside"
         if strategy == "burnside":
             return "inconclusive", {"closure_dim": len(basis)}, "burnside"
-    if strategy in ("auto", "eigen_subset"):
-        e_fam = ctx.e_fam
-        if all(r == 1 for r in e_fam.ranks):
-            lines = [space.basis[0] for space in e_fam.eigenspaces]
-            d1 = len(lines)
-            for size in range(1, d1):
-                for idx in combinations(range(d1), size):
-                    w = Subspace.from_vectors(sys.field, sys.n, [lines[k] for k in idx])
-                    if all(w.contains(sys.Astar.apply(v)) for v in w.basis):
-                        return _proved(ctx, w, "eigen_subset")
-            return _proved(ctx, {"subsets_tested": 2**d1 - 2}, "eigen_subset")
-        if strategy == "eigen_subset":
-            raise ValueError("eigen_subset strategy needs every eigenspace of A to be a line")
+        return "inconclusive", {"note": "burnside insufficient and E*_0 is not a line"}, "auto"
     if strategy == "exhaustive_gfp":
         if not isinstance(sys.field, PrimeField):
             raise ValueError("exhaustive_gfp strategy needs a prime field")
@@ -467,8 +456,6 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
                 return _proved(ctx, span.subspace(), "exhaustive_gfp")
         lines_tested = (sys.field.p**sys.n - 1) // (sys.field.p - 1)
         return _proved(ctx, {"lines_tested": lines_tested}, "exhaustive_gfp")
-    if strategy == "auto":
-        return "inconclusive", {"note": "burnside insufficient and eigen_subset inapplicable"}, "auto"
     raise ValueError(f"unknown irreducibility strategy {strategy!r}")
 
 
@@ -526,9 +513,11 @@ def validate(
     """Run the full validation pipeline and report per-check statuses.
 
     Failing checks stop the dependent remainder of the pipeline (remaining
-    checks are not emitted).  Sharpness is recorded as pass when the first
-    eigenspace is a line and as skip otherwise: a valid non-sharp system is
-    still a valid system, but its sharp-only analyses are unavailable.
+    checks are not emitted).  `idempotents/<op>` fails when a listed
+    eigenvalue has no eigenvector: the ordering is one of eigenspaces, each
+    nonzero.  Sharpness is recorded as pass when the first eigenspace is a
+    line and as skip otherwise: a valid non-sharp system is still a valid
+    system, but its sharp-only analyses are unavailable.
 
     The families and the generated algebra are taken from `ctx`, a context
     of `sys`; without one, a fresh context derives them.
@@ -562,7 +551,11 @@ def validate(
             report.add(Check(f"diagonalizable/{name}", FAIL, err.defect))
             return report
         report.add(Check(f"diagonalizable/{name}", PASS))
-        report.add(Check(f"idempotents/{name}", PASS, {"ranks": list(fams[name].ranks)}))
+        ranks = list(fams[name].ranks)
+        if 0 in ranks:  # a listed eigenvalue without an eigenvector
+            report.add(Check(f"idempotents/{name}", FAIL, {"ranks": ranks}))
+            return report
+        report.add(Check(f"idempotents/{name}", PASS, {"ranks": ranks}))
     e_fam, estar_fam = fams["A"], fams["Astar"]
 
     trid = check_tridiagonal(sys, e_fam, estar_fam)
@@ -584,8 +577,8 @@ def validate(
         report.add(Check("irreducible", INCONCLUSIVE, {"strategy": used, "detail": witness}))
         return report
     report.add(Check("irreducible", PASS, {"strategy": used, "detail": witness}))
-    # norton and eigen_subset run only when a first eigenspace is a line
-    report.absolutely_irreducible = used in ("norton", "eigen_subset") or (
+    # norton runs only when E*_0 is a line
+    report.absolutely_irreducible = used == "norton" or (
         used == "exhaustive_gfp" and 1 in (e_fam.ranks[0], estar_fam.ranks[0])
     )
 

@@ -16,11 +16,13 @@ whole space as a subspace, the golden d=1 instance, the agreement of an
 isomorphism verdict with parameter-array equality (the fuzz isomorphism
 stage encodes it as its expected verdicts), the form's anti-automorphism
 X -> G^-1 X^t G as a product (the package reads each of its properties as
-an identity on G), and the trace of a matrix, which only these forms read.
+an identity on G), the trace of a matrix, which only these forms read, and
+irreducibility by enumerating the sums of A's eigenlines (the package spins
+the line E*_0 V, Norton's test).
 """
 
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 
 from tdlab.appshell import _bidiagonal_system, gen_leonard_split
 from tdlab.matrices import Matrix, MatrixError, Subspace, inverse, kernel
@@ -372,3 +374,22 @@ def cross_traces(ctx):
         "tr_Estari_E0": [trace(estar_fam[i] * e_fam[0]) for i in range(d + 1)],
         "tr_Estari_Ed": [trace(estar_fam[i] * e_fam[d]) for i in range(d + 1)],
     }
+
+
+def eigenline_subsets(sys):
+    """Irreducibility of a pair whose A has only eigenlines: ("reducible", W)
+    for the first proper sum W of eigenlines, by size and then index, that A*
+    keeps, else ("irreducible", None).  An invariant subspace is A-invariant,
+    hence the sum of its meets with the eigenlines, so the 2^(d+1) - 2 proper
+    nonempty sums are all the candidates."""
+    field, n = sys.field, sys.n
+    ident = Matrix.identity(field, n)
+    spaces = [kernel(sys.A - ident.scale(t)) for t in sys.thetas]
+    assert [s.dim for s in spaces] == [1] * n
+    lines = [s.basis[0] for s in spaces]
+    for size in range(1, n):
+        for idx in combinations(range(n), size):
+            w = Subspace.from_vectors(field, n, [lines[k] for k in idx])
+            if all(w.contains(sys.Astar.apply(v)) for v in w.basis):
+                return "reducible", w
+    return "irreducible", None

@@ -7,7 +7,14 @@ GOLDEN and GOLDEN_LEONARD_D6 pin the reports as they were when the
 test now decides it, so each report is checked twice: as printed, against
 NORTON and NORTON_LEONARD_D6, and with the Norton witness written back in the
 Burnside form, against the older digests.  The second digest matching shows
-that the witness is the only change."""
+that the witness is the only change.
+
+GOLDEN_FUZZ pins the fuzz reports as they were when fuzz validated with the
+enumeration of eigenline sums (`eigen_subset`).  It now runs `auto`, which
+decides every candidate with Norton's test, so each fuzz report is checked
+against NORTON_FUZZ as printed, and against GOLDEN_FUZZ with each trial's
+`irreducible` witness and the configured strategy written back in the
+eigen_subset form."""
 
 import hashlib
 import json
@@ -216,6 +223,12 @@ GOLDEN_FUZZ = {
     "rational": (0, "cb046861a1156e9a023e6f2d74a5e31af3cde8ee2877c3ac3bcd4ba9bcb97cc3"),
 }
 
+# The fuzz reports as printed, with Norton `irreducible` witnesses
+NORTON_FUZZ = {
+    "p=10007": (0, "f2f46fd4ef18a45c1eb33e5dc1a75a2f0e487f3d6403bf136902bd207d4cb0a3"),
+    "rational": (0, "d3b509d4c4c358f5eabe58b00d022da5c1490fc6e732bbb6cdb5286b1d157b25"),
+}
+
 # The checks of the whole identity suite (`run_identity_suite`) on sharp pairs
 # with an eigenspace of dimension > 1: the (1,2,1) pair over both fields and
 # the n=16 pair of shape (1,4,6,4,1) over GF(10007).  The CLI subcommands
@@ -274,22 +287,35 @@ def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _digest(argv, capsys):
-    code = run(argv)
-    return code, _sha256(capsys.readouterr().out)
-
-
-def _digests(argv, capsys):
-    """The exit code, the digest of the report and the digest of the report
-    with its Norton `irreducible` witness in the Burnside form."""
-    code = run(argv)
-    out = capsys.readouterr().out
-    doc = json.loads(out)
-    assert dumps_document(doc) == out
+def _as_burnside(doc):
+    """Write the report's Norton `irreducible` witness in the Burnside form."""
     (irreducible,) = [c for c in doc["checks"] if c["id"] == "irreducible"]
     assert irreducible["witness"]["strategy"] == "norton"
     n = irreducible["witness"]["detail"]["spin_dim"]
     irreducible["witness"] = {"strategy": "burnside", "detail": {"closure_dim": n * n}}
+
+
+def _as_eigen_subset(doc):
+    """Write each trial's Norton `irreducible` witness, and the `auto`
+    strategy of the fuzz report's config, in the eigen_subset form."""
+    trials = [c for c in doc["checks"] if c["id"].startswith("trial_") and c["id"].endswith("/irreducible")]
+    assert trials
+    for irreducible in trials:
+        assert irreducible["witness"]["strategy"] == "norton"
+        n = irreducible["witness"]["detail"]["spin_dim"]
+        irreducible["witness"] = {"strategy": "eigen_subset", "detail": {"subsets_tested": 2**n - 2}}
+    assert doc["config"]["irreducibility"] == "auto"
+    doc["config"]["irreducibility"] = "eigen_subset"
+
+
+def _digests(argv, capsys, rewrite=_as_burnside):
+    """The exit code, the digest of the report and the digest of the report
+    as `rewrite` leaves it."""
+    code = run(argv)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert dumps_document(doc) == out
+    rewrite(doc)
     return code, _sha256(out), _sha256(dumps_document(doc))
 
 
@@ -324,7 +350,9 @@ def test_leonard_d6_report_digest(leonard_d6, sub, capsys):
 @pytest.mark.parametrize("field", sorted(GOLDEN_FUZZ))
 def test_fuzz_digest(field, capsys):
     argv = ["fuzz", "--trials", "3", "--seed", "7", "--field", field]
-    assert _digest(argv, capsys) == GOLDEN_FUZZ[field]
+    code, norton, eigen_subset = _digests(argv, capsys, _as_eigen_subset)
+    assert (code, eigen_subset) == GOLDEN_FUZZ[field]
+    assert (code, norton) == NORTON_FUZZ[field]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SUITE))

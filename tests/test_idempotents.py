@@ -5,9 +5,11 @@
 products in the operator.  The inputs are every golden document, the
 candidates of `fuzz --trials 25 --seed 7` over both fields, the benchmark's
 Krawtchouk pairs over both fields, and A = I with an eigenvalue that has no
-eigenvector.  A family costs one matrix product per nonzero eigenspace: its
-two asserted identities (the sum to the identity and the eigen-relation on
-eigenvectors) form none, and each still catches the fault it guards.
+eigenvector, whose zero idempotent `verify` fails as `idempotents/A`; two
+more such documents pin that verdict.  A family costs one matrix product
+per nonzero eigenspace: its two asserted identities (the sum to the
+identity and the eigen-relation on eigenvectors) form none, and each still
+catches the fault it guards.
 """
 
 import json
@@ -77,14 +79,54 @@ def test_an_eigenvalue_without_eigenvectors_gets_the_zero_idempotent(tmp_path, c
     fam = primitive_idempotents(sys.A, sys.thetas)
     assert fam.mats == (Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 2))
     assert fam.ranks == (2, 0)
-    path = tmp_path / "identity.json"
-    path.write_text(json.dumps(IDENTITY), encoding="utf-8")
-    assert run(["verify", "--json", str(path)]) == 3  # no strategy decides this reducible pair
-    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    for name in ("A", "Astar"):
-        assert checks[f"idempotents/{name}"] == {
-            "id": f"idempotents/{name}", "status": "pass", "witness": {"ranks": [2, 0]}
-        }
+    # the ordering is one of eigenspaces, so validation stops at A's family
+    assert _verify(IDENTITY, tmp_path, capsys) == (
+        1, {"id": "idempotents/A", "status": "fail", "witness": {"ranks": [2, 0]}}
+    )
+
+
+def _verify(doc, tmp_path, capsys):
+    """The exit code of `verify --json` on `doc` and its last check."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run(["verify", "--json", str(path)])
+    return code, json.loads(capsys.readouterr().out)["checks"][-1]
+
+
+def _diagonal_document(a_diag, astar_diag, theta, theta_star):
+    n = len(a_diag)
+
+    def diag(values):
+        return [[str(v) if r == c else "0" for c, v in enumerate(values)] for r in range(n)]
+
+    return {
+        "format": "tdlab/1",
+        "field": {"kind": "rational"},
+        "dimension": n,
+        "A": diag(a_diag),
+        "Astar": diag(astar_diag),
+        "theta": list(map(str, theta)),
+        "theta_star": list(map(str, theta_star)),
+    }
+
+
+# documents that list an eigenvalue without an eigenvector, with the operator
+# whose family fails and its ranks; n3 is no tridiagonal pair, yet no
+# irreducibility strategy could show it
+NO_EIGENVECTOR = {
+    "identity": (IDENTITY, "A", [2, 0]),
+    "n2": (_diagonal_document([1, 2], [6, 6], [1, 2], [5, 6]), "Astar", [0, 2]),
+    "n3": (_diagonal_document([1, 2, 2], [6, 6, 6], [1, 2], [5, 6]), "Astar", [0, 3]),
+}
+
+
+@pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "prime", "modulus": 10007}], ids=["Q", "GF"])
+@pytest.mark.parametrize("name", sorted(NO_EIGENVECTOR))
+def test_a_listed_eigenvalue_without_eigenvectors_fails_its_family(name, field, tmp_path, capsys):
+    doc, operator, ranks = NO_EIGENVECTOR[name]
+    assert _verify({**doc, "field": field}, tmp_path, capsys) == (
+        1, {"id": f"idempotents/{operator}", "status": "fail", "witness": {"ranks": ranks}}
+    )
 
 
 def test_projections_assert_the_sum_to_the_identity(monkeypatch):

@@ -1,13 +1,16 @@
 """The spin algorithms against the solves they replace.
 
-Norton's irreducibility test is compared with the Burnside closure, and the
-spin invariant form and isomorphism test with the n^2-unknown intertwiner
-solve (tests/oracles.py).  On each pair that Norton's test or eigen_subset
-proves absolutely irreducible, the closure `matrices.algebra_closure` solves
-is the n^2 matrix units: all of Mat_n, which is why the corner algebra never
-solves it there.  The inputs are x1, every golden document, the
-n=16 Krawtchouk pair of shape (1,4,6,4,1), the fuzz corpus of
-`fuzz --trials 25 --seed 7` over both fields, and two reducible systems.
+Norton's irreducibility test is compared with the Burnside closure and with
+the enumeration of eigenline sums, and the spin invariant form and
+isomorphism test with the n^2-unknown intertwiner solve (tests/oracles.py).
+On each pair that Norton's test proves absolutely irreducible, the closure
+`matrices.algebra_closure` solves is the n^2 matrix units: all of Mat_n,
+which is why the corner algebra never solves it there.  The inputs are x1,
+every golden document, the n=16 Krawtchouk pair of shape (1,4,6,4,1), the
+fuzz corpus of `fuzz --trials 25 --seed 7` over both fields, and two
+reducible systems.  Norton's verdict matches the enumeration on every
+candidate, accepted or not, of that run and of
+`fuzz --trials 100 --seed 1 --field p=5 --d-max 1`.
 """
 
 import json
@@ -43,7 +46,7 @@ from tdlab.tdcore import (
     check_irreducible,
 )
 
-from oracles import intertwiner_matrices
+from oracles import eigenline_subsets, intertwiner_matrices
 from test_golden import DOCUMENTS, LEONARD_D6, gf3_pair_without_a_line
 
 # the n=16 pair comes from the benchmark's own generator, which is not a package
@@ -83,8 +86,8 @@ def assert_spin_matches_oracles(sys, conjugate_seed=1):
     )
     assert not burnside.report.absolutely_irreducible
 
-    ctx = SystemContext(sys, ValidateOptions(irreducibility="norton"))
-    verdict, detail, used = check_irreducible(ctx, strategy="norton")
+    ctx = SystemContext(sys)
+    verdict, detail, used = check_irreducible(ctx)
     assert (verdict, used) == ("irreducible", "norton")
     assert detail == {"line": "Estar_0", "spin_dim": n, "dual_spin_dim": n}
     assert ctx.report.absolutely_irreducible
@@ -169,10 +172,36 @@ def test_spin_matches_oracles_on_the_fuzz_corpus(field):
     corpus = _fuzz_corpus(field)
     assert len(corpus) >= 10
     for index, ctx in corpus:
-        # fuzz validates with eigen_subset, which also earns the shortcut
-        assert next(c for c in ctx.report.checks if c.id == "irreducible").witness["strategy"] == "eigen_subset"
+        assert next(c for c in ctx.report.checks if c.id == "irreducible").witness["strategy"] == "norton"
         assert ctx.report.absolutely_irreducible
         assert_spin_matches_oracles(ctx.sys, conjugate_seed=index)
+
+
+# fuzz runs, with how many of their candidates are reducible
+FUZZ_RUNS = {
+    "seed7-Q": (RunConfig(seed=7, trials=25, field=QQ), 0),
+    "seed7-GF": (RunConfig(seed=7, trials=25, field=GF), 0),
+    "seed1-p5-d1": (RunConfig(seed=1, trials=100, field=PrimeField(5), d_max=1), 31),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_RUNS))
+def test_norton_agrees_with_the_eigenline_subsets(name):
+    # every candidate, accepted or not: each operator is bidiagonal with
+    # distinct eigenvalues on its diagonal, so every eigenspace is a line
+    config, reducible = FUZZ_RUNS[name]
+    verdicts = []
+    for index in range(config.trials):
+        rng = SplitMix64(trial_seed(config.seed, index))
+        sys = _random_candidate(config, rng, rng.randint(1, config.d_max)).sys
+        verdict, witness, used = check_irreducible(SystemContext(sys))
+        assert used == "norton"
+        assert verdict == eigenline_subsets(sys)[0]
+        if verdict == "reducible":
+            assert 0 < witness.dim < sys.n
+            assert all(witness.contains(m.apply(v)) for m in (sys.A, sys.Astar) for v in witness.basis)
+        verdicts.append(verdict)
+    assert verdicts.count("reducible") == reducible
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF"])

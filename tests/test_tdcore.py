@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tdlab.cli import run
 from tdlab.matrices import Matrix
 from tdlab.scalars import PrimeField, RationalField
 from tdlab.tdcore import (
@@ -15,7 +16,7 @@ from tdlab.tdcore import (
     validate,
 )
 
-from oracles import enumerate_standard_orderings
+from oracles import eigenline_subsets, enumerate_standard_orderings
 
 QQ = RationalField()
 
@@ -121,17 +122,6 @@ def test_check_sharp(shape, expected):
     assert check_sharp(shape) is expected
 
 
-def test_irreducibility_strategies_agree(x1):
-    sys, _ = x1
-    ctx = SystemContext(sys)
-    v1, _, s1 = check_irreducible(ctx, strategy="burnside")
-    v2, _, s2 = check_irreducible(ctx, strategy="eigen_subset")
-    v3, _, s3 = check_irreducible(ctx, strategy="norton")
-    assert (v1, s1) == ("irreducible", "burnside")
-    assert (v2, s2) == ("irreducible", "eigen_subset")
-    assert (v3, s3) == ("irreducible", "norton")
-
-
 def test_exhaustive_gfp_agrees(inst_gf13_d2):
     sys, _ = inst_gf13_d2
     verdict, _, used = check_irreducible(SystemContext(sys), strategy="exhaustive_gfp")
@@ -216,26 +206,49 @@ def test_ordering_enumeration_limited():
 
 
 def test_eigen_subset_needs_line_eigenspaces():
-    # identity has a single two-dimensional eigenspace
+    # identity has a single two-dimensional eigenspace: the eigenline-subset
+    # oracle refuses it, and the package no longer takes the strategy name
     ident = Matrix.identity(QQ, 2)
     sys = TdSystem(QQ, 2, ident, ident, (F(1),), (F(1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
+        eigenline_subsets(sys)
+    with pytest.raises(ValueError, match="unknown irreducibility strategy"):
         check_irreducible(SystemContext(sys), strategy="eigen_subset")
 
 
 def test_norton_needs_a_dual_line():
+    # E*_0 is the whole plane, so auto does not run Norton's test and the
+    # small closure leaves the verdict open
     ident = Matrix.identity(QQ, 2)
     sys = TdSystem(QQ, 2, ident, ident, (F(1),), (F(1),))
-    with pytest.raises(ValueError):
+    verdict, witness, used = check_irreducible(SystemContext(sys))
+    assert (verdict, used) == ("inconclusive", "auto")
+    assert witness == {"note": "burnside insufficient and E*_0 is not a line"}
+    with pytest.raises(ValueError, match="unknown irreducibility strategy"):
         check_irreducible(SystemContext(sys), strategy="norton")
+
+
+def test_retired_strategies_are_unknown(x1, capsys):
+    # x1's eigenspaces are lines, so only the name is refused: `auto` runs
+    # Norton's test whenever E*_0 is a line, and the enumeration of
+    # eigenline subsets is a test oracle (tests/oracles.py)
+    sys, _ = x1
+    for name in ("norton", "eigen_subset"):
+        with pytest.raises(ValueError, match="unknown irreducibility strategy"):
+            check_irreducible(SystemContext(sys), strategy=name)
+    with pytest.raises(SystemExit) as exc:
+        run(["fuzz", "--trials", "1", "--seed", "1", "--irreducibility", "eigen_subset"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'eigen_subset'" in capsys.readouterr().err
 
 
 def test_inconclusive_when_no_complete_strategy_applies():
     # a 3-space pair with a plane eigenspace: burnside closure is small and
-    # the eigenline enumeration does not apply
+    # E*_0 is not a line
     a = Matrix.from_ints(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     sys = TdSystem(QQ, 3, a, a, (F(1), F(0)), (F(1), F(0)))
     report = validate(sys)
     assert report.overall == "inconclusive"
     irr = next(c for c in report.checks if c.id == "irreducible")
     assert irr.status == "inconclusive"
+    assert irr.witness == {"strategy": "auto", "detail": {"note": "burnside insufficient and E*_0 is not a line"}}
