@@ -13,12 +13,8 @@ line by line with `diff`.  The runs are:
     over Q and GF(10007)) and on the n=16 Krawtchouk pair of shape
     (1,4,6,4,1) over both fields;
   * `fuzz --trials 25 --seed 7` over `rational` and `p=10007`;
-  * `fuzz --trials 6 --seed 3 --irreducibility auto --field p=10007`;
+  * `fuzz --trials 6 --seed 3 --field p=10007`;
   * `fuzz --trials 100 --seed 1 --field p=5 --d-max 1`, which exits 1.
-
-`auto` is also fuzz's default strategy, yet the run that names it stays:
-it is the control for a change of the default.  When the default moves, the
-three runs that take it change their bytes, and this one must not.
 
 The documents are built by `perfbench/kraw.py` into a temporary directory.
 """
@@ -43,7 +39,7 @@ VIEWS = (("verify", "--json"), ("verify",), ("params",), ("orbit",), ("form",), 
 FUZZ = (
     ("fuzz", "--trials", "25", "--seed", "7", "--field", "rational"),
     ("fuzz", "--trials", "25", "--seed", "7", "--field", f"p={kraw.PRIME}"),
-    ("fuzz", "--trials", "6", "--seed", "3", "--irreducibility", "auto", "--field", f"p={kraw.PRIME}"),
+    ("fuzz", "--trials", "6", "--seed", "3", "--field", f"p={kraw.PRIME}"),
     ("fuzz", "--trials", "100", "--seed", "1", "--field", "p=5", "--d-max", "1"),
 )
 

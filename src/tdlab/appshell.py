@@ -21,7 +21,6 @@ from .matrices import Matrix, Subspace
 from .rng import SplitMix64, trial_seed
 from .scalars import Field, FieldError, FpElement, PrimeField, RationalField, field_from_descriptor
 from .tdcore import (
-    EXHAUSTIVE_LIMIT,
     FAIL,
     PASS,
     SKIP,
@@ -29,7 +28,6 @@ from .tdcore import (
     InvariantViolation,
     SystemContext,
     TdSystem,
-    ValidateOptions,
 )
 
 FORMAT_SYSTEM = "tdlab/1"
@@ -235,9 +233,7 @@ class RunConfig:
     trials: int
     d_max: int = 5
     field: Field = dc_field(default_factory=RationalField)
-    irreducibility: str = "auto"
     jobs: int = 1
-    chain_depth: int = 3
 
     def __post_init__(self):
         if self.trials < 1:
@@ -246,16 +242,8 @@ class RunConfig:
             raise InputError("jobs must be at least 1")
         if self.d_max < 1:
             raise InputError("d-max must be at least 1")
-        if self.chain_depth < 1:
-            raise InputError("chain-depth must be at least 1")
         if isinstance(self.field, PrimeField) and self.field.p < 5:
             raise InputError("fuzz needs a prime modulus of at least 5")
-        if self.irreducibility == "exhaustive_gfp" and not (
-            isinstance(self.field, PrimeField) and self.field.p ** (self.d_max + 1) <= EXHAUSTIVE_LIMIT
-        ):
-            raise InputError(
-                f"exhaustive_gfp needs a prime field with p^(d_max+1) <= {EXHAUSTIVE_LIMIT}"
-            )
 
     def descriptor(self) -> dict:
         return {**asdict(self), "field": self.field.descriptor()}
@@ -289,7 +277,7 @@ def _random_candidate(config: RunConfig, rng: SplitMix64, d: int) -> SystemConte
         thetas_star = tuple(c_star * q**i for i in range(d + 1))
     phis, e_fam = _sample_superdiagonal(field, rng, thetas, thetas_star)
     sys = _bidiagonal_system(field, thetas, thetas_star, phis)
-    ctx = SystemContext(sys, ValidateOptions(irreducibility=config.irreducibility))
+    ctx = SystemContext(sys)
     if e_fam is not None:
         ctx.e_fam = e_fam  # A does not depend on the superdiagonal
     return ctx
@@ -388,7 +376,7 @@ def run_trial(config: RunConfig, index: int) -> TrialResult:
     checks = list(report.checks)
     if not (report.passed() and report.sharp):
         return TrialResult(index, seed, d, False, doc, checks)
-    suite_checks = run_identity_suite(ctx, chain_depth=config.chain_depth)
+    suite_checks = run_identity_suite(ctx)
     checks.extend(suite_checks)
     failed = any(c.status == FAIL for c in suite_checks)
     return TrialResult(index, seed, d, True, doc, checks, context=ctx, failed_identity=failed)
@@ -547,27 +535,26 @@ def problems_stage(ctx: SystemContext):
     return checks, None if problems is None else {}
 
 
-def identity_stages(chain_depth: int = 3) -> tuple:
-    """The identity suite's stages, in report order."""
-    return (
-        split_stage,
-        params_stage,
-        relations_stage,
-        form_stage,
-        dual_stage,
-        partial(conjectures_stage, chain_depth=chain_depth),
-        problems_stage,
-    )
+# The identity suite's stages, in report order
+IDENTITY_STAGES = (
+    split_stage,
+    params_stage,
+    relations_stage,
+    form_stage,
+    dual_stage,
+    conjectures_stage,
+    problems_stage,
+)
 
 
-def run_identity_suite(ctx: SystemContext, chain_depth: int = 3) -> list:
+def run_identity_suite(ctx: SystemContext) -> list:
     """Every identity the package knows, against one validated sharp system.
 
     Runs the stages in order and returns their checks; a failed gate stops
     the stages after it.
     """
     checks: list[Check] = []
-    for stage in identity_stages(chain_depth):
+    for stage in IDENTITY_STAGES:
         stage_checks, payload = stage(ctx)
         checks.extend(stage_checks)
         if payload is None:

@@ -120,17 +120,8 @@ def cmd_gen(args) -> int:
 
 def cmd_fuzz(args) -> int:
     field = parse_field_spec(args.field)
-    config = app.RunConfig(
-        seed=args.seed,
-        trials=args.trials,
-        d_max=args.d_max,
-        field=field,
-        irreducibility=args.irreducibility,
-        jobs=args.jobs,
-        chain_depth=args.chain_depth,
-    )
-    doc = app.fuzz_run(config, out_dir=args.output)
-    return _emit(doc)
+    config = app.RunConfig(seed=args.seed, trials=args.trials, d_max=args.d_max, field=field, jobs=args.jobs)
+    return _emit(app.fuzz_run(config, out_dir=args.output))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument(
         "--irreducibility",
-        choices=["auto", "burnside", "exhaustive", "assume"],
+        choices=["auto", "exhaustive", "assume"],
         default=None,
     )
     p.add_argument("--json", action="store_true")
@@ -178,13 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--d-max", dest="d_max", type=int, default=5)
     p.add_argument("--field", default="rational")
-    p.add_argument(
-        "--irreducibility",
-        choices=["auto", "burnside", "exhaustive_gfp"],
-        default="auto",
-    )
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--chain-depth", dest="chain_depth", type=int, default=3)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_fuzz)
     return parser

@@ -171,7 +171,7 @@ def _running_sums(spaces) -> tuple:
 
 @dataclass(frozen=True)
 class ValidateOptions:
-    irreducibility: str = "auto"  # auto | burnside | exhaustive_gfp | assume
+    irreducibility: str = "auto"  # auto | exhaustive_gfp | assume
     assume_note: str | None = None
 
 
@@ -412,12 +412,12 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
     * auto: Norton's test when E*_0 has rank 1, which is complete there:
       one spin of the line E*_0 V and one of its transposed twin decide
       (see _norton), and the strategy reported is "norton".  Otherwise
-      burnside, and "inconclusive" when that is insufficient.  validate
-      calls it only when every eigenspace is nonzero and each family's
-      ranks sum to n, so when every eigenspace of A is a line, n = d+1,
-      every eigenspace of A* is a line too, and Norton decides.
-    * burnside: generated-algebra dimension n^2 implies irreducible
-      (sufficient only over non-closed fields).
+      Burnside: a generated algebra of dimension n^2 proves irreducibility,
+      and a smaller one leaves the verdict "inconclusive", as it does not
+      imply reducibility over a field that is not algebraically closed.
+      validate calls it only when every eigenspace is nonzero and each
+      family's ranks sum to n, so when every eigenspace of A is a line,
+      n = d+1, every eigenspace of A* is a line too, and Norton decides.
     * exhaustive_gfp: complete over GF(p) with p^n within the enumeration
       budget; every line is closed under both operators.
     * assume: trust the caller and record the note.
@@ -436,12 +436,10 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
         return "irreducible", {"note": assume_note or "assumed by caller"}, "assume"
     if strategy == "auto" and ctx.estar_fam.ranks[0] == 1:
         return _proved(ctx, _norton(ctx, *ctx.estar_fam.line_factors(0)), "norton")
-    if strategy in ("auto", "burnside"):
+    if strategy == "auto":
         basis = ctx.closure
         if len(basis) == sys.n * sys.n:
             return "irreducible", {"closure_dim": len(basis)}, "burnside"
-        if strategy == "burnside":
-            return "inconclusive", {"closure_dim": len(basis)}, "burnside"
         return "inconclusive", {"note": "burnside insufficient and E*_0 is not a line"}, "auto"
     if strategy == "exhaustive_gfp":
         if not isinstance(sys.field, PrimeField):

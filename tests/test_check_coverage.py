@@ -10,6 +10,9 @@ context): a wrong G, a patched derivation inside `formlab`, or a seeded
 context with a wrong derived object.  The form rows run the checks that take
 G, `form_checks` and `anti_automorphism`, on what the fault returns;
 form/solution_dim, form/symmetric and form/nondegenerate decide G itself.
+
+Two rows lie outside form/*.  Each patches `d4orbit.compute_orbit` to
+double zeta_1 of one relative and runs `relations_stage` on the result.
 """
 
 import dataclasses
@@ -17,9 +20,10 @@ from typing import NamedTuple
 
 import pytest
 
+from tdlab import d4orbit as d4
 from tdlab import formlab as fl
 from tdlab import matrices as mx
-from tdlab.appshell import system_from_document
+from tdlab.appshell import relations_stage, system_from_document
 from tdlab.matrices import Matrix, Subspace
 from tdlab.tdcore import SystemContext
 
@@ -118,6 +122,44 @@ ROWS = (
 )
 
 
+def _doubled_zeta_1(relative):
+    """d4orbit.compute_orbit with zeta_1 of `relative` doubled."""
+
+    def fault(monkeypatch):
+        compute_orbit = d4.compute_orbit
+
+        def faulted(ctx):
+            orbit = compute_orbit(ctx)
+            zetas = orbit[relative]["zetas"]
+            orbit[relative]["zetas"] = (zetas[0], zetas[1] + zetas[1], *zetas[2:])
+            return orbit
+
+        monkeypatch.setattr(d4, "compute_orbit", faulted)
+
+    return fault
+
+
+ORBIT_FAULTS = {
+    "zeta_1 of swap doubled": _doubled_zeta_1("swap"),
+    "zeta_1 of rev_dual_swap doubled": _doubled_zeta_1("rev_dual_swap"),
+}
+
+ORBIT_ROWS = (
+    Row(
+        "split/zeta_star_equal",
+        "zeta_1 of swap doubled",
+        frozenset({"split/zeta_star_equal", "orbit/column_sequences_equal"}),
+        "it compares ctx.zetas with the swap relative's, the (id, swap) pair that "
+        "orbit/column_sequences_equal scans first, as orbit['id'] is ctx itself",
+    ),
+    Row(
+        "orbit/column_sequences_equal",
+        "zeta_1 of rev_dual_swap doubled",
+        frozenset({"orbit/column_sequences_equal"}),
+    ),
+)
+
+
 @pytest.fixture(scope="module", params=[KRAW_Q, KRAW_GF], ids=["Q", "GF"])
 def pair(request):
     ctx = SystemContext(system_from_document(request.param)[0])
@@ -147,6 +189,22 @@ def test_each_row_fails_exactly_its_ids(pair, row, monkeypatch):
     assert row.check_id in row.fails
     assert (row.fails == {row.check_id}) == (row.never_alone is None)
     assert _failed(pair, row.fault, monkeypatch) == row.fails
+
+
+def _failed_relations(ctx):
+    return {c.id for c in relations_stage(ctx)[0] if c.status == "fail"}
+
+
+def test_the_unfaulted_pair_passes_every_relation_check(pair):
+    assert _failed_relations(pair[0]) == set()
+
+
+@pytest.mark.parametrize("row", ORBIT_ROWS, ids=[row.check_id for row in ORBIT_ROWS])
+def test_each_orbit_row_fails_exactly_its_ids(pair, row, monkeypatch):
+    assert row.check_id in row.fails
+    assert (row.fails == {row.check_id}) == (row.never_alone is None)
+    ORBIT_FAULTS[row.fault](monkeypatch)
+    assert _failed_relations(pair[0]) == row.fails
 
 
 def test_every_form_id_has_a_row():

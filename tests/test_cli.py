@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from tdlab import appshell as app
 from tdlab import d4orbit as d4
 from tdlab import splitparam as sp
 from tdlab.appshell import document_from_system, dumps_document
-from tdlab.cli import run
+from tdlab.cli import build_parser, run
 from tdlab.tdcore import InvariantViolation
 
 
@@ -332,10 +333,6 @@ def test_boolean_dimension_exits_two(tmp_path, capsys):
         ["--trials", "0"],
         ["--jobs", "0"],
         ["--jobs", "-3"],
-        ["--chain-depth", "0"],
-        ["--chain-depth", "-4"],
-        ["--irreducibility", "exhaustive_gfp"],
-        ["--irreducibility", "exhaustive_gfp", "--field", "p=10007"],
     ],
 )
 def test_fuzz_rejects_unusable_arguments(flags, capsys):
@@ -353,15 +350,69 @@ def test_conjectures_rejects_chain_depth_below_one(depth, tmp_path, capsys):
     assert captured.err == "error: chain-depth must be at least 1\n"
 
 
-@pytest.mark.parametrize(
-    "flag, message",
-    [("--chain-depth", "chain-depth must be at least 1"), ("--d-max", "d-max must be at least 1")],
-)
+@pytest.mark.parametrize("flag, message", [("--d-max", "d-max must be at least 1")])
 def test_fuzz_names_the_flag_it_rejects(flag, message, capsys):
     assert run(["fuzz", "--trials", "2", "--seed", "2", flag, "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_removed_options_exit_two(tmp_path, capsys):
+    # fuzz validates with `auto` and runs the conjectures at depth 3; verify
+    # has no burnside strategy, as `auto` runs it wherever Norton's test cannot
+    path = _write_x1(tmp_path)
+    fuzz = ["fuzz", "--trials", "2", "--seed", "2"]
+    for argv in (
+        [*fuzz, "--irreducibility", "auto"],
+        [*fuzz, "--chain-depth", "3"],
+        ["verify", path, "--irreducibility", "burnside"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    assert run(["conjectures", path, "--chain-depth", "0"]) == 2
+    assert capsys.readouterr().err == "error: chain-depth must be at least 1\n"
+
+
+# Each subcommand's options and their choices (None where any value parses)
+OPTION_SURFACE = {
+    "verify": {"file": None, "--irreducibility": ["auto", "exhaustive", "assume"], "--json": None},
+    "params": {"file": None},
+    "orbit": {"file": None},
+    "form": {"file": None},
+    "conjectures": {"file": None, "--chain-depth": None},
+    "gen": {
+        "kind": ["leonard"],
+        "--theta": None,
+        "--theta-star": None,
+        "--phi": None,
+        "--field": None,
+        "-o --output": None,
+    },
+    "fuzz": {
+        "--trials": None,
+        "--seed": None,
+        "--d-max": None,
+        "--field": None,
+        "--jobs": None,
+        "-o --output": None,
+    },
+}
+
+
+def test_option_surface():
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {
+            " ".join(a.option_strings) or a.dest: a.choices
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in subcommands.choices.items()
+    }
+    assert surface == OPTION_SURFACE
 
 
 def _raise_invariant(*args, **kwargs):

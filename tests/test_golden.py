@@ -11,10 +11,12 @@ that the witness is the only change.
 
 GOLDEN_FUZZ pins the fuzz reports as they were when fuzz validated with the
 enumeration of eigenline sums (`eigen_subset`).  It now runs `auto`, which
-decides every candidate with Norton's test, so each fuzz report is checked
-against NORTON_FUZZ as printed, and against GOLDEN_FUZZ with each trial's
-`irreducible` witness and the configured strategy written back in the
-eigen_subset form."""
+decides every candidate with Norton's test, and its config no longer names
+the strategy or the chain depth, which it always ran at `auto` and 3.  So
+each fuzz report is checked three times: against PRINTED_FUZZ as printed;
+against NORTON_FUZZ with those two config keys put back where they stood;
+and against GOLDEN_FUZZ with, in addition, each trial's `irreducible`
+witness and the configured strategy written back in the eigen_subset form."""
 
 import hashlib
 import json
@@ -223,10 +225,17 @@ GOLDEN_FUZZ = {
     "rational": (0, "cb046861a1156e9a023e6f2d74a5e31af3cde8ee2877c3ac3bcd4ba9bcb97cc3"),
 }
 
-# The fuzz reports as printed, with Norton `irreducible` witnesses
+# The fuzz reports with Norton `irreducible` witnesses, as printed while the
+# config named the strategy and the chain depth
 NORTON_FUZZ = {
     "p=10007": (0, "f2f46fd4ef18a45c1eb33e5dc1a75a2f0e487f3d6403bf136902bd207d4cb0a3"),
     "rational": (0, "d3b509d4c4c358f5eabe58b00d022da5c1490fc6e732bbb6cdb5286b1d157b25"),
+}
+
+# The fuzz reports as printed
+PRINTED_FUZZ = {
+    "p=10007": (0, "f9ba6b2e60a08a50c26643411736ddc52bbe5f26f7cfa9bb2d0cad9da650d349"),
+    "rational": (0, "55ddb1619c165f79d66d7a913e2f442d871a5a85fe05ef6914c910d9bbe8bdf4"),
 }
 
 # The checks of the whole identity suite (`run_identity_suite`) on sharp pairs
@@ -308,15 +317,31 @@ def _as_eigen_subset(doc):
     doc["config"]["irreducibility"] = "eigen_subset"
 
 
-def _digests(argv, capsys, rewrite=_as_burnside):
-    """The exit code, the digest of the report and the digest of the report
-    as `rewrite` leaves it."""
+def _with_retired_config(doc):
+    """Put back the fuzz config keys of the strategy and the chain depth,
+    which fuzz always ran at `auto` and 3, where they stood."""
+    config = {}
+    for key, value in doc["config"].items():
+        config[key] = value
+        if key == "field":
+            config["irreducibility"] = "auto"
+        elif key == "jobs":
+            config["chain_depth"] = 3
+    doc["config"] = config
+
+
+def _digests(argv, capsys, rewrites=(_as_burnside,)):
+    """The exit code, the digest of the report, and the digest of the report
+    as each of `rewrites` leaves it, applied in turn."""
     code = run(argv)
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert dumps_document(doc) == out
-    rewrite(doc)
-    return code, _sha256(out), _sha256(dumps_document(doc))
+    digests = [_sha256(out)]
+    for rewrite in rewrites:
+        rewrite(doc)
+        digests.append(_sha256(dumps_document(doc)))
+    return code, *digests
 
 
 @pytest.mark.parametrize("doc_name", sorted(DOCUMENTS))
@@ -350,9 +375,12 @@ def test_leonard_d6_report_digest(leonard_d6, sub, capsys):
 @pytest.mark.parametrize("field", sorted(GOLDEN_FUZZ))
 def test_fuzz_digest(field, capsys):
     argv = ["fuzz", "--trials", "3", "--seed", "7", "--field", field]
-    code, norton, eigen_subset = _digests(argv, capsys, _as_eigen_subset)
+    code, printed, norton, eigen_subset = _digests(
+        argv, capsys, (_with_retired_config, _as_eigen_subset)
+    )
     assert (code, eigen_subset) == GOLDEN_FUZZ[field]
     assert (code, norton) == NORTON_FUZZ[field]
+    assert (code, printed) == PRINTED_FUZZ[field]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SUITE))

@@ -1,11 +1,11 @@
 """The spin algorithms against the solves they replace.
 
-Norton's irreducibility test is compared with the Burnside closure and with
-the enumeration of eigenline sums, and the spin invariant form and
-isomorphism test with the n^2-unknown intertwiner solve (tests/oracles.py).
-On each pair that Norton's test proves absolutely irreducible, the closure
-`matrices.algebra_closure` solves is the n^2 matrix units: all of Mat_n,
-which is why the corner algebra never solves it there.  The inputs are x1,
+Norton's irreducibility test is compared with the enumeration of eigenline
+sums, and the spin invariant form and isomorphism test with the
+n^2-unknown intertwiner solve (tests/oracles.py).  On each pair that
+Norton's test proves absolutely irreducible, the closure
+`matrices.algebra_closure` solves on a fresh context is the n^2 matrix
+units: all of Mat_n, which is why the corner algebra never solves it there.  The inputs are x1,
 every golden document, the n=16 Krawtchouk pair of shape (1,4,6,4,1), the
 fuzz corpus of `fuzz --trials 25 --seed 7` over both fields, and two
 reducible systems.  Norton's verdict matches the enumeration on every
@@ -76,22 +76,16 @@ def _matrix_units(field, n):
 
 
 def assert_spin_matches_oracles(sys, conjugate_seed=1):
-    """Norton against Burnside, the solved closure against the matrix units,
-    the spin form against the solved one, and spin isomorphism against the
-    solved one on a conjugate, the dual and the reversed relatives."""
+    """Norton's proof against the solved closure, which must be the matrix
+    units, the spin form against the solved one, and spin isomorphism against
+    the solved one on a conjugate, the dual and the reversed relatives."""
     n = sys.n
-    burnside = SystemContext(sys, ValidateOptions(irreducibility="burnside"))
-    assert check_irreducible(burnside, strategy="burnside") == (
-        "irreducible", {"closure_dim": n * n}, "burnside"
-    )
-    assert not burnside.report.absolutely_irreducible
-
     ctx = SystemContext(sys)
     verdict, detail, used = check_irreducible(ctx)
     assert (verdict, used) == ("irreducible", "norton")
     assert detail == {"line": "Estar_0", "spin_dim": n, "dual_spin_dim": n}
     assert ctx.report.absolutely_irreducible
-    assert burnside.closure == _matrix_units(sys.field, n)  # rref-canonical
+    assert SystemContext(sys).closure == _matrix_units(sys.field, n)  # rref-canonical
 
     gram, checks = fl.invariant_form(ctx)
     solved = intertwiner_matrices(sys.A, sys.Astar, sys.A.transpose(), sys.Astar.transpose())
@@ -140,8 +134,6 @@ def test_spin_matches_oracles_on_the_n16_pair():
     a, astar, thetas = kraw.krawtchouk_pair((2, 2, 2, 2), (2, 3, 5, 7))
     sys, _ = system_from_document(kraw.system_document(a, astar, thetas, kraw.PRIME))
     n = sys.n
-    burnside = SystemContext(sys)
-    assert check_irreducible(burnside, strategy="burnside")[0] == "irreducible"
     ctx = SystemContext(sys)
     assert ctx.report.passed() and ctx.report.shape == (1, 4, 6, 4, 1)
     irreducible = next(c for c in ctx.report.checks if c.id == "irreducible")
@@ -149,7 +141,7 @@ def test_spin_matches_oracles_on_the_n16_pair():
         "strategy": "norton",
         "detail": {"line": "Estar_0", "spin_dim": n, "dual_spin_dim": n},
     }
-    assert burnside.closure == _matrix_units(sys.field, n)
+    assert SystemContext(sys).closure == _matrix_units(sys.field, n)
     gram, _ = fl.invariant_form(ctx)
     solved = intertwiner_matrices(sys.A, sys.Astar, sys.A.transpose(), sys.Astar.transpose())
     assert [gram] == solved

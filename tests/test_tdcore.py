@@ -230,16 +230,17 @@ def test_norton_needs_a_dual_line():
 
 def test_retired_strategies_are_unknown(x1, capsys):
     # x1's eigenspaces are lines, so only the name is refused: `auto` runs
-    # Norton's test whenever E*_0 is a line, and the enumeration of
-    # eigenline subsets is a test oracle (tests/oracles.py)
+    # Norton's test whenever E*_0 is a line, and Burnside only where E*_0 is
+    # not a line; the enumeration of eigenline subsets is a test oracle
+    # (tests/oracles.py), and fuzz takes no strategy at all
     sys, _ = x1
-    for name in ("norton", "eigen_subset"):
+    for name in ("norton", "eigen_subset", "burnside"):
         with pytest.raises(ValueError, match="unknown irreducibility strategy"):
             check_irreducible(SystemContext(sys), strategy=name)
     with pytest.raises(SystemExit) as exc:
         run(["fuzz", "--trials", "1", "--seed", "1", "--irreducibility", "eigen_subset"])
     assert exc.value.code == 2
-    assert "invalid choice: 'eigen_subset'" in capsys.readouterr().err
+    assert "unrecognized arguments: --irreducibility eigen_subset" in capsys.readouterr().err
 
 
 def test_inconclusive_when_no_complete_strategy_applies():
