@@ -388,7 +388,8 @@ def run_trial(config: RunConfig, index: int) -> TrialResult:
 # A stage maps a validated sharp context (conjectures_stage also takes a
 # non-sharp one) to (checks, payload): its checks in report order and what a
 # report embeds.  A None payload means a gate failed: a derivation the later
-# checks depend on raised.  The CLI subcommands call the same stages.  Each
+# checks depend on raised.  Each CLI view (params, orbit, form, conjectures)
+# runs one of IDENTITY_STAGES, so every check id comes from one stage.  Each
 # stage imports the modules it runs where it runs them, so that a request
 # loads only what its subcommand needs.
 
@@ -432,7 +433,8 @@ def params_stage(ctx: SystemContext):
 
 
 def relations_stage(ctx: SystemContext):
-    """The q-bracket identities and the split data of the eight relatives."""
+    """The q-bracket identities, and all eight relatives with their split data
+    and the relations between them; the `orbit` view prints its payload."""
     from . import d4orbit as d4
     from . import splitparam as sp
     from .polys import eta_expansion_check
@@ -449,21 +451,6 @@ def relations_stage(ctx: SystemContext):
         return checks, None
     checks.append(sp.zeta_star_check(ctx.zetas, orbit["swap"]["zetas"]))
     checks.extend(d4.zeta_relations_check(sys, qd, orbit))
-    return checks, {}
-
-
-def orbit_stage(ctx: SystemContext):
-    """All eight relatives with their split data, and the relations between them."""
-    from . import d4orbit as d4
-
-    sys = ctx.sys
-    checks = []
-    derived = _gate(
-        checks, "orbit/relatives_validate", lambda: (d4.compute_orbit(ctx), d4.q_extract(sys))
-    )
-    if derived is None:
-        return checks, None
-    orbit, qd = derived
     entries = [
         {
             "relative": g.name,
@@ -474,7 +461,7 @@ def orbit_stage(ctx: SystemContext):
         }
         for g in d4.ALL_ELEMENTS
     ]
-    return d4.zeta_relations_check(sys, qd, orbit), {"orbit": entries, "q": qd}
+    return checks, {"orbit": entries, "q": qd}
 
 
 def form_stage(ctx: SystemContext):

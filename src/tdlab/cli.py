@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, stage, text in (
         ("params", app.params_stage, "parameter array of a sharp system"),
-        ("orbit", app.orbit_stage, "all eight relatives with their split data"),
+        ("orbit", app.relations_stage, "the suite's relations stage: q-brackets and the eight relatives"),
         ("form", app.form_stage, "invariant bilinear form and anti-automorphism"),
     ):
         p = sub.add_parser(name, help=text)

@@ -210,8 +210,9 @@ class SystemContext:
     @cached_property
     def closure(self) -> list:
         """rref-canonical basis of the algebra generated by A and A*, solved
-        on first read.  conjlab does not read it on an absolutely irreducible
-        pair, where the algebra is all of Mat_n (see check_irreducible)."""
+        on first read.  Validation never reads it, and conjlab reads it only
+        on a pair not proved absolutely irreducible; on one that is, the
+        algebra is all of Mat_n (see check_irreducible)."""
         return mx.algebra_closure([self.sys.A, self.sys.Astar])
 
     @cached_property
@@ -412,12 +413,14 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
     * auto: Norton's test when E*_0 has rank 1, which is complete there:
       one spin of the line E*_0 V and one of its transposed twin decide
       (see _norton), and the strategy reported is "norton".  Otherwise
-      Burnside: a generated algebra of dimension n^2 proves irreducibility,
-      and a smaller one leaves the verdict "inconclusive", as it does not
-      imply reducibility over a field that is not algebraically closed.
-      validate calls it only when every eigenspace is nonzero and each
-      family's ranks sum to n, so when every eigenspace of A is a line,
-      n = d+1, every eigenspace of A* is a line too, and Norton decides.
+      "inconclusive", with no closure solved.  Burnside's test could not
+      prove irreducibility there: validate calls this only on a
+      diagonalizable, block-tridiagonal pair with every eigenspace nonzero,
+      so a generated algebra of dimension n^2 would make it a tridiagonal
+      pair over the algebraic closure with the same eigenspace dimensions,
+      and every such pair is sharp (Nomura-Terwilliger, Sharp tridiagonal
+      pairs, 2008): E*_0 would be a line.  When every eigenspace of A is a
+      line, n = d+1, so every eigenspace of A* is one too.
     * exhaustive_gfp: complete over GF(p) with p^n within the enumeration
       budget; every line is closed under both operators.
     * assume: trust the caller and record the note.
@@ -427,9 +430,8 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
     scalar; validate records this as `report.absolutely_irreducible`.  A
     and A* then generate all of Mat_n by the density theorem, which the
     corner algebra reads without solving the closure.  Every reducibility
-    witness is re-verified before it is returned.  The generated algebra
-    and the families come from `ctx`, and are derived only when a strategy
-    needs them.
+    witness is re-verified before it is returned.  The families come from
+    `ctx`, and are derived only when a strategy needs them.
     """
     sys = ctx.sys
     if strategy == "assume":
@@ -437,9 +439,6 @@ def check_irreducible(ctx: SystemContext, strategy: str = "auto", assume_note: s
     if strategy == "auto" and ctx.estar_fam.ranks[0] == 1:
         return _proved(ctx, _norton(ctx, *ctx.estar_fam.line_factors(0)), "norton")
     if strategy == "auto":
-        basis = ctx.closure
-        if len(basis) == sys.n * sys.n:
-            return "irreducible", {"closure_dim": len(basis)}, "burnside"
         return "inconclusive", {"note": "burnside insufficient and E*_0 is not a line"}, "auto"
     if strategy == "exhaustive_gfp":
         if not isinstance(sys.field, PrimeField):
@@ -517,8 +516,8 @@ def validate(
     line and as skip otherwise: a valid non-sharp system is still a valid
     system, but its sharp-only analyses are unavailable.
 
-    The families and the generated algebra are taken from `ctx`, a context
-    of `sys`; without one, a fresh context derives them.
+    The families are taken from `ctx`, a context of `sys`; without one, a
+    fresh context derives them.
     """
     options = options or ValidateOptions()
     ctx = ctx or SystemContext(sys, options)

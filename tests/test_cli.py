@@ -15,7 +15,7 @@ from tdlab import d4orbit as d4
 from tdlab import splitparam as sp
 from tdlab.appshell import document_from_system, dumps_document
 from tdlab.cli import build_parser, run
-from tdlab.tdcore import InvariantViolation
+from tdlab.tdcore import InvariantViolation, SystemContext
 
 
 def _write_x1(tmp_path, **extra):
@@ -360,7 +360,8 @@ def test_fuzz_names_the_flag_it_rejects(flag, message, capsys):
 
 def test_removed_options_exit_two(tmp_path, capsys):
     # fuzz validates with `auto` and runs the conjectures at depth 3; verify
-    # has no burnside strategy, as `auto` runs it wherever Norton's test cannot
+    # has no burnside strategy, which on a tridiagonal pair proves
+    # irreducibility only where E*_0 is a line and Norton's test decides
     path = _write_x1(tmp_path)
     fuzz = ["fuzz", "--trials", "2", "--seed", "2"]
     for argv in (
@@ -423,7 +424,7 @@ def _raise_invariant(*args, **kwargs):
     "command, module, name, gate",
     [
         ("orbit", d4, "compute_orbit", "orbit/relatives_validate"),
-        ("orbit", d4, "q_extract", "orbit/relatives_validate"),
+        ("orbit", d4, "q_extract", "orbit/q_extract"),
         ("params", sp, "parameter_array", "split/parameter_array"),
     ],
 )
@@ -434,6 +435,25 @@ def test_failed_gate_fails_the_request(tmp_path, capsys, monkeypatch, command, m
     out = json.loads(capsys.readouterr().out)
     assert out["checks"][-1] == {"id": gate, "status": "fail", "witness": {"error": "injected failure"}}
     assert [c["id"] for c in out["checks"]].count(gate) == 1
+
+
+@pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
+def test_views_run_the_identity_stages(doc, tmp_path, capsys):
+    # every view prints, after validation, the checks of one stage of the
+    # fuzz suite, and no check id comes from two stages
+    sys, _ = app.system_from_document(doc)
+    ctx = SystemContext(sys)
+    validation = app.checks_to_json(sys.field, ctx.report.checks)
+    stages = [app.checks_to_json(sys.field, stage(ctx)[0]) for stage in app.IDENTITY_STAGES]
+    ids = [c["id"] for checks in stages for c in checks]
+    assert len(set(ids)) == len(ids) == 47
+    path = tmp_path / "kraw121.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for view in ("params", "orbit", "form", "conjectures"):
+        assert run([view, str(path)]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[: len(validation)] == validation
+        assert checks[len(validation) :] in stages, view
 
 
 def test_internal_error_exits_four_without_traceback(tmp_path, capsys, monkeypatch):

@@ -194,6 +194,19 @@ def test_identity_suite_factors_each_line_once(monkeypatch):
     assert sorted((id(fam), i) for fam, i in factored) == sorted((id(fam), i) for fam, i in expected)
 
 
+def test_auto_leaves_a_pair_without_a_line_open_without_a_solve(monkeypatch):
+    # E*_0 is a plane, and a closure of dimension n^2 would make the pair
+    # sharp, so `auto` reports inconclusive without solving the closure
+    calls = _count_calls(monkeypatch, mx, "algebra_closure")
+    ctx = SystemContext(gf3_pair_without_a_line())
+    irreducible = next(c for c in ctx.report.checks if c.id == "irreducible")
+    assert (irreducible.status, irreducible.witness) == (
+        "inconclusive",
+        {"strategy": "auto", "detail": {"note": "burnside insufficient and E*_0 is not a line"}},
+    )
+    assert calls == []
+
+
 def test_conjectures_request_solves_a_proper_closure_once(tmp_path, monkeypatch, capsys):
     doc = document_from_system(gf3_pair_without_a_line(), {"assume": True, "note": "proved exhaustively"})
     calls = _count_calls(monkeypatch, mx, "algebra_closure", _of_the_pair)

@@ -18,7 +18,7 @@ from tdlab.d4orbit import (
     q_extract,
     zeta_relations_check,
 )
-from tdlab.appshell import orbit_stage
+from tdlab.appshell import relations_stage
 from tdlab.polys import Poly
 from tdlab.rng import SplitMix64
 from tdlab.scalars import PrimeField, RationalField
@@ -317,7 +317,7 @@ def test_zeta_relations_skip_bracket_parts_only(inst_d3_no_q):
 
 def test_orbit_report_x1(x1):
     sys, _ = x1
-    _, out = orbit_stage(SystemContext(sys))
+    _, out = relations_stage(SystemContext(sys))
     assert len(out["orbit"]) == 8
     by_name = {e["relative"]: e for e in out["orbit"]}
     assert by_name["id"]["zeta"] == [F(1), F(1)]

@@ -9,6 +9,12 @@ NORTON and NORTON_LEONARD_D6, and with the Norton witness written back in the
 Burnside form, against the older digests.  The second digest matching shows
 that the witness is the only change.
 
+The `orbit` view runs the suite's relations stage, so since that merge its
+report carries five ids after validation that the earlier orbit reports did
+not (RELATIONS_IDS); PRINTED_ORBIT pins the orbit reports as printed.  Each
+orbit report is checked against NORTON and GOLDEN with those five ids
+dropped, which shows that they are the only change.
+
 GOLDEN_FUZZ pins the fuzz reports as they were when fuzz validated with the
 enumeration of eigenline sums (`eigen_subset`).  It now runs `auto`, which
 decides every candidate with Norton's test, and its config no longer names
@@ -220,6 +226,27 @@ NORTON_LEONARD_D6 = {
     ("rational", "verify"): (0, "87aeae32a15800a596f766417272ba150d73aac55bd483adbe61298afa45220b"),
 }
 
+# The ids the orbit view gained by running the suite's relations stage, in
+# the order they follow validation
+RELATIONS_IDS = [
+    "poly/eta_expansion",
+    "orbit/q_extract",
+    "poly/eta_bracket_expansion",
+    "orbit/relatives_validate",
+    "split/zeta_star_equal",
+]
+
+# The orbit reports as printed, on DOCUMENTS and on the d=6 Leonard systems
+PRINTED_ORBIT = {
+    "kraw121_gf": (0, "fe4f382020868fb8c1fc387e50f6b2f69275d0df4e18ef8299653cdde367dfb1"),
+    "kraw121_q": (0, "59f95fc64ed7b0367d52c83469b17c750b7ba13dd1baec8401ccbb370b6b4562"),
+    "kraw1221_q": (0, "04cd5265496e8690e9fd4ca78308bfac1c72a6605856565379dc069e61c58d13"),
+    "no_q": (3, "c2f9020221dcd4a27858561fa4b8e2bfec2823fdfbedd80c320f932bc4b1c770"),
+    "x1": (0, "65474cd629bd7bebe31df18f2e9d30dec54064f1dde40a895746ed93d45f8d0e"),
+    "leonard_d6 p=10007": (0, "7da5b579ec2455e36fbdfe1b48622072f260e1bef2494d8ac98e379d2dad30f7"),
+    "leonard_d6 rational": (0, "c2d2c1494042e5878981a831eea2e8bc8de36071766450d46a63fe104c40301e"),
+}
+
 GOLDEN_FUZZ = {
     "p=10007": (0, "625bfef1597a8164d8c21e4d0aaf76ca75b88f71f80fe327eb8833ec11065ee5"),
     "rational": (0, "cb046861a1156e9a023e6f2d74a5e31af3cde8ee2877c3ac3bcd4ba9bcb97cc3"),
@@ -304,6 +331,13 @@ def _as_burnside(doc):
     irreducible["witness"] = {"strategy": "burnside", "detail": {"closure_dim": n * n}}
 
 
+def _without_relations_ids(doc):
+    """Drop RELATIONS_IDS, each present once and in that order, from an
+    orbit report."""
+    assert [c["id"] for c in doc["checks"] if c["id"] in RELATIONS_IDS] == RELATIONS_IDS
+    doc["checks"] = [c for c in doc["checks"] if c["id"] not in RELATIONS_IDS]
+
+
 def _as_eigen_subset(doc):
     """Write each trial's Norton `irreducible` witness, and the `auto`
     strategy of the fuzz report's config, in the eigen_subset form."""
@@ -344,13 +378,25 @@ def _digests(argv, capsys, rewrites=(_as_burnside,)):
     return code, *digests
 
 
+def _view_digests(sub, path, capsys, printed_orbit):
+    """The exit code and the Norton and Burnside digests of one view's
+    report; an orbit report is first checked against `printed_orbit` as
+    printed, then read without RELATIONS_IDS."""
+    head, *flags = SUBCOMMANDS[sub]
+    argv = [head, str(path), *flags]
+    if sub != "orbit":
+        return _digests(argv, capsys)
+    code, printed, norton, burnside = _digests(argv, capsys, (_without_relations_ids, _as_burnside))
+    assert (code, printed) == printed_orbit
+    return code, norton, burnside
+
+
 @pytest.mark.parametrize("doc_name", sorted(DOCUMENTS))
 @pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
 def test_report_digest(doc_name, sub, tmp_path, capsys):
     path = tmp_path / f"{doc_name}.json"
     path.write_text(json.dumps(DOCUMENTS[doc_name], indent=2) + "\n", encoding="utf-8")
-    head, *flags = SUBCOMMANDS[sub]
-    code, norton, burnside = _digests([head, str(path), *flags], capsys)
+    code, norton, burnside = _view_digests(sub, path, capsys, PRINTED_ORBIT.get(doc_name))
     assert (code, burnside) == GOLDEN[(doc_name, sub)]
     assert (code, norton) == NORTON[(doc_name, sub)]
 
@@ -366,8 +412,7 @@ def leonard_d6(request, tmp_path_factory):
 def test_leonard_d6_report_digest(leonard_d6, sub, capsys):
     field, path = leonard_d6
     capsys.readouterr()
-    head, *flags = SUBCOMMANDS[sub]
-    code, norton, burnside = _digests([head, str(path), *flags], capsys)
+    code, norton, burnside = _view_digests(sub, path, capsys, PRINTED_ORBIT.get(f"leonard_d6 {field}"))
     assert (code, burnside) == GOLDEN_LEONARD_D6[(field, sub)]
     assert (code, norton) == NORTON_LEONARD_D6[(field, sub)]
 

@@ -217,8 +217,8 @@ def test_eigen_subset_needs_line_eigenspaces():
 
 
 def test_norton_needs_a_dual_line():
-    # E*_0 is the whole plane, so auto does not run Norton's test and the
-    # small closure leaves the verdict open
+    # E*_0 is the whole plane, so auto does not run Norton's test and
+    # leaves the verdict open
     ident = Matrix.identity(QQ, 2)
     sys = TdSystem(QQ, 2, ident, ident, (F(1),), (F(1),))
     verdict, witness, used = check_irreducible(SystemContext(sys))
@@ -230,8 +230,8 @@ def test_norton_needs_a_dual_line():
 
 def test_retired_strategies_are_unknown(x1, capsys):
     # x1's eigenspaces are lines, so only the name is refused: `auto` runs
-    # Norton's test whenever E*_0 is a line, and Burnside only where E*_0 is
-    # not a line; the enumeration of eigenline subsets is a test oracle
+    # Norton's test whenever E*_0 is a line and is inconclusive elsewhere;
+    # the enumeration of eigenline subsets is a test oracle
     # (tests/oracles.py), and fuzz takes no strategy at all
     sys, _ = x1
     for name in ("norton", "eigen_subset", "burnside"):
@@ -244,8 +244,7 @@ def test_retired_strategies_are_unknown(x1, capsys):
 
 
 def test_inconclusive_when_no_complete_strategy_applies():
-    # a 3-space pair with a plane eigenspace: burnside closure is small and
-    # E*_0 is not a line
+    # a 3-space pair with a plane eigenspace: E*_0 is not a line
     a = Matrix.from_ints(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     sys = TdSystem(QQ, 3, a, a, (F(1), F(0)), (F(1), F(0)))
     report = validate(sys)
