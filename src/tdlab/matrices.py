@@ -295,31 +295,45 @@ class Subspace:
 
 
 def sum_and_meet(s: Subspace, t: Subspace):
-    """(S + T, S ∩ T).
+    """(S + T, S ∩ T), returned at once when an operand is V or 0.
 
-    The sum is the span of the union of the bases; the meet is read off the
-    kernel of the stacked bases.  The two are separate eliminations, so the
-    modular law dim S + dim T = dim(S+T) + dim(S∩T), asserted on every call,
-    cross-checks one against the other.
+    Otherwise the sum is the span of the union of the bases; the meet is read
+    off the kernel of the stacked bases.  The two are separate eliminations,
+    so the modular law dim S + dim T = dim(S+T) + dim(S∩T), asserted on
+    every such call, cross-checks one against the other.
     """
     if s.ambient != t.ambient or s.field != t.field:
         raise MatrixError("subspace operands live in different ambient spaces")
+    if s.is_full() or t.is_zero():
+        return s, t
+    if t.is_full() or s.is_zero():
+        return t, s
     field, ambient = s.field, s.ambient
     total = Subspace.from_vectors(field, ambient, s.basis + t.basis)
-    if s.is_zero() or t.is_zero():
-        meet = Subspace.zero(field, ambient)
-    else:
-        # x in S∩T  <=>  x = a·S = b·T; solve the stacked system for (a, b).
-        stacked = Matrix(field, s.basis + (-Matrix(field, t.basis)).data).transpose()
-        combine = Matrix(field, s.basis).transpose()  # a -> a·S
-        meet = Subspace.from_vectors(
-            field, ambient, [combine.apply(k[: s.dim]) for k in kernel_vectors(stacked)]
-        )
+    # x in S∩T  <=>  x = a·S = b·T; solve the stacked system for (a, b).
+    stacked = Matrix(field, s.basis + (-Matrix(field, t.basis)).data).transpose()
+    combine = Matrix(field, s.basis).transpose()  # a -> a·S
+    meet = Subspace.from_vectors(
+        field, ambient, [combine.apply(k[: s.dim]) for k in kernel_vectors(stacked)]
+    )
     if s.dim + t.dim != total.dim + meet.dim:
         raise MatrixError(
             f"modular dimension law violated: {s.dim}+{t.dim} != {total.dim}+{meet.dim}"
         )
     return total, meet
+
+
+def direct_sums(spaces):
+    """Yield S_0, S_0+S_1, ... of a nonempty sequence of subspaces, canonical,
+    from one SpanBuilder.  Raises MatrixError at the first summand meeting
+    the earlier ones: each step asserts dim(S+T) = dim S + dim T."""
+    span = SpanBuilder(spaces[0].field, spaces[0].ambient)
+    for i, s in enumerate(spaces):
+        if s.ambient != span.ambient or s.field != span.field:
+            raise MatrixError("subspace operands live in different ambient spaces")
+        if any(span.add(v) is None for v in s.basis):
+            raise MatrixError(f"summand {i} meets the sum of the earlier summands")
+        yield span.subspace()
 
 
 def kernel_vectors(m: Matrix):

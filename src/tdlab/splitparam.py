@@ -69,10 +69,13 @@ def _shifts(m: Matrix, thetas, v) -> list:
 def split_decomposition(ctx: SystemContext) -> tuple:
     """The split summands U_0..U_d, asserting everything about them.
 
-    U_i is the meet of estar_fam's prefix sum E*_0V+...+E*_iV with e_fam's
-    suffix sum E_iV+...+E_dV (IdempotentFamily.partial_sums).  Asserted here:
-    the direct sum, the two partial-sum identities, the raising/lowering
-    containments, and dim U_i equal to the shape entry.
+    U_i is the meet of estar_fam's prefix sum lower[i] = E*_0V+...+E*_iV with
+    e_fam's suffix sum upper[i] = E_iV+...+E_dV (IdempotentFamily.partial_sums).
+    Asserted here: the direct sum, the two partial-sum identities, the
+    raising/lowering containments, and dim U_i equal to the shape entry.
+    The sums are mx.direct_sums chains.  As V = U_0 ⊕ ... ⊕ U_d has running
+    sums lower[i] and tail sums upper[i], lower[i] ∩ upper[i] = U_i: the
+    chains check the meets whatever computed them.
     """
     sys, e_fam = ctx.sys, ctx.e_fam
     field, n, d = sys.field, sys.n, sys.d
@@ -81,18 +84,20 @@ def split_decomposition(ctx: SystemContext) -> tuple:
     subspaces = [mx.sum_and_meet(lower[i], upper[i])[1] for i in range(d + 1)]
 
     running = Subspace.zero(field, n)
+    sums = mx.direct_sums(subspaces)
     for i in range(d + 1):
-        running, overlap = mx.sum_and_meet(running, subspaces[i])
-        _ensure(overlap.is_zero(), f"split summand {i} meets the earlier sum", overlap)
+        try:
+            running = next(sums)
+        except mx.MatrixError:
+            overlap = mx.sum_and_meet(running, subspaces[i])[1]
+            raise InvariantViolation(f"split summand {i} meets the earlier sum", overlap)
         _ensure(
             running == lower[i],
             f"partial sum of split summands differs from dual eigenspace sum at {i}",
         )
     _ensure(running.is_full(), "split summands do not fill the space")
 
-    tail = Subspace.zero(field, n)
-    for i in range(d, -1, -1):
-        tail = mx.sum_and_meet(tail, subspaces[i])[0]
+    for i, tail in zip(range(d, -1, -1), mx.direct_sums(subspaces[::-1])):
         _ensure(
             tail == upper[i],
             f"tail sum of split summands differs from primary eigenspace sum at {i}",
@@ -122,9 +127,10 @@ def split_decomposition(ctx: SystemContext) -> tuple:
 def split_sequence(ctx: SystemContext):
     """The scalars by which the alternating products act on U_0.
 
-    Defined only for sharp systems (U_0 is a line).  Each product's factors
-    are applied in turn to the spanning vector v; the image must be parallel
-    to v, and that parallelism is asserted with a witness on failure.
+    Defined only for sharp systems (U_0 is a line).  tau_0(A)v..tau_d(A)v of
+    the spanning vector v are one _shifts chain; the A* factors are applied
+    to each in turn.  The image must be parallel to v, and that parallelism
+    is asserted with a witness on failure.
     """
     u0 = ctx.decomposition[0]
     if u0.dim != 1:
@@ -132,8 +138,8 @@ def split_sequence(ctx: SystemContext):
     v = u0.basis[0]
     zetas = []
     sys, field = ctx.sys, ctx.sys.field
-    for i in range(sys.d + 1):
-        w = _shifted(sys.Astar, sys.thetas_star[1 : i + 1], _shifted(sys.A, sys.thetas[:i], v))
+    for i, tau_v in enumerate(_shifts(sys.A, sys.thetas[: sys.d], v)):
+        w = _shifted(sys.Astar, sys.thetas_star[1 : i + 1], tau_v)
         zeta = _parallel_ratio(field, w, v)
         if zeta is None:
             raise InvariantViolation(

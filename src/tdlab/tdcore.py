@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import product
 
 from . import matrices as mx
 from .matrices import Matrix, Subspace
@@ -140,8 +140,8 @@ class IdempotentFamily:
     @cached_property
     def partial_sums(self) -> tuple:
         """(prefix, suffix): prefix[i] = E_0V+...+E_iV and suffix[i] =
-        E_iV+...+E_dV, each chain summed once.  The family of the reversed
-        order reads its original's chains, each the other's reversed."""
+        E_iV+...+E_dV, each chain one elimination (see _running_sums).  The
+        family of the reversed order reads its original's chains reversed."""
         if self.reversal_of is not None:
             prefix, suffix = self.reversal_of.partial_sums
             return suffix[::-1], prefix[::-1]
@@ -164,9 +164,9 @@ class IdempotentFamily:
 
 
 def _running_sums(spaces) -> tuple:
-    """spaces[0], spaces[0]+spaces[1], ...: each sum through mx.sum_and_meet,
-    which asserts the modular law."""
-    return tuple(accumulate(spaces, lambda s, t: mx.sum_and_meet(s, t)[0]))
+    """spaces[0], spaces[0]+spaces[1], ...: mx.direct_sums, asserting every
+    step direct, as eigenspaces are (projections inverted their bases)."""
+    return tuple(mx.direct_sums(spaces))
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,41 @@ def test_orbit_request_sums_each_eigenspace_chain_once(doc, tmp_path, monkeypatc
     assert all(a != b for a, b in combinations(chains, 2))
 
 
+def _with_a_full_operand(s, t):
+    return s.is_full() or t.is_full()
+
+
+@pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
+def test_orbit_request_solves_only_the_split_meets(doc, tmp_path, monkeypatch, capsys):
+    # four d=2 decompositions, one meet per summand; U_0 and U_d are meets
+    # with V, and the eigenspace chains are direct sums that solve no meet
+    meets = _count_calls(monkeypatch, mx, "sum_and_meet")
+    full = _count_calls(monkeypatch, mx, "sum_and_meet", _with_a_full_operand)
+    running_sums, in_chains = td._running_sums, []
+
+    def counted(spaces):
+        before = len(meets)
+        sums = running_sums(spaces)
+        in_chains.append(len(meets) - before)
+        return sums
+
+    monkeypatch.setattr(td, "_running_sums", counted)
+    assert run(["orbit", _write(tmp_path, doc)]) == 0
+    assert (len(meets), len(full)) == (12, 8)
+    assert in_chains == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "GF"])
+def test_fuzz_trial_solves_only_the_split_meets(field, monkeypatch):
+    # seed 7 draws d=1: five decompositions of two summands, U_0 = E*_0V ∩ V
+    # and U_1 = V ∩ E_1V
+    meets = _count_calls(monkeypatch, mx, "sum_and_meet")
+    full = _count_calls(monkeypatch, mx, "sum_and_meet", _with_a_full_operand)
+    doc = fuzz_run(RunConfig(seed=7, trials=1, d_max=3, field=field))
+    assert doc["checks"][0]["witness"]["accepted"]
+    assert (len(meets), len(full)) == (10, 10)
+
+
 @pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "GF"])
 def test_fuzz_trial_builds_five_split_decompositions(field, monkeypatch):
     # the base, three relatives whose complements take their summands, and the dual

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 
@@ -11,6 +11,7 @@ from tdlab.matrices import (
     algebra_closure,
     assert_multiplication_closed,
     det,
+    direct_sums,
     image,
     inverse,
     kernel,
@@ -139,6 +140,73 @@ def test_sum_and_meet_with_a_zero_operand(field):
     for a, b in ((zero, s), (s, zero)):
         assert sum_and_meet(a, b) == (s, zero)
     assert sum_and_meet(zero, zero) == (zero, zero)
+
+
+def _meet_by_annihilators(s, t):
+    """S ∩ T as (S^⊥ + T^⊥)^⊥, with ⊥ the right kernel under the dot product."""
+    field, n = s.field, s.ambient
+
+    def perp(x):
+        return kernel(Matrix(field, x.basis or [[field.zero] * n])).basis
+
+    perps = perp(s) + perp(t)
+    return kernel(Matrix(field, perps)) if perps else full_subspace(field, n)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(13)])
+def test_sum_and_meet_with_a_full_or_zero_operand_matches_two_eliminations(field):
+    rng = SplitMix64(37)
+    full, zero = full_subspace(field, 4), Subspace.zero(field, 4)
+    others = [full, zero] + [
+        Subspace.from_vectors(field, 4, _random_matrix(field, rng, k, 4).data) for k in (1, 2, 3)
+    ]
+    for bound in (full, zero):
+        for other in others:
+            for s, t in ((bound, other), (other, bound)):
+                total = Subspace.from_vectors(field, 4, s.basis + t.basis)
+                assert sum_and_meet(s, t) == (total, _meet_by_annihilators(s, t))
+
+
+def _direct_chain(field, rng, n):
+    """Subspaces spanned by consecutive runs, some empty, of the rows of a
+    random invertible matrix; the last row may be left out, so the chain need
+    not fill the space."""
+    while True:
+        m = _random_matrix(field, rng, n, n)
+        if rank(m) == n:
+            break
+    cuts = sorted(rng.randint(0, n) for _ in range(3))
+    rows = m.data[: n - rng.randint(0, 1)]
+    return [Subspace.from_vectors(field, n, rows[a:b]) for a, b in zip([0] + cuts, cuts + [len(rows)])]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(13)])
+def test_direct_sums_equal_the_sum_and_meet_fold(field):
+    rng = SplitMix64(41)
+    for _ in range(20):
+        chain = _direct_chain(field, rng, 5)
+        fold = list(accumulate(chain, lambda s, t: sum_and_meet(s, t)[0]))
+        assert list(direct_sums(chain)) == fold
+        assert all(sum_and_meet(s, t)[1].is_zero() for s, t in zip(fold, chain[1:]))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(13)])
+def test_direct_sums_raise_at_the_first_summand_that_meets_the_earlier_ones(field):
+    e = Matrix.identity(field, 4).data
+
+    def span(*vectors):
+        return Subspace.from_vectors(field, 4, vectors)
+
+    e01 = tuple(a + b for a, b in zip(e[0], e[1]))
+    sums = direct_sums([span(e[0]), span(e[1]), span(e01, e[3]), span(e[2])])
+    assert [next(sums), next(sums)] == [span(e[0]), span(e[0], e[1])]
+    with pytest.raises(MatrixError, match="summand 2 meets"):
+        next(sums)
+    # the summand's first basis vector e0 raises the dimension, its second does not
+    with pytest.raises(MatrixError, match="summand 1 meets"):
+        list(direct_sums([span(e[1]), span(e[0], e[1])]))
+    with pytest.raises(MatrixError, match="different ambient"):
+        list(direct_sums([span(e[0]), Subspace.zero(field, 3)]))
 
 
 def test_modular_law_on_random_subspaces():

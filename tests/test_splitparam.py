@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from tdlab import matrices as mx
-from tdlab.appshell import problems_stage
+from tdlab.appshell import problems_stage, split_stage
 from tdlab.matrices import Matrix, Subspace
 from tdlab.scalars import PrimeField
 from tdlab.splitparam import (
@@ -169,3 +169,42 @@ def test_full_split_stage_on_frozen_instances(fixture, request):
     assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
     out = problems_report(ctx)
     assert len(out["restrictions"]) == sys.d // 2 + 1
+
+
+@pytest.mark.parametrize("fixture", ["inst_d2", "inst_gf13_d2"])
+def test_a_summand_meeting_the_earlier_sum_fails_the_decomposition(fixture, request, monkeypatch):
+    # the meet for U_1 is patched to return U_0; the running chain must stop
+    # at i = 1 with U_0 as the overlap witness
+    sys, _ = request.getfixturevalue(fixture)
+    ctx = SystemContext(sys)
+    lower, upper = ctx.estar_fam.partial_sums[0], ctx.e_fam.partial_sums[1]
+    u0 = mx.sum_and_meet(lower[0], upper[0])[1]
+    meet = mx.sum_and_meet
+
+    def u1_is_u0(s, t):
+        return (meet(s, t)[0], u0) if (s, t) == (lower[1], upper[1]) else meet(s, t)
+
+    monkeypatch.setattr(mx, "sum_and_meet", u1_is_u0)
+    with pytest.raises(InvariantViolation) as err:
+        split_decomposition(ctx)
+    assert str(err.value) == "split summand 1 meets the earlier sum"
+    assert err.value.witness == u0
+    checks, _ = split_stage(ctx)
+    assert checks == [Check("split/decomposition", FAIL, {"error": "split summand 1 meets the earlier sum"})]
+
+
+def test_split_sequence_applies_a_once_per_factor(inst_d3, monkeypatch):
+    # tau_0(A)v, ..., tau_d(A)v come from one chain of d applications of A
+    sys, ctx = inst_d3
+    zetas = ctx.zetas
+    applies = []
+    apply = Matrix.apply
+
+    def counted(m, vec):
+        if m is sys.A:
+            applies.append(vec)
+        return apply(m, vec)
+
+    monkeypatch.setattr(Matrix, "apply", counted)
+    assert split_sequence(ctx) == zetas
+    assert len(applies) == sys.d
