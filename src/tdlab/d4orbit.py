@@ -180,17 +180,6 @@ def _shortlex_min(field: Field, a, b):
     return a if (len(ta), ta) <= (len(tb), tb) else b
 
 
-def q_pochhammer(field: Field, a, q, n: int):
-    """(a; q)_n = (1-a)(1-aq)...(1-aq^(n-1))."""
-    one = field.one
-    acc = one
-    term = a
-    for _ in range(n):
-        acc = acc * (one - term)
-        term = term * q
-    return acc
-
-
 def bracket(field: Field, r: int, s: int, t: int, qd: QData):
     """The symmetric three-index Pochhammer ratio.
 
@@ -204,18 +193,13 @@ def bracket(field: Field, r: int, s: int, t: int, qd: QData):
     if min(r, s, t) == 0:
         return field.one
     if qd.kind == "generic":
-        q = qd.q
-        num = (
-            q_pochhammer(field, q, q, r + s)
-            * q_pochhammer(field, q, q, r + t)
-            * q_pochhammer(field, q, q, s + t)
-        )
-        den = (
-            q_pochhammer(field, q, q, r)
-            * q_pochhammer(field, q, q, s)
-            * q_pochhammer(field, q, q, t)
-            * q_pochhammer(field, q, q, r + s + t)
-        )
+        q, one = qd.q, field.one
+        poch, term = [one], q  # (q;q)_0 .. (q;q)_{r+s+t}, (q;q)_k = (1-q)...(1-q^k)
+        for _ in range(r + s + t):
+            poch.append(poch[-1] * (one - term))
+            term = term * q
+        num = poch[r + s] * poch[r + t] * poch[s + t]
+        den = poch[r] * poch[s] * poch[t] * poch[r + s + t]
         if den == field.zero:
             raise BracketUnavailable(
                 f"q has multiplicative order <= {r + s + t}; Pochhammer denominator vanishes"

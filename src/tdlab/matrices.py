@@ -25,7 +25,18 @@ class MatrixError(ValueError):
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data")
+    """An immutable matrix over a scalars.py field.
+
+    `data` holds the rows as field values.  The kernels read `_ints`, the
+    matrix's integer rows: residues in [0, p) over GF(p), _scaled
+    (numerators, denominator) rows over Q.  Both are slots filled on first
+    read (__getattr__).  A matrix built from field values derives `_ints`
+    once, on first kernel use, which checks every entry's field.  GF(p)
+    kernel results are built from residues (_from_grid), and their `data`
+    is made only when a caller reads it.
+    """
+
+    __slots__ = ("field", "rows", "cols", "data", "_ints")
 
     def __init__(self, field: Field, data):
         rows = tuple(map(tuple, data))
@@ -38,15 +49,45 @@ class Matrix:
         self.cols = len(rows[0])
         self.data = rows
 
+    def __getattr__(self, name):
+        if name == "data":
+            field = self.field
+            self.data = tuple(tuple(FpElement(field, a) for a in row) for row in self._ints)
+            return self.data
+        if name == "_ints":
+            if isinstance(self.field, PrimeField):
+                self._ints = [_values(self.field.p, row) for row in self.data]
+            else:
+                self._ints = [_scaled(row) for row in self.data]
+            return self._ints
+        raise AttributeError(name)
+
+    @classmethod
+    def _from_grid(cls, field: Field, grid) -> "Matrix":
+        """A kernel result from rows as _grid gives them.  Residue lists are
+        kept as they are, so no kernel may mutate one."""
+        if not isinstance(field, PrimeField):
+            return cls(field, grid)
+        if not grid or not grid[0]:
+            raise MatrixError("matrices must have positive dimensions")
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols, m._ints = field, len(grid), len(grid[0]), grid
+        return m
+
+    def _grid(self):
+        """The rows the kernels compute on: residue lists over GF(p), field
+        values over Q."""
+        return self._ints if isinstance(self.field, PrimeField) else self.data
+
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        one, zero = (1, 0) if isinstance(field, PrimeField) else (field.one, field.zero)
+        return cls._from_grid(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * cols for _ in range(rows)])
+        zero = 0 if isinstance(field, PrimeField) else field.zero
+        return cls._from_grid(field, [[zero] * cols for _ in range(rows)])
 
     @classmethod
     def from_ints(cls, field: Field, data) -> "Matrix":
@@ -64,12 +105,10 @@ class Matrix:
             raise MatrixError("shape mismatch in addition")
         field = self.field
         if isinstance(field, PrimeField):
-            return Matrix(
+            p = field.p
+            return Matrix._from_grid(
                 field,
-                [
-                    [FpElement(field, a.value + b.value) for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.data, other.data)
-                ],
+                [[(a + b) % p for a, b in zip(ra, rb)] for ra, rb in zip(self._ints, other._ints)],
             )
         return Matrix(
             self.field,
@@ -87,7 +126,7 @@ class Matrix:
     def __neg__(self):
         field = self.field
         if isinstance(field, PrimeField):
-            return Matrix(field, [[FpElement(field, -a.value) for a in row] for row in self.data])
+            return Matrix._from_grid(field, [[-a % field.p for a in row] for row in self._ints])
         return Matrix(self.field, [[-a for a in row] for row in self.data])
 
     def __mul__(self, other):
@@ -98,15 +137,14 @@ class Matrix:
             field = self.field
             if isinstance(field, PrimeField):
                 p = field.p
-                rows = [_values(p, row) for row in self.data]
-                cols = [_values(p, col) for col in zip(*other.data)]
-                return Matrix(
-                    field, [[FpElement(field, sum(map(mul, row, col))) for col in cols] for row in rows]
+                cols = list(zip(*other._ints))
+                return Matrix._from_grid(
+                    field, [[sum(map(mul, row, col)) % p for col in cols] for row in self._ints]
                 )
-            rows = [_scaled(row) for row in self.data]
             cols = [_scaled(col) for col in zip(*other.data)]
             return Matrix(
-                field, [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in rows]
+                field,
+                [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in self._ints],
             )
         return self.scale(other)
 
@@ -116,12 +154,12 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         field = self.field
         if isinstance(field, PrimeField):
-            c = field._as_element(c).value
-            return Matrix(field, [[FpElement(field, c * a.value) for a in row] for row in self.data])
+            c, p = field._as_element(c).value, field.p
+            return Matrix._from_grid(field, [[c * a % p for a in row] for row in self._ints])
         return Matrix(self.field, [[c * a for a in row] for row in self.data])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.data)))
+        return Matrix._from_grid(self.field, [list(col) for col in zip(*self._grid())])
 
     def apply(self, vec):
         """Matrix times column vector (a tuple of scalars)."""
@@ -129,15 +167,31 @@ class Matrix:
             raise MatrixError("vector length mismatch")
         field = self.field
         if isinstance(field, PrimeField):
-            p = field.p
-            vec = _values(p, vec)
-            return tuple(FpElement(field, sum(map(mul, _values(p, row), vec))) for row in self.data)
+            vec = _values(field.p, vec)
+            return tuple(FpElement(field, sum(map(mul, row, vec))) for row in self._ints)
         vec, dv = _scaled(vec)
-        return tuple(Fraction(sum(map(mul, r, vec)), dr * dv) for r, dr in map(_scaled, self.data))
+        return tuple(Fraction(sum(map(mul, r, vec)), dr * dv) for r, dr in self._ints)
+
+    def shifts(self, v, thetas) -> list:
+        """v and its images under the prefix products of (M - theta I) over
+        `thetas`, one factor more in each entry, as M w - theta w: the
+        shifted matrices are never built."""
+        out = [v]
+        field = self.field
+        if isinstance(field, PrimeField):
+            p, w = field.p, _values(field.p, v)
+            for theta in thetas:
+                t = field._as_element(theta).value
+                w = [(sum(map(mul, row, w)) - t * b) % p for row, b in zip(self._ints, w)]
+                out.append(tuple(FpElement(field, a) for a in w))
+            return out
+        for theta in thetas:
+            v = tuple(a - theta * b for a, b in zip(self.apply(v), v))
+            out.append(v)
+        return out
 
     def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(a == zero for row in self.data for a in row)
+        return not any(map(any, self._grid()))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -159,7 +213,7 @@ class Matrix:
             self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and all(a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
+            and self._grid() == other._grid()
         )
 
     def __hash__(self):
@@ -178,11 +232,16 @@ def rref(m: Matrix):
     unique, so R does not depend on how the rows were eliminated.
     """
     span = SpanBuilder(m.field, m.cols)
-    for row in m.data:
-        span.add(row)
-    rows = span.reduced_rows()
-    rows += [[m.field.zero] * m.cols] * (m.rows - len(rows))
-    return Matrix(m.field, rows), span.dim, list(span.pivots)
+    if isinstance(m.field, PrimeField):
+        for row in m._ints:
+            span.add_residues(row)
+        rows, zero = span.reduced_residues(), 0
+    else:
+        for row in m.data:
+            span.add(row)
+        rows, zero = span.reduced_rows(), m.field.zero
+    rows += [[zero] * m.cols for _ in range(m.rows - len(rows))]
+    return Matrix._from_grid(m.field, rows), span.dim, list(span.pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -194,14 +253,17 @@ def det(m: Matrix):
     negated once per pair of rows added out of pivot order."""
     if not m.is_square():
         raise MatrixError("determinant of a non-square matrix")
+    gf = isinstance(m.field, PrimeField)
     span = SpanBuilder(m.field, m.cols)
-    acc = m.field.one
-    for row in m.data:
-        pivot = span.add(row)
+    add = span.add_residues if gf else span.add
+    acc = 1
+    for row in m._grid():
+        pivot = add(row)
         if pivot is None:
             return m.field.zero
         acc = acc * pivot
-    return -acc if span.inversions % 2 else acc
+    acc = -acc if span.inversions % 2 else acc
+    return FpElement(m.field, acc) if gf else acc
 
 
 def solve(m: Matrix, rhs):
@@ -221,12 +283,12 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square():
         raise MatrixError("inverse of a non-square matrix")
     n = m.rows
-    ident = Matrix.identity(m.field, n)
-    aug = Matrix(m.field, [list(r) + list(i) for r, i in zip(m.data, ident.data)])
+    ident = Matrix.identity(m.field, n)._grid()
+    aug = Matrix._from_grid(m.field, [list(r) + list(i) for r, i in zip(m._grid(), ident)])
     r, rk, pivots = rref(aug)
     if rk < n or pivots != list(range(n)):
         raise MatrixError("matrix is singular")
-    return Matrix(m.field, [row[n:] for row in r.data])
+    return Matrix._from_grid(m.field, [row[n:] for row in r._grid()])
 
 
 class Subspace:
@@ -339,7 +401,9 @@ def direct_sums(spaces):
 def kernel_vectors(m: Matrix):
     """Basis vectors (tuples) of the right kernel of m."""
     r, _, pivots = rref(m)
-    zero, one = m.field.zero, m.field.one
+    gf = isinstance(m.field, PrimeField)
+    zero, one = (0, 1) if gf else (m.field.zero, m.field.one)
+    rows = r._grid()
     pivset = set(pivots)
     free = [c for c in range(m.cols) if c not in pivset]
     out = []
@@ -347,8 +411,8 @@ def kernel_vectors(m: Matrix):
         v = [zero] * m.cols
         v[f] = one
         for k, c in enumerate(pivots):
-            v[c] = -r.data[k][f]
-        out.append(tuple(v))
+            v[c] = -rows[k][f]
+        out.append(tuple(FpElement(m.field, a) for a in v) if gf else tuple(v))
     return out
 
 
@@ -435,14 +499,8 @@ class SpanBuilder:
         unit-pivot elimination divides the new row by), or None if vec
         already lay in the span."""
         if isinstance(self.field, PrimeField):
-            p = self.field.p
-            v = _reduce_mod(p, self.pivots, self.rows, _values(p, vec))
-            for c, a in enumerate(v):
-                if a:
-                    inv = pow(a, -1, p)
-                    self._insert(c, [x * inv % p for x in v])
-                    return FpElement(self.field, a)
-            return None
+            a = self.add_residues(_values(self.field.p, vec))
+            return None if a is None else FpElement(self.field, a)
         v, d = _scaled(vec)
         v, s = _reduce_int(self.pivots, self.rows, v)
         for c, a in enumerate(v):
@@ -450,6 +508,18 @@ class SpanBuilder:
                 g = gcd(*v)
                 self._insert(c, [x // g for x in v])
                 return Fraction(a, d * s)
+        return None
+
+    def add_residues(self, v):
+        """add over GF(p) for a vector of ints, read mod p: returns the pivot
+        entry as an int in [0, p), or None."""
+        p = self.field.p
+        v = _reduce_mod(p, self.pivots, self.rows, v)
+        for c, a in enumerate(v):
+            if a:
+                inv = pow(a, -1, p)
+                self._insert(c, [x * inv % p for x in v])
+                return a
         return None
 
     def _insert(self, c, row):
@@ -468,15 +538,20 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self.rows)
 
+    def reduced_residues(self):
+        """The rref basis of the span over GF(p), as residue lists, by one
+        back-substitution: bottom up, each row is cleared against the
+        reduced rows below it."""
+        rows, p = list(self.rows), self.field.p
+        for k in range(len(rows) - 2, -1, -1):
+            rows[k] = _reduce_mod(p, self.pivots[k + 1 :], rows[k + 1 :], rows[k])
+        return rows
+
     def reduced_rows(self):
-        """The rref basis of the span, by one back-substitution: bottom up,
-        each row is cleared against the reduced rows below it."""
-        rows = list(self.rows)
+        """The rref basis of the span as field values (see reduced_residues)."""
         if isinstance(self.field, PrimeField):
-            p = self.field.p
-            for k in range(len(rows) - 2, -1, -1):
-                rows[k] = _reduce_mod(p, self.pivots[k + 1 :], rows[k + 1 :], rows[k])
-            return [[FpElement(self.field, a) for a in row] for row in rows]
+            return [[FpElement(self.field, a) for a in row] for row in self.reduced_residues()]
+        rows = list(self.rows)
         for k in range(len(rows) - 2, -1, -1):
             rows[k] = _reduce_int(self.pivots[k + 1 :], rows[k + 1 :], rows[k])[0]
         return [[Fraction(a, row[c]) for a in row] for row, c in zip(rows, self.pivots)]

@@ -202,7 +202,11 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for a prime modulus p below PRIME_BOUND, validated by Miller-Rabin."""
+    """GF(p) for a prime modulus p below PRIME_BOUND, validated by Miller-Rabin.
+
+    `zero` and `one` are one stored element each, shared by every reader:
+    nothing assigns to an FpElement after __init__.
+    """
 
     kind = "prime"
 
@@ -210,18 +214,12 @@ class PrimeField:
         if not isinstance(p, int) or not is_prime(p):
             raise FieldError(f"modulus {p!r} is not prime")
         self.p = p
+        self.zero = FpElement(self, 0)
+        self.one = FpElement(self, 1)
 
     @property
     def characteristic(self) -> int:
         return self.p
-
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(self, 0)
-
-    @property
-    def one(self) -> FpElement:
-        return FpElement(self, 1)
 
     def from_int(self, n: int) -> FpElement:
         return FpElement(self, n)

@@ -15,7 +15,7 @@ as scalars (see _Corner).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 
 from . import matrices as mx
 from .matrices import Matrix, Subspace
@@ -50,20 +50,6 @@ class ParameterArray:
 def _ensure(cond: bool, message: str, witness=None):
     if not cond:
         raise InvariantViolation(message, witness)
-
-
-def _shifted(m: Matrix, thetas, v) -> tuple:
-    """(m - theta I) applied to v once per theta in `thetas`, as m v - theta v:
-    the shifted matrices are never built."""
-    for theta in thetas:
-        v = tuple(a - theta * b for a, b in zip(m.apply(v), v))
-    return v
-
-
-def _shifts(m: Matrix, thetas, v) -> list:
-    """v and its images under the prefix products of (m - theta I) over
-    `thetas`, one factor more in each entry."""
-    return list(accumulate(thetas, lambda w, theta: _shifted(m, (theta,), w), initial=v))
 
 
 def split_decomposition(ctx: SystemContext) -> tuple:
@@ -104,13 +90,13 @@ def split_decomposition(ctx: SystemContext) -> tuple:
         )
 
     for i in range(d + 1):
-        raised = [_shifted(sys.A, sys.thetas[i : i + 1], v) for v in subspaces[i].basis]
+        raised = [sys.A.shifts(v, sys.thetas[i : i + 1])[-1] for v in subspaces[i].basis]
         target_up = subspaces[i + 1] if i + 1 <= d else Subspace.zero(field, n)
         _ensure(
             all(target_up.contains(v) for v in raised),
             f"(A - theta_{i}) does not raise split summand {i}",
         )
-        lowered = [_shifted(sys.Astar, sys.thetas_star[i : i + 1], v) for v in subspaces[i].basis]
+        lowered = [sys.Astar.shifts(v, sys.thetas_star[i : i + 1])[-1] for v in subspaces[i].basis]
         target_down = subspaces[i - 1] if i - 1 >= 0 else Subspace.zero(field, n)
         _ensure(
             all(target_down.contains(v) for v in lowered),
@@ -128,7 +114,7 @@ def split_sequence(ctx: SystemContext):
     """The scalars by which the alternating products act on U_0.
 
     Defined only for sharp systems (U_0 is a line).  tau_0(A)v..tau_d(A)v of
-    the spanning vector v are one _shifts chain; the A* factors are applied
+    the spanning vector v are one Matrix.shifts chain; the A* factors are applied
     to each in turn.  The image must be parallel to v, and that parallelism
     is asserted with a witness on failure.
     """
@@ -138,8 +124,8 @@ def split_sequence(ctx: SystemContext):
     v = u0.basis[0]
     zetas = []
     sys, field = ctx.sys, ctx.sys.field
-    for i, tau_v in enumerate(_shifts(sys.A, sys.thetas[: sys.d], v)):
-        w = _shifted(sys.Astar, sys.thetas_star[1 : i + 1], tau_v)
+    for i, tau_v in enumerate(sys.A.shifts(v, sys.thetas[: sys.d])):
+        w = sys.Astar.shifts(tau_v, sys.thetas_star[1 : i + 1])[-1]
         zeta = _parallel_ratio(field, w, v)
         if zeta is None:
             raise InvariantViolation(
@@ -208,8 +194,8 @@ class _Corner:
         field = a.field
         x, y = fam.line_factors(0)
         self.v, u = fam_b.line_factors(0)
-        rows = _shifts(self.b.transpose(), self.thetas_b[:-1], y)
-        self.cols = _shifts(a, thetas[:-1], self.v)
+        rows = self.b.transpose().shifts(y, self.thetas_b[:-1])
+        self.cols = a.shifts(self.v, thetas[:-1])
         self.p = [[_dot(field, r, c) for c in self.cols] for r in rows]
         self.left = [_dot(field, r, x) for r in rows]
         self.right = [_dot(field, u, c) for c in self.cols]
@@ -304,7 +290,7 @@ def vanishing_check(ctx: SystemContext):
         {"identity": f"alternating product on first {other_side} eigenspace", "i": i}
         for i in range(d + 1)
         for _, c, _, _, other_side in sides
-        if _shifted(c.b, c.thetas_b[1 : i + 1], c.cols[i]) != tuple(zetas[i] * a for a in c.v)
+        if c.b.shifts(c.cols[i], c.thetas_b[1 : i + 1])[-1] != tuple(zetas[i] * a for a in c.v)
     )
     return [
         verdict("split/offdiag_products_vanish", offdiag),
@@ -420,8 +406,8 @@ def problems_report(ctx: SystemContext):
         s = summands[i]
         cols = []
         for v in s.basis:
-            raised = _shifted(sys.A, sys.thetas[i : d - i], v)
-            w = _shifted(sys.Astar, sys.thetas_star[i + 1 : d - i + 1], raised)
+            raised = sys.A.shifts(v, sys.thetas[i : d - i])[-1]
+            w = sys.Astar.shifts(raised, sys.thetas_star[i + 1 : d - i + 1])[-1]
             _ensure(s.contains(w), f"alternating product leaves split summand {i}")
             cols.append([w[c] for c in s.pivots])  # coordinates in the rref basis
         restriction = Matrix(field, cols).transpose()

@@ -552,3 +552,107 @@ def test_q_kernels_match_fraction_arithmetic():
                 assert span.contains(v) == space.contains(v) == expected
                 outcomes.add(expected)
     assert ranks == outcomes == {True, False}
+
+
+def _schoolbook_apply(m, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), m.field.zero) for row in m.data)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(13)], ids=["QQ", "GF13"])
+def test_shifts_match_explicit_products(field):
+    # Matrix.shifts against (M - theta I) built entry by entry and applied
+    # as schoolbook products, prefix by prefix; an empty thetas gives [v]
+    rng = SplitMix64(29)
+    for n in (1, 3, 5):
+        m = _random_matrix(field, rng, n, n)
+        v = tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
+        for k in range(4):
+            thetas = [field.from_int(rng.randint(-9, 9)) for _ in range(k)]
+            expected = [v]
+            for theta in thetas:
+                shifted = [list(row) for row in m.data]
+                for i in range(n):
+                    shifted[i][i] -= theta
+                expected.append(_schoolbook_apply(Matrix(field, shifted), expected[-1]))
+            assert m.shifts(v, thetas) == expected
+    assert m.shifts(v, ()) == [v]
+
+
+def _unit_rows(field, n):
+    return tuple(tuple(field.from_int(int(i == j)) for j in range(n)) for i in range(n))
+
+
+@pytest.fixture
+def fp_constructions(monkeypatch):
+    """The count of FpElements built while the fixture is live."""
+    count = [0]
+    original = FpElement.__init__
+
+    def counting(self, field, value):
+        count[0] += 1
+        original(self, field, value)
+
+    monkeypatch.setattr(FpElement, "__init__", counting)
+    return count
+
+
+def test_gfp_kernel_results_build_no_elements_until_read(fp_constructions):
+    # each result is computed with the counter live and boxes nothing; its
+    # data, boxed on first read, equals the schoolbook answer
+    field = PrimeField(13)
+    rng = SplitMix64(31)
+    a, b = _random_matrix(field, rng, 4, 4), _random_matrix(field, rng, 4, 3)
+    c = _random_matrix(field, rng, 4, 4)
+    two = field.from_int(2)
+    expected = {
+        "product": _schoolbook_product(a, b).data,
+        "sum": tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a.data, c.data)),
+        "difference": tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a.data, c.data)),
+        "negation": tuple(tuple(-x for x in r) for r in a.data),
+        "scale": tuple(tuple(two * x for x in r) for r in a.data),
+        "transpose": tuple(zip(*b.data)),
+        "rref": _gauss_jordan(b)[0].data,
+        "identity": _unit_rows(field, 3),
+        "zeros": Matrix.from_ints(field, [[0] * 2] * 3).data,
+    }
+    fp_constructions[0] = 0
+    results = {
+        "product": a * b,
+        "sum": a + c,
+        "difference": a - c,
+        "negation": -a,
+        "scale": a.scale(two),
+        "transpose": b.transpose(),
+        "rref": rref(b)[0],
+        "identity": Matrix.identity(field, 3),
+        "zeros": Matrix.zeros(field, 3, 2),
+    }
+    inv = inverse(a)
+    assert not any(m.is_zero() for m in (inv, a + c))
+    assert fp_constructions[0] == 0
+    determinant = det(a)
+    assert fp_constructions[0] == 1
+    assert determinant == _leibniz_det(a)
+    for name, m in results.items():
+        assert m == Matrix(field, expected[name]), name
+        assert m.data == expected[name], name
+    assert _schoolbook_product(a, inv).data == _unit_rows(field, 4)
+    # SpanBuilder.add boxes the int pivot that add_residues returns
+    span = SpanBuilder(field, 3)
+    assert span.add_residues([0, 18, 1]) == 5
+    pivot = span.add((field.from_int(1), field.from_int(2), field.zero))
+    assert type(pivot) is FpElement and pivot == field.from_int(1)
+
+
+def test_a_foreign_entry_fails_the_first_kernel_use():
+    # a GF13 matrix holding a GF7 entry raises FieldError when its residues
+    # are first read, by a product, apply or rref alike
+    gf13, gf7 = PrimeField(13), PrimeField(7)
+
+    def mixed():
+        return Matrix(gf13, [[gf13.one, gf7.from_int(2)], [gf13.from_int(3), gf13.from_int(4)]])
+
+    ident, v = Matrix.identity(gf13, 2), (gf13.one, gf13.zero)
+    for use in (lambda m: m * ident, lambda m: ident * m, lambda m: m.apply(v), rref):
+        with pytest.raises(FieldError):
+            use(mixed())
