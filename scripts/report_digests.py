@@ -10,13 +10,17 @@ line by line with `diff`.  The runs are:
   * `verify --json`, `verify`, `params`, `orbit`, `form` and `conjectures`
     on the eight cli-kraw documents of the benchmark (the Krawtchouk pairs
     of shapes (1,2,1), (1,2,2,1) and (1,3,3,1) and the d=6 Leonard system,
-    over Q and GF(10007)) and on the n=16 Krawtchouk pair of shape
-    (1,4,6,4,1) over both fields;
+    over Q and GF(10007)), on the n=16 Krawtchouk pair of shape
+    (1,4,6,4,1) over both fields, and on the GF(3) pair of
+    `tests/test_golden.gf3_pair_without_a_line()` with an
+    `{"assume": true}` block, the one document with rho_0 > 1 (each of its
+    six runs exits 3);
   * `fuzz --trials 25 --seed 7` over `rational` and `p=10007`;
   * `fuzz --trials 6 --seed 3 --field p=10007`;
   * `fuzz --trials 100 --seed 1 --field p=5 --d-max 1`, which exits 1.
 
-The documents are built by `perfbench/kraw.py` into a temporary directory.
+The documents are built by `perfbench/kraw.py` and `tests/test_golden.py`
+into a temporary directory.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import kraw  # noqa: E402
-from tdlab import cli  # noqa: E402
+from tdlab import appshell, cli  # noqa: E402
+from test_golden import gf3_pair_without_a_line  # noqa: E402
 
 VIEWS = (("verify", "--json"), ("verify",), ("params",), ("orbit",), ("form",), ("conjectures",))
 FUZZ = (
@@ -75,6 +80,10 @@ def write_documents(workdir: Path) -> list:
         if code != 0:
             raise SystemExit(f"tdlab gen leonard exited {code}")
         paths.append(path)
+    path = workdir / "gf3-no-line-assume.json"
+    doc = appshell.document_from_system(gf3_pair_without_a_line(), {"assume": True})
+    path.write_text(appshell.dumps_document(doc), encoding="utf-8")
+    paths.append(path)
     return paths
 
 

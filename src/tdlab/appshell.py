@@ -481,7 +481,7 @@ def dual_stage(ctx: SystemContext):
     return fl.dual_system(ctx)[1], {}
 
 
-def conjectures_stage(ctx: SystemContext, chain_depth: int = 3):
+def conjectures_stage(ctx: SystemContext):
     """Subalgebra and corner-algebra checks; also runs on non-sharp systems,
     where the parameter-array conditions are skipped."""
     from . import conjlab as cj
@@ -491,7 +491,7 @@ def conjectures_stage(ctx: SystemContext, chain_depth: int = 3):
     extra = {}
     try:
         algs = cj.generate_subalgebras(ctx)
-        corner, corner_cks = cj.corner_algebra_checks(ctx, algs, depth=chain_depth)
+        corner, corner_cks = cj.corner_algebra_checks(ctx, algs)
         checks.extend(corner_cks)
         verdict, field_cks = cj.field_check(sys.field, corner, estar_fam[0], estar_fam.ranks[0])
         checks.extend(field_cks)

@@ -72,7 +72,7 @@ def cmd_verify(args) -> int:
     return app.exit_code_from_checks(doc["checks"])
 
 
-def _run_stage(stage, args, sharp_only: bool = True) -> int:
+def _run_stage(stage, sharp_only: bool, args) -> int:
     """Validate, then run one report stage when validation allows it."""
     ctx = _validated(args.file)
     report = ctx.report
@@ -81,14 +81,6 @@ def _run_stage(stage, args, sharp_only: bool = True) -> int:
         stage_checks, extra = stage(ctx)
         checks.extend(stage_checks)
     return _emit(_report_doc(ctx.sys.field, checks, extra))
-
-
-def _run_conjectures(args) -> int:
-    if args.chain_depth < 1:
-        raise app.InputError("chain-depth must be at least 1")
-    # the one stage that also runs on a system that is not sharp
-    stage = partial(app.conjectures_stage, chain_depth=args.chain_depth)
-    return _run_stage(stage, args, sharp_only=False)
 
 
 def _parse_scalar_list(field, text: str):
@@ -141,19 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    for name, stage, text in (
-        ("params", app.params_stage, "parameter array of a sharp system"),
-        ("orbit", app.relations_stage, "the suite's relations stage: q-brackets and the eight relatives"),
-        ("form", app.form_stage, "invariant bilinear form and anti-automorphism"),
+    for name, stage, sharp_only, text in (
+        ("params", app.params_stage, True, "parameter array of a sharp system"),
+        ("orbit", app.relations_stage, True, "the suite's relations stage: q-brackets and the eight relatives"),
+        ("form", app.form_stage, True, "invariant bilinear form and anti-automorphism"),
+        ("conjectures", app.conjectures_stage, False, "subalgebra and corner-algebra checks"),
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("file")
-        p.set_defaults(func=partial(_run_stage, stage))
-
-    p = sub.add_parser("conjectures", help="subalgebra and corner-algebra checks")
-    p.add_argument("file")
-    p.add_argument("--chain-depth", type=int, default=3)
-    p.set_defaults(func=_run_conjectures)
+        p.set_defaults(func=partial(_run_stage, stage, sharp_only))
 
     p = sub.add_parser("gen", help="construct an instance from split data")
     p.add_argument("kind", choices=["leonard"])

@@ -92,12 +92,12 @@ def corner_algebra(ctx: SystemContext, cut: Matrix) -> list:
     return _span([cut * x * cut for x in t_basis])
 
 
-def corner_algebra_checks(ctx: SystemContext, algs: dict, depth: int = 3):
+def corner_algebra_checks(ctx: SystemContext, algs: dict):
     """The corner algebra cut out by E*_0, and the four corner-algebra
     conjecture clauses, each independently; `algs` is generate_subalgebras'.
 
     (commutes) the cut of the single-operator algebra is commutative;
-    (chain) the alternating-word subspace equalities up to `depth` lines;
+    (chain) the alternating-word subspace equalities, until they repeat;
     (generated) the cut of the single-operator algebra generates the whole
     corner; (commutative) the corner itself is commutative.
     """
@@ -109,8 +109,7 @@ def corner_algebra_checks(ctx: SystemContext, algs: dict, depth: int = 3):
     bad = _first_noncommuting(cut_d)
     checks.append(Check("conj/corner_cut_commutes", FAIL if bad else PASS, bad))
 
-    bad = _first_chain_failure(algs["D"], algs["Dstar"], estar0, e0, depth)
-    checks.append(Check("conj/chain_equalities", FAIL if bad else PASS, bad or {"depth": depth}))
+    checks.append(_chain_check(algs["D"], algs["Dstar"], estar0, e0))
 
     # both bases are rref-canonical, so equal spans have equal bases
     generated = mx.algebra_closure(cut_d, unit=estar0)
@@ -137,9 +136,9 @@ def _first_noncommuting(mats):
     return None
 
 
-def _first_chain_failure(d_mats, dstar_mats, estar0, e0, depth: int):
-    """The witness of the first alternating-word chain line up to `depth`
-    whose two sides differ, or None.
+def _chain_check(d_mats, dstar_mats, estar0, e0) -> Check:
+    """conj/chain_equalities up to the line from which the chain repeats: a
+    fail names the first line whose sides differ, a pass the last one compared.
 
     The left side of line L is estar0 followed by L+1 alternating algebra
     factors starting with the primary one, capped by e0 when the word ends
@@ -156,14 +155,20 @@ def _first_chain_failure(d_mats, dstar_mats, estar0, e0, depth: int):
     Both uncapped sides are spans extended by one factor per line.  The
     factors alternate, so a line's prefixes are a function of those two
     lines before: once both prefixes equal theirs from two lines back,
-    every later line repeats one of the last two, and the scan stops.
+    every later line repeats one of the last two, and the scan stops.  As D
+    and D* contain I and estar0 is idempotent, both prefixes only grow, so
+    until then the sum of their dimensions, at most 2 rho_0 n, grows every
+    two lines: the rule fires by line 4 rho_0 n + 2, or an invariant broke.
+    A left prefix of all rho_0 n blocks is fixed by D and D*, and is kept.
     """
     rows = [estar0.data[i] for i in mx.image(estar0).pivots]
     left = right = [Matrix(estar0.field, rows)] if rows else []
+    full = len(rows) * estar0.cols
     back = [None, None]  # the prefixes of the two previous lines
-    for line in range(depth + 1):
+    for line in range(4 * full + 3):
         even = line % 2 == 0
-        left = _times(left, d_mats if even else dstar_mats)
+        if len(left) < full:
+            left = _times(left, d_mats if even else dstar_mats)
         if even:
             right = _times(_times(right, d_mats), [estar0])
         if line:
@@ -172,11 +177,12 @@ def _first_chain_failure(d_mats, dstar_mats, estar0, e0, depth: int):
             else:
                 lhs, rhs = _times(left, [e0]), _times(right, [e0])
             if lhs != rhs:
-                return {"line": line, "lhs_dim": len(lhs), "rhs_dim": len(rhs)}
+                witness = {"line": line, "lhs_dim": len(lhs), "rhs_dim": len(rhs)}
+                return Check("conj/chain_equalities", FAIL, witness)
         if back[0] == (left, right):
-            return None
+            return Check("conj/chain_equalities", PASS, {"lines": line})
         back = [back[1], (left, right)]
-    return None
+    raise InvariantViolation(f"the chain prefixes do not repeat by line {line}")
 
 
 def field_check(field, corner: list, estar0: Matrix, estar0_rank: int):

@@ -185,7 +185,8 @@ class _Corner:
         E_0 E'_0 = x link u^t,
 
     with rows[i] = tau'_i(B)^t y and cols[j] = tau_j(A) v, so no n x n
-    product is formed.  Each operator comes as (matrix, eigenvalues,
+    product is formed; pre[i] = (theta_0 - theta_1)...(theta_0 - theta_i)
+    over the eigenvalues of A.  Each operator comes as (matrix, eigenvalues,
     idempotent family); (A, A*) gives the primary corner, (A*, A) the dual.
     """
 
@@ -200,10 +201,11 @@ class _Corner:
         self.left = [_dot(field, r, x) for r in rows]
         self.right = [_dot(field, u, c) for c in self.cols]
         self.link = _dot(field, y, self.v)
+        self.pre = _prefix_products(field, list(thetas), thetas[0])
 
 
-def _corners(ctx: SystemContext):
-    """The primary and the dual _Corner of a sharp system."""
+def corners(ctx: SystemContext):
+    """The primary and the dual _Corner of a sharp system (ctx.corners)."""
     sys = ctx.sys
     ops = ((sys.A, sys.thetas, ctx.e_fam), (sys.Astar, sys.thetas_star, ctx.estar_fam))
     return _Corner(*ops), _Corner(*ops[::-1])
@@ -233,12 +235,10 @@ def trace_zeta(ctx: SystemContext):
     if bad:
         return {}, checks
 
-    pre_t = _prefix_products(field, list(sys.thetas), sys.thetas[0])
-    pre_s = _prefix_products(field, list(sys.thetas_star), sys.thetas_star[0])
-    primary, dual = _corners(ctx)
+    primary, dual = ctx.corners
     formulas = {
-        "dual_prefix_times_trace": [pre_s[i] * primary.right[i] for i in range(d + 1)],
-        "primary_prefix_times_trace": [pre_t[i] * dual.right[i] for i in range(d + 1)],
+        "dual_prefix_times_trace": [dual.pre[i] * primary.right[i] for i in range(d + 1)],
+        "primary_prefix_times_trace": [primary.pre[i] * dual.right[i] for i in range(d + 1)],
         "corner_trace_ratio": [primary.p[i][i] / primary.link for i in range(d + 1)],
         "corner_trace_ratio_dual": [dual.p[i][i] / dual.link for i in range(d + 1)],
     }
@@ -260,11 +260,9 @@ def vanishing_check(ctx: SystemContext):
     """
     sys, zetas = ctx.sys, ctx.zetas
     field, d = sys.field, sys.d
-    pre_t = _prefix_products(field, list(sys.thetas), sys.thetas[0])
-    pre_s = _prefix_products(field, list(sys.thetas_star), sys.thetas_star[0])
-    primary, dual = _corners(ctx)
-    # (side, its corner, the prefixes over its own and the other eigenvalues, other side)
-    sides = (("primary", primary, pre_t, pre_s, "dual"), ("dual", dual, pre_s, pre_t, "primary"))
+    primary, dual = ctx.corners
+    # (side, its corner, the other corner, other side)
+    sides = (("primary", primary, dual, "dual"), ("dual", dual, primary, "primary"))
     offdiag = (
         {"side": f"{side}-corner", "i": i, "j": j}
         for i, j in product(range(d + 1), repeat=2)
@@ -275,8 +273,8 @@ def vanishing_check(ctx: SystemContext):
     prefix = (
         {"identity": f"{side} via {name}-prefix", "i": i}
         for i in range(d + 1)
-        for side, c, own, other, other_side in sides
-        for name, rhs in ((side, own[i] * c.left[i]), (other_side, other[i] * c.right[i]))
+        for side, c, other, other_side in sides
+        for name, rhs in ((side, c.pre[i] * c.left[i]), (other_side, other.pre[i] * c.right[i]))
         if c.p[i][i] != rhs * c.link
     )
     scaling = (
@@ -289,7 +287,7 @@ def vanishing_check(ctx: SystemContext):
     raising = (
         {"identity": f"alternating product on first {other_side} eigenspace", "i": i}
         for i in range(d + 1)
-        for _, c, _, _, other_side in sides
+        for _, c, _, other_side in sides
         if c.b.shifts(c.cols[i], c.thetas_b[1 : i + 1])[-1] != tuple(zetas[i] * a for a in c.v)
     )
     return [

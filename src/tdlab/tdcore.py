@@ -180,8 +180,8 @@ class SystemContext:
 
     Derived on first use: the two idempotent families, the validation
     report, the basis of the algebra generated by A and A*, the split
-    summands and the split sequence.  A context for a relative or the dual
-    of a system is seeded from that system's (see seeded).
+    summands, the split sequence and the two split corners.  A context for
+    a relative or the dual of a system is seeded from that system's.
     """
 
     def __init__(self, sys: TdSystem, options: ValidateOptions | None = None):
@@ -231,6 +231,13 @@ class SystemContext:
         from .splitparam import split_sequence
 
         return split_sequence(self)
+
+    @cached_property
+    def corners(self) -> tuple:
+        """The primary and the dual splitparam._Corner of a sharp system."""
+        from .splitparam import corners
+
+        return corners(self)
 
 
 def projections(field: Field, n: int, subspaces) -> list:

@@ -11,8 +11,10 @@ context with a wrong derived object.  The form rows run the checks that take
 G, `form_checks` and `anti_automorphism`, on what the fault returns;
 form/solution_dim, form/symmetric and form/nondegenerate decide G itself.
 
-Two rows lie outside form/*.  Each patches `d4orbit.compute_orbit` to
-double zeta_1 of one relative and runs `relations_stage` on the result.
+Three rows lie outside form/*.  Two patch `d4orbit.compute_orbit` to double
+zeta_1 of one relative and run `relations_stage` on the result.  The third
+runs `conjectures_stage` on a seeded context whose primary family has E_0
+and E_1 swapped, with its eigenspaces unchanged.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ import pytest
 from tdlab import d4orbit as d4
 from tdlab import formlab as fl
 from tdlab import matrices as mx
-from tdlab.appshell import relations_stage, system_from_document
+from tdlab.appshell import conjectures_stage, relations_stage, system_from_document
 from tdlab.matrices import Matrix, Subspace
 from tdlab.tdcore import SystemContext
 
@@ -205,6 +207,47 @@ def test_each_orbit_row_fails_exactly_its_ids(pair, row, monkeypatch):
     assert (row.fails == {row.check_id}) == (row.never_alone is None)
     ORBIT_FAULTS[row.fault](monkeypatch)
     assert _failed_relations(pair[0]) == row.fails
+
+
+def _swapped_e0_e1(ctx):
+    """The context with E_0 and E_1 swapped in the primary family's
+    idempotents, and its eigenspaces unchanged."""
+    fam = ctx.e_fam
+    mats = (fam.mats[1], fam.mats[0], *fam.mats[2:])
+    return ctx.seeded(ctx.sys, dataclasses.replace(fam, mats=mats), ctx.estar_fam)
+
+
+CONJ_FAULTS = {"E_0 and E_1 swapped in the primary family": _swapped_e0_e1}
+
+CONJ_ROWS = (
+    Row(
+        "conj/chain_equalities",
+        "E_0 and E_1 swapped in the primary family",
+        frozenset({"conj/chain_equalities"}),
+    ),
+)
+
+
+def _failed_conjectures(ctx):
+    """The witness of each conjectures-stage check that fails, by id."""
+    return {c.id: c.witness for c in conjectures_stage(ctx)[0] if c.status == "fail"}
+
+
+def test_the_unfaulted_pair_passes_every_conjecture_check(pair):
+    assert _failed_conjectures(pair[0]) == {}
+
+
+@pytest.mark.parametrize("row", CONJ_ROWS, ids=[row.check_id for row in CONJ_ROWS])
+def test_each_conjecture_row_fails_exactly_its_ids(pair, row):
+    assert row.check_id in row.fails
+    assert (row.fails == {row.check_id}) == (row.never_alone is None)
+    assert set(_failed_conjectures(CONJ_FAULTS[row.fault](pair[0]))) == row.fails
+
+
+def test_the_chain_fails_at_the_first_line_that_reads_e0(pair):
+    # line 1 is the first line capped by E_0; its left side is E*_0 D D* E_0
+    failed = _failed_conjectures(_swapped_e0_e1(pair[0]))
+    assert failed == {"conj/chain_equalities": {"line": 1, "lhs_dim": 2, "rhs_dim": 1}}
 
 
 def test_every_form_id_has_a_row():

@@ -309,12 +309,13 @@ def test_zero_q_hint_exits_two(tmp_path, capsys):
 
 
 def test_deep_chain_on_a_sharp_pair(tmp_path, capsys):
+    # the scan runs until the chain repeats: on the (1,2,1) pair from line 3
     path = tmp_path / "kraw121.json"
     path.write_text(json.dumps(KRAW_Q), encoding="utf-8")
-    assert run(["conjectures", str(path), "--chain-depth", "100000"]) == 0
+    assert run(["conjectures", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     chain = next(c for c in out["checks"] if c["id"] == "conj/chain_equalities")
-    assert chain == {"id": "conj/chain_equalities", "status": "pass", "witness": {"depth": 100000}}
+    assert chain == {"id": "conj/chain_equalities", "status": "pass", "witness": {"lines": 3}}
 
 
 def test_boolean_dimension_exits_two(tmp_path, capsys):
@@ -342,14 +343,6 @@ def test_fuzz_rejects_unusable_arguments(flags, capsys):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("depth", ["0", "-4"])
-def test_conjectures_rejects_chain_depth_below_one(depth, tmp_path, capsys):
-    assert run(["conjectures", _write_x1(tmp_path), "--chain-depth", depth]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: chain-depth must be at least 1\n"
-
-
 @pytest.mark.parametrize("flag, message", [("--d-max", "d-max must be at least 1")])
 def test_fuzz_names_the_flag_it_rejects(flag, message, capsys):
     assert run(["fuzz", "--trials", "2", "--seed", "2", flag, "0"]) == 2
@@ -359,22 +352,22 @@ def test_fuzz_names_the_flag_it_rejects(flag, message, capsys):
 
 
 def test_removed_options_exit_two(tmp_path, capsys):
-    # fuzz validates with `auto` and runs the conjectures at depth 3; verify
-    # has no burnside strategy, which on a tridiagonal pair proves
-    # irreducibility only where E*_0 is a line and Norton's test decides
+    # fuzz validates with `auto`; the chain scan runs until the chain
+    # repeats, so neither fuzz nor conjectures takes a depth; verify has no
+    # burnside strategy, which on a tridiagonal pair proves irreducibility
+    # only where E*_0 is a line and Norton's test decides
     path = _write_x1(tmp_path)
     fuzz = ["fuzz", "--trials", "2", "--seed", "2"]
     for argv in (
         [*fuzz, "--irreducibility", "auto"],
         [*fuzz, "--chain-depth", "3"],
+        ["conjectures", path, "--chain-depth", "3"],
         ["verify", path, "--irreducibility", "burnside"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
-    assert run(["conjectures", path, "--chain-depth", "0"]) == 2
-    assert capsys.readouterr().err == "error: chain-depth must be at least 1\n"
 
 
 # Each subcommand's options and their choices (None where any value parses)
@@ -383,7 +376,7 @@ OPTION_SURFACE = {
     "params": {"file": None},
     "orbit": {"file": None},
     "form": {"file": None},
-    "conjectures": {"file": None, "--chain-depth": None},
+    "conjectures": {"file": None},
     "gen": {
         "kind": ["leonard"],
         "--theta": None,

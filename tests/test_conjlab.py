@@ -15,7 +15,7 @@ from tdlab.conjlab import (
 from tdlab.matrices import Matrix, Subspace, rank
 from tdlab.rng import SplitMix64
 from tdlab.scalars import PrimeField, RationalField
-from tdlab.tdcore import SystemContext, TdSystem, ValidateOptions
+from tdlab.tdcore import InvariantViolation, SystemContext, TdSystem, ValidateOptions
 from test_spin import GOLDEN_SYSTEMS, kraw
 
 QQ = RationalField()
@@ -89,39 +89,55 @@ def test_x1_field_check(x1):
     assert any(c.id == "conj/corner_dim_matches_rank" and c.status == "pass" for c in checks)
 
 
-def test_chain_monotonicity(inst_d3):
-    sys, ctx = inst_d3
+def test_chain_monotonicity():
+    # the scan's bound rests on this: from line to line, each uncapped side
+    # of the chain spans at least what it spanned before; on the GF(3) pair
+    # the left side grows until line 2, and the chain repeats from line 4
+    ctx = _chain_context("gf3_assume", None)
+    field, n = ctx.sys.field, ctx.sys.n
     algs = generate_subalgebras(ctx)
-    for depth in (1, 2, 3):
-        _, checks = corner_algebra_checks(ctx, algs, depth=depth)
-        chain = next(c for c in checks if c.id == "conj/chain_equalities")
-        assert chain.status == "pass", (depth, chain)
+    estar0 = ctx.estar_fam[0]
+    prefixes = [_chain_prefixes(field, n, algs["D"], algs["Dstar"], estar0, line) for line in range(6)]
+    for (left, right), (next_left, next_right) in zip(prefixes, prefixes[1:]):
+        assert all(next_left.contains(v) for v in left.basis)
+        assert all(next_right.contains(v) for v in right.basis)
+    assert [(left.dim, right.dim) for left, right in prefixes] == [(2, 2), (3, 2), (4, 2), (4, 2), (4, 2), (4, 2)]
 
 
 def _span(field, n, mats):
     return Subspace.from_vectors(field, n * n, [m.vec() for m in mats])
 
 
-def _chain_line(field, n, d_mats, dstar_mats, estar0, e0, line):
-    # the line-by-line definition: every line's two words built from scratch
-    def times(mats, factors):
-        space = _span(field, n, [x * y for x in mats for y in factors])
-        return [Matrix.from_vec(field, row, n, n) for row in space.basis]
+def _times_by_definition(field, n, mats, factors):
+    space = _span(field, n, [x * y for x in mats for y in factors])
+    return [Matrix.from_vec(field, row, n, n) for row in space.basis]
 
+
+def _chain_prefixes(field, n, d_mats, dstar_mats, estar0, line):
+    # the uncapped sides of a line, built from scratch as n x n spans
     left, right = [estar0], [estar0]
     for k in range(line + 1):
-        left = times(left, d_mats if k % 2 == 0 else dstar_mats)
+        left = _times_by_definition(field, n, left, d_mats if k % 2 == 0 else dstar_mats)
         if k % 2 == 0:
-            right = times(times(right, d_mats), [estar0])
-    if line % 2:
-        left, right = times(left, [e0]), times(right, [e0])
-    else:
-        left = times(left, [estar0])
+            right = _times_by_definition(field, n, _times_by_definition(field, n, right, d_mats), [estar0])
     return _span(field, n, left), _span(field, n, right)
 
 
-def _chain_by_definition(field, n, d_mats, dstar_mats, estar0, e0, depth):
-    for line in range(1, depth + 1):
+def _chain_line(field, n, d_mats, dstar_mats, estar0, e0, line):
+    # the line-by-line definition: every line's two words built from scratch
+    left, right = (
+        [Matrix.from_vec(field, v, n, n) for v in s.basis]
+        for s in _chain_prefixes(field, n, d_mats, dstar_mats, estar0, line)
+    )
+    if line % 2:
+        left, right = (_times_by_definition(field, n, m, [e0]) for m in (left, right))
+    else:
+        left = _times_by_definition(field, n, left, [estar0])
+    return _span(field, n, left), _span(field, n, right)
+
+
+def _chain_by_definition(field, n, d_mats, dstar_mats, estar0, e0, last):
+    for line in range(1, last + 1):
         lhs, rhs = _chain_line(field, n, d_mats, dstar_mats, estar0, e0, line)
         if lhs != rhs:
             return {"line": line, "lhs_dim": lhs.dim, "rhs_dim": rhs.dim}
@@ -129,11 +145,13 @@ def _chain_by_definition(field, n, d_mats, dstar_mats, estar0, e0, depth):
 
 
 def _first_failing_line(field, n, case):
-    # asserts agreement with the definition at every depth 1..8
-    first = _chain_by_definition(field, n, *case, 8)
-    for depth in range(1, 9):
-        expected = first if first and first["line"] <= depth else None
-        assert conjlab._first_chain_failure(*case, depth) == expected, (case, depth)
+    # the scan against the definition on every line it compares, and on
+    # lines past the one at which it stops, at least up to line 8
+    check = conjlab._chain_check(*case)
+    failed = check.status == "fail"
+    last = check.witness["line"] if failed else check.witness["lines"]
+    first = _chain_by_definition(field, n, *case, max(8, last + 2))
+    assert (check.witness if failed else None) == first, case
     return first and first["line"]
 
 
@@ -201,24 +219,52 @@ def test_chain_stop_rule_on_arbitrary_factors():
     assert {None, 1, 2} <= {_first_failing_line(f, 2, case) for case in cases}
 
 
-def test_chain_work_is_bounded_in_depth(monkeypatch):
+# the line at which the chain first repeats, where a pass stops
+CHAIN_STOP_LINES = {
+    "leonard6_q": 2,
+    "leonard6_gf": 2,
+    "KRAW_Q": 3,
+    "KRAW_GF": 3,
+    "kraw1331": 4,
+    "gf3_assume": 4,
+    "n16": 5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_STOP_LINES))
+def test_chain_pass_names_the_line_it_stops_at(name):
+    if name.startswith("leonard6"):
+        ctx = SystemContext(GOLDEN_SYSTEMS[name]())
+    elif name == "kraw1331":
+        ctx = _kraw_context(kraw.krawtchouk_document((1, 3, 3, 1), (2, 3, 5)))
+    else:
+        ctx = _chain_context(name, None)
+    _, checks = corner_algebra_checks(ctx, generate_subalgebras(ctx))
+    chain = next(c for c in checks if c.id == "conj/chain_equalities")
+    assert (chain.status, chain.witness) == ("pass", {"lines": CHAIN_STOP_LINES[name]})
+
+
+def test_a_chain_that_never_repeats_is_a_subalgebras_fail(monkeypatch):
+    # with products by a cap spanning nothing, both sides of every line are
+    # zero, while each other product spans a new line: the prefixes never
+    # repeat, and the scan stops at its bound, line 4 rho_0 n + 2
     ctx = _kraw_context(KRAW_Q)
+    field, n = ctx.sys.field, ctx.sys.n
+    scales = iter(range(1, 100))
+
+    def never_repeating(basis, factors):
+        if len(factors) == 1:
+            return []
+        return [Matrix.identity(field, n).scale(field.from_int(next(scales)))]
+
+    monkeypatch.setattr(conjlab, "_times", never_repeating)
     d_mats, dstar_mats = _chain_inputs(ctx)
-    calls = []
-    times = conjlab._times
-
-    def counting_times(*args):
-        calls.append(1)
-        return times(*args)
-
-    monkeypatch.setattr(conjlab, "_times", counting_times)
-    counts = []
-    for depth in (50, 10**5):
-        calls.clear()
-        args = (d_mats, dstar_mats, ctx.estar_fam[0], ctx.e_fam[0], depth)
-        assert conjlab._first_chain_failure(*args) is None
-        counts.append(len(calls))
-    assert counts[1] <= counts[0]
+    with pytest.raises(InvariantViolation, match="do not repeat by line 18$"):
+        conjlab._chain_check(d_mats, dstar_mats, ctx.estar_fam[0], ctx.e_fam[0])
+    checks, extra = conjectures_stage(ctx)
+    failed = [(c.id, c.witness) for c in checks if c.status == "fail"]
+    assert failed == [("conj/subalgebras", {"error": "the chain prefixes do not repeat by line 18"})]
+    assert extra == {}
 
 
 @pytest.mark.parametrize("name", ["KRAW_Q", "KRAW_GF", "n16", "gf3_assume"])
@@ -230,7 +276,7 @@ def test_chain_products_act_on_rho0_rows(name, matrix_products):
     d_mats, dstar_mats = _chain_inputs(ctx)
     estar0, e0, rho0 = ctx.estar_fam[0], ctx.e_fam[0], ctx.estar_fam.ranks[0]
     matrix_products.clear()
-    assert conjlab._first_chain_failure(d_mats, dstar_mats, estar0, e0, 3) is None
+    assert conjlab._chain_check(d_mats, dstar_mats, estar0, e0).status == "pass"
     assert {rows for rows, _ in matrix_products} == {rho0} == ({2} if name == "gf3_assume" else {1})
 
 

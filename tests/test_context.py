@@ -229,6 +229,17 @@ def test_identity_suite_factors_each_line_once(monkeypatch):
     assert sorted((id(fam), i) for fam, i in factored) == sorted((id(fam), i) for fam, i in expected)
 
 
+@pytest.mark.parametrize("doc", [KRAW_Q, KRAW_GF], ids=["Q", "GF"])
+def test_identity_suite_builds_the_split_corners_once(doc, monkeypatch):
+    # the primary and the dual corner, which trace_zeta and
+    # vanishing_check both read from the context
+    built = _count_calls(monkeypatch, sp._Corner, "__init__")
+    ctx = SystemContext(system_from_document(doc)[0])
+    assert ctx.report.passed() and ctx.report.sharp
+    run_identity_suite(ctx)
+    assert len(built) == 2
+
+
 def test_auto_leaves_a_pair_without_a_line_open_without_a_solve(monkeypatch):
     # E*_0 is a plane, and a closure of dimension n^2 would make the pair
     # sharp, so `auto` reports inconclusive without solving the closure

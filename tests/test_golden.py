@@ -22,7 +22,16 @@ the strategy or the chain depth, which it always ran at `auto` and 3.  So
 each fuzz report is checked three times: against PRINTED_FUZZ as printed;
 against NORTON_FUZZ with those two config keys put back where they stood;
 and against GOLDEN_FUZZ with, in addition, each trial's `irreducible`
-witness and the configured strategy written back in the eigen_subset form."""
+witness and the configured strategy written back in the eigen_subset form.
+
+The chain scan of `conj/chain_equalities` ran to a fixed depth of 3 lines;
+it now runs until the chain repeats, and a pass names the last line it
+compared, {"lines": L}, where it named {"depth": 3}.  Every report that
+carries that check (the conjectures view, fuzz, the whole suite and the
+conjectures stage) is checked as printed, against LINES_VIEW, LINES_FUZZ,
+LINES_SUITE and LINES_CONJECTURES, and then with each pass witness written
+back as {"depth": 3} against the older digests, which shows that the
+witness is the only change."""
 
 import hashlib
 import json
@@ -259,7 +268,7 @@ NORTON_FUZZ = {
     "rational": (0, "d3b509d4c4c358f5eabe58b00d022da5c1490fc6e732bbb6cdb5286b1d157b25"),
 }
 
-# The fuzz reports as printed
+# The fuzz reports as printed while the chain scan ran to depth 3
 PRINTED_FUZZ = {
     "p=10007": (0, "f9ba6b2e60a08a50c26643411736ddc52bbe5f26f7cfa9bb2d0cad9da650d349"),
     "rational": (0, "55ddb1619c165f79d66d7a913e2f442d871a5a85fe05ef6914c910d9bbe8bdf4"),
@@ -288,6 +297,38 @@ GOLDEN_CONJECTURES = {
     "gf3_no_line_exhaustive": "a1d097b064aa6a5ab66b4ee3d7ea2b250d64b5f369dca30dc0781453324726ee",
     "kraw121_q_assume": "13ff033da180bf210d4c240b837987cc28409b49e7b662ecbf6f61f7692d3a86",
     "kraw16_gf": "f56914c147e208fffef6a7dff3b05ff0dd9b835a572a3ebc3fa487fbf8bef1b9",
+}
+
+# The conjectures view as printed, with the chain pass witness {"lines": L},
+# on DOCUMENTS and on the d=6 Leonard systems
+LINES_VIEW = {
+    "kraw121_gf": (0, "220a1bb5d97a603958cec0f822bbb71304c32838151a971c3c03582405f3509d"),
+    "kraw121_q": (0, "220a1bb5d97a603958cec0f822bbb71304c32838151a971c3c03582405f3509d"),
+    "kraw1221_q": (0, "da5e9d96039994d08785f66d9eedbe26e41be885edf7a9be5d13e66547cd29ca"),
+    "no_q": (0, "09312042c3396a981319288ed033944e9cc7b02af5b4ad81ed4657d46c63a4dc"),
+    "x1": (0, "f7a4c6ed58c1f36dca6b507e0b8bbb4b6a763b221cf57efb7912ab2589bc0809"),
+    "leonard_d6 p=10007": (0, "005ad1d4c7159ca445f4cfaaefa94237fdfedac4d05b3a9f927a638fe8f0d2aa"),
+    "leonard_d6 rational": (0, "005ad1d4c7159ca445f4cfaaefa94237fdfedac4d05b3a9f927a638fe8f0d2aa"),
+}
+
+# The fuzz reports, the suite's checks and the conjectures stage's checks
+# and payload as printed, with the chain pass witness {"lines": L}
+LINES_FUZZ = {
+    "p=10007": (0, "b6fae84e406a12d87afcdfd1c0851c8655e6ff9eadcf136635abf7f96dfbf7d8"),
+    "rational": (0, "27eff75c80dbb72371fe1673bb9b0962cac37608b17c2b0be7ca4f9750b745cc"),
+}
+
+LINES_SUITE = {
+    "kraw121_gf": "dd4bc7db96f630b78516219ab0ed951815cfdb5c47312af32bfb6ed99a674e02",
+    "kraw121_q": "dd4bc7db96f630b78516219ab0ed951815cfdb5c47312af32bfb6ed99a674e02",
+    "kraw16_gf": "24f260c3fe3c22a64637e1733d69d85ed8b3bd757f029550419734efc65ef7ad",
+}
+
+LINES_CONJECTURES = {
+    "gf3_no_line_assume": "d4156b9b3231d129c04d28bfe8b03bac9b669d6519f873227e9d1a0079f61bc9",
+    "gf3_no_line_exhaustive": "d4156b9b3231d129c04d28bfe8b03bac9b669d6519f873227e9d1a0079f61bc9",
+    "kraw121_q_assume": "cadb33d2d8cb5b4846edee22b4e1f39342a288803bd9894e123d1264b8a4a703",
+    "kraw16_gf": "7aece2a717b2868c5e6c38d0d451680a742931ba03afa0cb935bcb325ea60433",
 }
 
 
@@ -378,16 +419,35 @@ def _digests(argv, capsys, rewrites=(_as_burnside,)):
     return code, *digests
 
 
-def _view_digests(sub, path, capsys, printed_orbit):
+def _chain_at_depth_three(doc):
+    """Write each `conj/chain_equalities` pass witness, {"lines": L}, in the
+    form it had when the scan ran to depth 3."""
+    chains = [c for c in doc["checks"] if c["id"].endswith("conj/chain_equalities")]
+    assert chains
+    for chain in chains:
+        assert chain["status"] == "pass" and set(chain["witness"]) == {"lines"}
+        chain["witness"] = {"depth": 3}
+
+
+# Each view whose report changed since the older digests: the rewrite that
+# undoes the change, and the digests of the report as printed
+VIEW_CHANGES = {
+    "orbit": (_without_relations_ids, PRINTED_ORBIT),
+    "conjectures": (_chain_at_depth_three, LINES_VIEW),
+}
+
+
+def _view_digests(sub, path, capsys, key):
     """The exit code and the Norton and Burnside digests of one view's
-    report; an orbit report is first checked against `printed_orbit` as
-    printed, then read without RELATIONS_IDS."""
+    report; a report of VIEW_CHANGES is first checked as printed against
+    its digest under `key`, then read as its rewrite leaves it."""
     head, *flags = SUBCOMMANDS[sub]
     argv = [head, str(path), *flags]
-    if sub != "orbit":
+    if sub not in VIEW_CHANGES:
         return _digests(argv, capsys)
-    code, printed, norton, burnside = _digests(argv, capsys, (_without_relations_ids, _as_burnside))
-    assert (code, printed) == printed_orbit
+    rewrite, printed = VIEW_CHANGES[sub]
+    code, as_printed, norton, burnside = _digests(argv, capsys, (rewrite, _as_burnside))
+    assert (code, as_printed) == printed[key]
     return code, norton, burnside
 
 
@@ -396,7 +456,7 @@ def _view_digests(sub, path, capsys, printed_orbit):
 def test_report_digest(doc_name, sub, tmp_path, capsys):
     path = tmp_path / f"{doc_name}.json"
     path.write_text(json.dumps(DOCUMENTS[doc_name], indent=2) + "\n", encoding="utf-8")
-    code, norton, burnside = _view_digests(sub, path, capsys, PRINTED_ORBIT.get(doc_name))
+    code, norton, burnside = _view_digests(sub, path, capsys, doc_name)
     assert (code, burnside) == GOLDEN[(doc_name, sub)]
     assert (code, norton) == NORTON[(doc_name, sub)]
 
@@ -412,7 +472,7 @@ def leonard_d6(request, tmp_path_factory):
 def test_leonard_d6_report_digest(leonard_d6, sub, capsys):
     field, path = leonard_d6
     capsys.readouterr()
-    code, norton, burnside = _view_digests(sub, path, capsys, PRINTED_ORBIT.get(f"leonard_d6 {field}"))
+    code, norton, burnside = _view_digests(sub, path, capsys, f"leonard_d6 {field}")
     assert (code, burnside) == GOLDEN_LEONARD_D6[(field, sub)]
     assert (code, norton) == NORTON_LEONARD_D6[(field, sub)]
 
@@ -420,12 +480,13 @@ def test_leonard_d6_report_digest(leonard_d6, sub, capsys):
 @pytest.mark.parametrize("field", sorted(GOLDEN_FUZZ))
 def test_fuzz_digest(field, capsys):
     argv = ["fuzz", "--trials", "3", "--seed", "7", "--field", field]
-    code, printed, norton, eigen_subset = _digests(
-        argv, capsys, (_with_retired_config, _as_eigen_subset)
+    code, lines, printed, norton, eigen_subset = _digests(
+        argv, capsys, (_chain_at_depth_three, _with_retired_config, _as_eigen_subset)
     )
     assert (code, eigen_subset) == GOLDEN_FUZZ[field]
     assert (code, norton) == NORTON_FUZZ[field]
     assert (code, printed) == PRINTED_FUZZ[field]
+    assert (code, lines) == LINES_FUZZ[field]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SUITE))
@@ -434,8 +495,10 @@ def test_identity_suite_digest(name):
     sys, _ = system_from_document(doc)
     ctx = SystemContext(sys)
     assert ctx.report.passed() and ctx.report.sharp
-    checks = checks_to_json(sys.field, run_identity_suite(ctx))
-    assert _sha256(dumps_document({"checks": checks})) == GOLDEN_SUITE[name]
+    doc = {"checks": checks_to_json(sys.field, run_identity_suite(ctx))}
+    assert _sha256(dumps_document(doc)) == LINES_SUITE[name]
+    _chain_at_depth_three(doc)
+    assert _sha256(dumps_document(doc)) == GOLDEN_SUITE[name]
 
 
 def _conjectures_input(name):
@@ -456,4 +519,6 @@ def test_conjectures_stage_digest(name):
     assert ctx.report.passed()
     checks, payload = conjectures_stage(ctx)
     doc = {"checks": checks_to_json(sys.field, checks), "payload": to_jsonable(sys.field, payload)}
+    assert _sha256(dumps_document(doc)) == LINES_CONJECTURES[name]
+    _chain_at_depth_three(doc)
     assert _sha256(dumps_document(doc)) == GOLDEN_CONJECTURES[name]
